@@ -208,7 +208,8 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
     the CLI can cache them in the documented text format.
     """
     if config.cache_dir:
-        tag = f"ebeta_b{beta:g}_c{config.c:g}_om{grid.omega:g}_n{grid.n}.txt"
+        # repr is exact, so parameters that differ in any digit never share a file
+        tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
         path = os.path.join(config.cache_dir, tag)
         if os.path.exists(path):
             cached = load_matrix(path)
@@ -216,7 +217,15 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
                 return OperatorMatrix(grid, cached.entries.copy(), "cached")
         op = build_ebeta_operator(grid, EbetaSpec(beta, config.c))
         os.makedirs(config.cache_dir, exist_ok=True)
-        save_matrix(op, path)
+        # write under a name no reader looks for, then rename it into place
+        # atomically, so a concurrent run never loads a half-written matrix
+        tmp = os.path.join(config.cache_dir, f".{tag}.{os.getpid()}.tmp")
+        try:
+            save_matrix(op, tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return op
     return build_ebeta_operator(grid, EbetaSpec(beta, config.c))
 

@@ -479,12 +479,13 @@ def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def save_matrix(t: OperatorMatrix, path) -> None:
     """Write the documented text format: header ``rows cols omega``, then
     row-major ``re im`` pairs, one matrix row per line."""
-    entries = t.entries
+    entries = np.ascontiguousarray(t.entries, dtype=complex)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{entries.shape[0]} {entries.shape[1]} {float(t.grid.omega)!r}\n")
-        for row in entries:
-            fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-            fh.write("\n")
+        # the float64 view interleaves re, im along each row; converting one
+        # row at a time keeps a single row of Python floats alive
+        for row in entries.view(np.float64):
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrix(path) -> OperatorMatrix:

@@ -83,3 +83,18 @@ def test_levinson_experiment_reports_verdict(tmp_path):
         "DIVERGENT",
         "INCONCLUSIVE",
     )
+
+
+def test_ebeta_cache_keeps_betas_that_format_alike_apart(tmp_path):
+    from triangulab.experiments import _cached_ebeta
+    from triangulab.grid import make_grid
+
+    assert f"{1.0000001:g}" == f"{1.0:g}"
+    cache = tmp_path / "cache"
+    config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(cache)})
+    grid = make_grid(config.omega, 8)
+    first = _cached_ebeta(config, grid, 1.0)
+    second = _cached_ebeta(config, grid, 1.0000001)
+    assert len(list(cache.glob("ebeta_*.txt"))) == 2
+    assert sorted(os.listdir(cache)) == sorted(p.name for p in cache.glob("ebeta_*.txt"))
+    assert (first.entries != second.entries).any()

@@ -8,6 +8,7 @@ from triangulab import EbetaSpec, make_grid, m_moment
 from triangulab.exceptions import ConstructionError
 from triangulab.operators import (
     KernelSpec,
+    OperatorMatrix,
     build_difference_operator,
     build_ebeta_operator,
     build_fractional,
@@ -438,6 +439,22 @@ def test_save_load_roundtrip():
     assert loaded.grid.n == 8
     assert loaded.grid.omega == pytest.approx(1.5)
     np.testing.assert_array_equal(loaded.entries, op.entries)
+
+
+def test_save_matrix_matches_per_entry_repr_format(tmp_path):
+    rng = np.random.default_rng(11)
+    entries = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-300, 300, (5, 5))
+    entries = entries + 1j * rng.standard_normal((5, 5))
+    entries[0, 0] = complex(-0.0, 0.0)
+    entries[1, 2] = complex(1e-310, -5e-324)
+    op = OperatorMatrix(make_grid(0.75, 5), entries, "custom")
+    path = tmp_path / "m.txt"
+    save_matrix(op, path)
+    expected = "5 5 0.75\n" + "".join(
+        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in entries
+    )
+    assert path.read_text() == expected
+    np.testing.assert_array_equal(load_matrix(path).entries, entries)
 
 
 def test_load_rejects_truncated_file(tmp_path):
