@@ -8,7 +8,6 @@ pass/fail.  The CLI wraps this registry; tests call it directly.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import itertools
 import json
@@ -24,18 +23,21 @@ from . import spectral as spec
 from . import symbol as sym
 from .grid import Grid, make_grid
 from .operators import (
+    KERNEL_PRESETS,
+    KernelSpec,
     OperatorMatrix,
     build_ebeta_operator,
     build_fractional,
     build_imaginary_fractional,
     build_multiplication,
+    build_operator,
     load_matrix,
     operator_norm,
     save_matrix,
     split_given_basis,
     wrap_matrix,
 )
-from .specfun import EbetaSpec, e_beta, gamma_complex, m_moment
+from .specfun import EbetaSpec, e_beta, m_moment
 
 __all__ = ["ExperimentConfig", "ConfigError", "Check", "Summary", "REGISTRY", "run_experiment"]
 
@@ -58,11 +60,28 @@ _TOLERANCE_KEYS = {
 }
 _TOP_KEYS = {"experiment", "grid", "kernel", "ladder", "tolerances", "seed", "output_dir", "cache_dir"}
 
-_KERNEL_PRESETS = {
-    "one": (lambda t: 1.0 + 0.0j, lambda u: complex(u)),
-    "linear": (lambda t: complex(t), lambda u: complex(0.5 * u * u)),
-    "inv_sqrt": (lambda t: complex(t) ** -0.5, lambda u: complex(2.0 * math.sqrt(u))),
-}
+
+def _section(raw: dict, name: str, allowed: set) -> dict:
+    """The ``name`` object of the config, checked for unknown keys."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    if set(section) - allowed:
+        raise ConfigError(f"unknown {name} keys: {sorted(set(section) - allowed)}")
+    return section
+
+
+def _number(where: str, value) -> float:
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(where: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,47 +118,41 @@ class ExperimentConfig:
                 f"unknown experiment {name!r}; known: {sorted(REGISTRY)}"
             )
         kwargs: dict = {"experiment": name}
-        grid_cfg = raw.get("grid", {})
-        if set(grid_cfg) - _GRID_KEYS:
-            raise ConfigError(f"unknown grid keys: {sorted(set(grid_cfg) - _GRID_KEYS)}")
+        grid_cfg = _section(raw, "grid", _GRID_KEYS)
         if "omega" in grid_cfg:
-            kwargs["omega"] = float(grid_cfg["omega"])
+            kwargs["omega"] = _number("grid.omega", grid_cfg["omega"])
+            if not kwargs["omega"] > 0:
+                raise ConfigError(f"grid.omega must be positive, got {kwargs['omega']!r}")
         if "n" in grid_cfg:
-            kwargs["n"] = int(grid_cfg["n"])
-        kernel_cfg = raw.get("kernel", {})
-        if set(kernel_cfg) - _KERNEL_KEYS:
-            raise ConfigError(f"unknown kernel keys: {sorted(set(kernel_cfg) - _KERNEL_KEYS)}")
-        if "beta" in kernel_cfg:
-            kwargs["beta"] = float(kernel_cfg["beta"])
-        if "c" in kernel_cfg:
-            kwargs["c"] = float(kernel_cfg["c"])
-        if "alpha" in kernel_cfg:
-            kwargs["alpha"] = float(kernel_cfg["alpha"])
+            kwargs["n"] = _integer("grid.n", grid_cfg["n"])
+            if kwargs["n"] < 2:
+                raise ConfigError(f"grid.n must be at least 2, got {kwargs['n']}")
+        kernel_cfg = _section(raw, "kernel", _KERNEL_KEYS)
+        for key in ("beta", "c", "alpha"):
+            if key in kernel_cfg:
+                kwargs[key] = _number(f"kernel.{key}", kernel_cfg[key])
+        if not kwargs.get("beta", 1.0) > 0:
+            raise ConfigError(f"kernel.beta must be positive, got {kwargs['beta']!r}")
         if "s" in kernel_cfg:
-            preset = kernel_cfg["s"]
-            if preset not in _KERNEL_PRESETS and preset != "imaginary_power":
+            if kernel_cfg["s"] not in KERNEL_PRESETS:
                 raise ConfigError(
-                    f"unknown kernel preset {preset!r}; known: "
-                    f"{sorted(_KERNEL_PRESETS) + ['imaginary_power']}"
+                    f"unknown kernel preset {kernel_cfg['s']!r}; known: {list(KERNEL_PRESETS)}"
                 )
-            kwargs["s_preset"] = preset
-        ladder_cfg = raw.get("ladder", {})
-        if set(ladder_cfg) - _LADDER_KEYS:
-            raise ConfigError(f"unknown ladder keys: {sorted(set(ladder_cfg) - _LADDER_KEYS)}")
+            kwargs["s_preset"] = kernel_cfg["s"]
+        ladder_cfg = _section(raw, "ladder", _LADDER_KEYS)
         if "y" in ladder_cfg:
-            kwargs["y_ladder"] = tuple(float(v) for v in ladder_cfg["y"])
-        if "xi_k_max" in ladder_cfg:
-            kwargs["xi_k_max"] = int(ladder_cfg["xi_k_max"])
-        if "xi_per_octave" in ladder_cfg:
-            kwargs["xi_per_octave"] = int(ladder_cfg["xi_per_octave"])
-        tol_cfg = raw.get("tolerances", {})
-        if set(tol_cfg) - _TOLERANCE_KEYS:
-            raise ConfigError(
-                f"unknown tolerance keys: {sorted(set(tol_cfg) - _TOLERANCE_KEYS)}"
-            )
-        kwargs["tolerances"] = {k: float(v) for k, v in tol_cfg.items()}
+            if not isinstance(ladder_cfg["y"], list):
+                raise ConfigError(f"ladder.y must be a list, got {ladder_cfg['y']!r}")
+            kwargs["y_ladder"] = tuple(_number("ladder.y", v) for v in ladder_cfg["y"])
+            if 0.0 in kwargs["y_ladder"]:
+                raise ConfigError("ladder.y must avoid y = 0")
+        for key in ("xi_k_max", "xi_per_octave"):
+            if key in ladder_cfg:
+                kwargs[key] = _integer(f"ladder.{key}", ladder_cfg[key])
+        tol_cfg = _section(raw, "tolerances", _TOLERANCE_KEYS)
+        kwargs["tolerances"] = {k: _number(f"tolerances.{k}", v) for k, v in tol_cfg.items()}
         if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
+            kwargs["seed"] = _integer("seed", raw["seed"])
         if "output_dir" in raw:
             kwargs["output_dir"] = str(raw["output_dir"])
         if "cache_dir" in raw:
@@ -197,8 +210,25 @@ def _echo(config: ExperimentConfig, **resolved) -> dict:
     return json.loads(json.dumps(raw, default=str, sort_keys=True))
 
 
+def _write_csv(outdir: str, name: str, header: str, rows) -> None:
+    """Write ``outdir/name``: the header line, then one line per row.
+
+    Strings and integers are written as they are, every other value as the
+    ``repr`` of a float, which round-trips exactly.
+    """
+    with open(os.path.join(outdir, name), "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row) + "\n")
+
+
 def _phi_identity(x: float) -> float:
     return x
+
+
+def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
+    """``phi + V`` with ``phi(x) = x`` on ``grid`` and ``V`` given by its entries."""
+    return wrap_matrix(build_multiplication(grid, _phi_identity).entries + v, omega=grid.omega)
 
 
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
@@ -230,20 +260,6 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
     return build_ebeta_operator(grid, EbetaSpec(beta, config.c))
 
 
-def _kernel_handles(config: ExperimentConfig, preset: str):
-    if preset == "imaginary_power":
-        alpha = config.alpha
-        if alpha == 0.0:
-            return _KERNEL_PRESETS["one"]
-        norm = gamma_complex(1.0 + 1j * alpha)
-        g2 = gamma_complex(2.0 + 1j * alpha)
-        return (
-            lambda t: cmath.exp(1j * alpha * math.log(t)) / norm,
-            lambda u: (u * cmath.exp(1j * alpha * math.log(u)) / g2) if u > 0 else 0.0 + 0.0j,
-        )
-    return _KERNEL_PRESETS[preset]
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations
 
@@ -267,11 +283,7 @@ def _exp_sigma_equality(config: ExperimentConfig, outdir: str) -> Summary:
 def _exp_spectral_mapping(config: ExperimentConfig, outdir: str) -> Summary:
     n = config.n or 32
     grid = make_grid(config.omega, n)
-    t = wrap_matrix(
-        build_multiplication(grid, _phi_identity).entries
-        + build_fractional(grid, config.beta or 0.5).entries,
-        omega=config.omega,
-    )
+    t = _phi_plus(grid, build_fractional(grid, config.beta or 0.5).entries)
     tol_d = config.tol("mapping_distance", 1e-6)
     tol_v = config.tol("vf_radius", 1e-6)
     functions = [
@@ -321,42 +333,69 @@ def _exp_macaev_norms(config: ExperimentConfig, outdir: str) -> Summary:
     return Summary("macaev-norms", _echo(config, matrices=50, dim=16, p_grid=[str(p) for p in p_grid]), checks)
 
 
-def _default_profile_ladder(beta: float) -> tuple:
-    if beta <= 0.75:
-        return tuple(2.0 ** (0.5 - e / 4.0) for e in range(9))
-    return tuple(2.0 ** (-e / 3.0) for e in range(9))
+def _default_ladder(kind: str, beta: float) -> tuple:
+    """Nine-point geometric ``y`` ladder for a ``phi + V`` profile.
+
+    ``kind`` is ``"fractional"`` (``V = J^beta``) or ``"ebeta"`` (the
+    log-singular family); the default of every ``phi + V`` profile
+    experiment.
+    """
+    if kind == "fractional":
+        if beta <= 0.75:
+            return tuple(2.0 ** (0.5 - e / 4.0) for e in range(9))
+        return tuple(2.0 ** (-e / 3.0) for e in range(9))
+    if beta >= 1.0:
+        return tuple(3.5 * 2.0 ** (-e / 2.0) for e in range(9))
+    return tuple(1.7 * 2.0 ** (-e / 8.0) for e in range(9))
 
 
-def _build_phi_plus(
-    config: ExperimentConfig, grid: Grid, kind: str, beta: float
-) -> OperatorMatrix:
+def _phi_plus_profile(
+    config: ExperimentConfig, n: int, kind: str, beta: float, ladder: tuple
+) -> res.ResolventProfile:
+    """Resolvent profile of ``phi + V`` split in the given basis.
+
+    ``V`` is ``J^beta`` (``kind="fractional"``) or the log-singular build
+    (``kind="ebeta"``, cached through ``config.cache_dir``).  The envelope
+    uses 64 ``x`` samples, the chain sweep 33.
+    """
+    grid = make_grid(config.omega, n)
     if kind == "fractional":
         v_op = build_fractional(grid, beta)
     else:
         v_op = _cached_ebeta(config, grid, beta)
-    return wrap_matrix(
-        build_multiplication(grid, _phi_identity).entries + v_op.entries, omega=grid.omega
+    t = _phi_plus(grid, v_op.entries)
+    return res.profile(
+        t, split_given_basis(t), ladder, x_samples=64, power_x_samples=33, seed=config.seed
     )
+
+
+def _exponent_checks(name: str, anchor: str, fitted_p: float, target: float) -> list:
+    """``<name>-lower`` and ``<name>-upper``: ``fitted_p`` within ``target +- 0.4``."""
+    return [
+        Check(f"{name}-lower", anchor, fitted_p, target - 0.4, fitted_p >= target - 0.4),
+        Check(f"{name}-upper", anchor, fitted_p, target + 0.4, fitted_p <= target + 0.4),
+    ]
+
+
+def _verdict_check(config: ExperimentConfig, prof, name: str, anchor: str, expected: str):
+    """Levinson verdict of ``prof`` and the check that it is ``expected``."""
+    verdict = res.levinson_classify(prof, margin=config.tol("levinson_margin", 0.15))
+    return verdict, Check(name, anchor, verdict.p, 1.0, verdict.verdict == expected)
 
 
 def _exp_resolvent_profile(config: ExperimentConfig, outdir: str) -> Summary:
     n = config.n or 256
     beta = config.beta if config.beta is not None else 1.0
-    grid = make_grid(config.omega, n)
-    t = _build_phi_plus(config, grid, "fractional", beta)
-    split = split_given_basis(t)
-    ladder = config.y_ladder or _default_profile_ladder(beta)
-    prof = res.profile(t, split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
+    ladder = config.y_ladder or _default_ladder("fractional", beta)
+    prof = _phi_plus_profile(config, n, "fractional", beta, ladder)
     res.profile_to_csv(prof, os.path.join(outdir, "profile.csv"))
     res.r_table_to_csv(prof, os.path.join(outdir, "r_table.csv"))
 
     # chain-series identity against the dense inverse on a small companion build
     small = make_grid(config.omega, 32)
     rng = np.random.default_rng(config.seed)
-    t32 = wrap_matrix(
-        build_multiplication(small, _phi_identity).entries
-        + np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.25,
-        omega=config.omega,
+    t32 = _phi_plus(
+        small, np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.25
     )
     split32 = split_given_basis(t32)
     worst_neumann = 0.0
@@ -367,11 +406,9 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str) -> Summary:
             continue
         drawn += 1
         worst_neumann = max(worst_neumann, res.neumann_residual(t32, split32, lam))
-    target_p = 1.0 / beta
     checks = [
         Check("chain-series-vs-dense-inverse", "resolvent-chain-expansion", worst_neumann, 1e-8, worst_neumann <= 1e-8),
-        Check("count-exponent-lower", "resolvent-chain-expansion", prof.fitted_p, target_p - 0.4, prof.fitted_p >= target_p - 0.4),
-        Check("count-exponent-upper", "resolvent-chain-expansion", prof.fitted_p, target_p + 0.4, prof.fitted_p <= target_p + 0.4),
+        *_exponent_checks("count-exponent", "resolvent-chain-expansion", prof.fitted_p, 1.0 / beta),
         Check("envelope-uplift-factor", "resolvent-chain-expansion", prof.envelope_violation, 100.0, prof.envelope_violation <= 100.0),
     ]
     return Summary(
@@ -384,34 +421,19 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str) -> Summary:
 def _exp_levinson(config: ExperimentConfig, outdir: str) -> Summary:
     n = config.n or 256
     beta = config.beta if config.beta is not None else 2.0
-    grid = make_grid(config.omega, n)
-    t = _build_phi_plus(config, grid, "ebeta", beta)
-    split = split_given_basis(t)
-    if config.y_ladder:
-        ladder = config.y_ladder
-    elif beta >= 1.0:
-        ladder = tuple(3.5 * 2.0 ** (-e / 2.0) for e in range(9))
-    else:
-        ladder = tuple(1.7 * 2.0 ** (-e / 8.0) for e in range(9))
-    prof = res.profile(t, split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
+    ladder = config.y_ladder or _default_ladder("ebeta", beta)
+    prof = _phi_plus_profile(config, n, "ebeta", beta, ladder)
     res.profile_to_csv(prof, os.path.join(outdir, "profile.csv"))
     res.r_table_to_csv(prof, os.path.join(outdir, "r_table.csv"))
-    verdict = res.levinson_classify(prof, margin=config.tol("levinson_margin", 0.15))
     expected = "INTEGRABLE" if 1.0 / beta < 1.0 else "DIVERGENT"
-    checks = [
-        Check(
-            f"verdict-is-{expected.lower()}",
-            "log-count-integrability",
-            verdict.p,
-            1.0,
-            verdict.verdict == expected,
-        )
-    ]
+    verdict, check = _verdict_check(
+        config, prof, f"verdict-is-{expected.lower()}", "log-count-integrability", expected
+    )
     return Summary(
         "levinson",
         _echo(config, n=n, beta=beta, ladder=list(ladder), verdict=verdict.verdict,
               p=verdict.p, q=verdict.q),
-        checks,
+        [check],
     )
 
 
@@ -427,10 +449,7 @@ def _exp_fractional_powers(config: ExperimentConfig, outdir: str) -> Summary:
     checks = [
         Check("square-root-law-halving-ratio", "fractional-power-law", worst_ratio, 1.5, worst_ratio >= 1.5)
     ]
-    with open(os.path.join(outdir, "power_law.csv"), "w", encoding="ascii") as fh:
-        fh.write("n,defect\n")
-        for size, err in errs.items():
-            fh.write(f"{size},{float(err)!r}\n")
+    _write_csv(outdir, "power_law.csv", "n,defect", errs.items())
     for beta, m in ((0.5, 2), (1.0, 3)):
         grid = make_grid(omega, 256)
         jb = build_fractional(grid, beta)
@@ -484,10 +503,7 @@ def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str) -> Summary:
     checks.append(
         Check("moments-decreasing", "log-singular-kernel-asymptotics", moments[16], moments[8], decreasing)
     )
-    with open(os.path.join(outdir, "asymptotics.csv"), "w", encoding="ascii") as fh:
-        fh.write("beta,x,ratio\n")
-        for beta, x, ratio in rows:
-            fh.write(f"{float(beta)!r},{float(x)!r},{float(ratio)!r}\n")
+    _write_csv(outdir, "asymptotics.csv", "beta,x,ratio", rows)
     return Summary("ebeta-asymptotics", _echo(config, moments={str(k): v for k, v in moments.items()}), checks)
 
 
@@ -517,10 +533,7 @@ def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
             worst[64] > worst[128] > worst[256],
         ),
     ]
-    with open(os.path.join(outdir, "semigroup.csv"), "w", encoding="ascii") as fh:
-        fh.write("n,worst_rel_defect\n")
-        for size in sizes:
-            fh.write(f"{size},{float(worst[size])!r}\n")
+    _write_csv(outdir, "semigroup.csv", "n,worst_rel_defect", worst.items())
     return Summary("semigroup-ebeta", _echo(config, sizes=list(sizes), pairs=len(pairs)), checks)
 
 
@@ -529,19 +542,11 @@ def _exp_growth_frac(config: ExperimentConfig, outdir: str) -> Summary:
     checks = []
     fitted = {}
     for beta in (0.5, 1.0):
-        grid = make_grid(config.omega, n)
-        t = _build_phi_plus(config, grid, "fractional", beta)
-        split = split_given_basis(t)
-        ladder = _default_profile_ladder(beta)
-        prof = res.profile(t, split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
+        prof = _phi_plus_profile(config, n, "fractional", beta, _default_ladder("fractional", beta))
         res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
         fitted[beta] = prof.fitted_p
-        target = 1.0 / beta
-        checks.append(
-            Check(f"exponent-beta{beta:g}-lower", "fractional-growth-exponent", prof.fitted_p, target - 0.4, prof.fitted_p >= target - 0.4)
-        )
-        checks.append(
-            Check(f"exponent-beta{beta:g}-upper", "fractional-growth-exponent", prof.fitted_p, target + 0.4, prof.fitted_p <= target + 0.4)
+        checks += _exponent_checks(
+            f"exponent-beta{beta:g}", "fractional-growth-exponent", prof.fitted_p, 1.0 / beta
         )
     return Summary("growth-frac", _echo(config, n=n, fitted={str(k): v for k, v in fitted.items()}), checks)
 
@@ -551,27 +556,12 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
     checks = []
     verdicts = {}
     for beta, expected in ((2.0, "INTEGRABLE"), (0.5, "DIVERGENT")):
-        sub = dataclasses.replace(config, beta=beta, y_ladder=None)
-        grid = make_grid(config.omega, n)
-        t = _build_phi_plus(sub, grid, "ebeta", beta)
-        split = split_given_basis(t)
-        if beta >= 1.0:
-            ladder = tuple(3.5 * 2.0 ** (-e / 2.0) for e in range(9))
-        else:
-            ladder = tuple(1.7 * 2.0 ** (-e / 8.0) for e in range(9))
-        prof = res.profile(t, split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
+        prof = _phi_plus_profile(config, n, "ebeta", beta, _default_ladder("ebeta", beta))
         res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
-        verdict = res.levinson_classify(prof, margin=config.tol("levinson_margin", 0.15))
-        verdicts[beta] = verdict
-        checks.append(
-            Check(
-                f"verdict-beta{beta:g}-{expected.lower()}",
-                "log-singular-growth-exponent",
-                verdict.p,
-                1.0,
-                verdict.verdict == expected,
-            )
+        verdicts[beta], check = _verdict_check(
+            config, prof, f"verdict-beta{beta:g}-{expected.lower()}", "log-singular-growth-exponent", expected
         )
+        checks.append(check)
         # consistency with the closed-form crossing bound, one fitted constant
         mask = (prof.count_n >= 2) & ~prof.saturated
         if mask.sum():
@@ -610,12 +600,12 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
 
 def _exp_symbol_trace(config: ExperimentConfig, outdir: str) -> Summary:
     preset = config.s_preset or "imaginary_power"
-    s, _ = _kernel_handles(config, preset)
+    s = KernelSpec.preset(preset, config.alpha).s
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     trace = sym.trace_symbol(s, config.omega, ladder)
     sym.trace_to_csv(trace, os.path.join(outdir, "trace.csv"))
     checks = []
-    if preset in ("one", "linear", "inv_sqrt"):
+    if preset != "imaginary_power":
         sym_err = max(
             abs(trace.s_tilde[i] - np.conj(trace.s_tilde[list(trace.xi_samples).index(-x)]))
             for i, x in enumerate(trace.xi_samples)
@@ -658,18 +648,13 @@ def _exp_prop54(config: ExperimentConfig, outdir: str) -> Summary:
         Check("residual-strictly-decreasing", "plane-wave-symbol-residual", residuals[-1], residuals[0], decreasing)
     ]
     # the identity-kernel case collapses to quadrature noise at full periods
-    from .operators import build_difference_operator
-
-    ident = build_difference_operator(grid, *(_KERNEL_PRESETS["one"]))
+    ident = build_operator(grid, KernelSpec.preset("one"))
     xi0 = 2.0 * math.pi * round(64.0 * config.omega / (2.0 * math.pi)) / config.omega
     r_ident = sym.prop54_residual(ident, xi0)
     checks.append(
         Check("identity-kernel-residual", "plane-wave-symbol-residual", r_ident, 1e-8, r_ident <= 1e-8)
     )
-    with open(os.path.join(outdir, "residuals.csv"), "w", encoding="ascii") as fh:
-        fh.write("xi,residual\n")
-        for xi, r in zip(frequencies, residuals):
-            fh.write(f"{float(xi)!r},{float(r)!r}\n")
+    _write_csv(outdir, "residuals.csv", "xi,residual", zip(frequencies, residuals))
     return Summary("prop54", _echo(config, n=n, alpha=config.alpha, residuals=residuals), checks)
 
 
@@ -683,8 +668,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str) -> Summary:
     checks = []
     rows = []
     for preset, expected in cases:
-        s, _ = _kernel_handles(config, preset)
-        report = sym.boundedness_indicator(s, config.omega, ladder)
+        report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, ladder)
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
         checks.append(
             Check(
@@ -695,10 +679,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str) -> Summary:
                 report.classification == expected,
             )
         )
-    with open(os.path.join(outdir, "boundedness.csv"), "w", encoding="ascii") as fh:
-        fh.write("preset,sup_indicator,trend_slope,classification\n")
-        for preset, supv, slope, label in rows:
-            fh.write(f"{preset},{float(supv)!r},{float(slope)!r},{label}\n")
+    _write_csv(outdir, "boundedness.csv", "preset,sup_indicator,trend_slope,classification", rows)
     return Summary("boundedness", _echo(config, cases=[c[0] for c in cases]), checks)
 
 
@@ -726,7 +707,7 @@ def _exp_annulus(config: ExperimentConfig, outdir: str) -> Summary:
     checks.append(
         Check("filling-approaches-ring-from-below", "imaginary-order-annulus", float(moduli_by_size[sizes[0]].max()), outer, trend)
     )
-    s, _ = _kernel_handles(config, "imaginary_power")
+    s = KernelSpec.fractional_imaginary(alpha).s
     lo = math.exp(-alpha * math.pi / 2.0)
     hi = math.exp(alpha * math.pi / 2.0)
     for xi, target in ((1e4, lo), (-1e4, hi)):
@@ -736,59 +717,30 @@ def _exp_annulus(config: ExperimentConfig, outdir: str) -> Summary:
         checks.append(
             Check(f"symbol-modulus-at-xi-{xi:+.0f}", "imaginary-order-annulus", rel, 0.02, rel <= 0.02)
         )
-    with open(os.path.join(outdir, "eigen_moduli.csv"), "w", encoding="ascii") as fh:
-        fh.write("n,max_modulus,min_modulus\n")
-        for size in sizes:
-            m = moduli_by_size[size]
-            fh.write(f"{size},{float(m.max())!r},{float(m.min())!r}\n")
+    rows = [(size, moduli_by_size[size].max(), moduli_by_size[size].min()) for size in sizes]
+    _write_csv(outdir, "eigen_moduli.csv", "n,max_modulus,min_modulus", rows)
     return Summary("annulus-jialpha", _echo(config, n=n, alpha=alpha, eps=eps), checks)
 
 
 def _exp_witness(config: ExperimentConfig, outdir: str) -> Summary:
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
-    alpha_cfg = dataclasses.replace(config, s_preset="imaginary_power")
-    s_alpha, _ = _kernel_handles(alpha_cfg, "imaginary_power")
-    trace_alpha = sym.trace_symbol(s_alpha, config.omega, ladder)
-    verdict_alpha = sym.non_triangular_witness(trace_alpha, tol=config.tolerances.get("witness_tol"))
-    s_one, _ = _kernel_handles(config, "one")
-    trace_one = sym.trace_symbol(s_one, config.omega, ladder)
-    verdict_one = sym.non_triangular_witness(trace_one, tol=config.tolerances.get("witness_tol"))
-    zero_cfg = dataclasses.replace(config, alpha=0.0)
-    s_zero, _ = _kernel_handles(zero_cfg, "imaginary_power")
-    trace_zero = sym.trace_symbol(s_zero, config.omega, ladder)
-    verdict_zero = sym.non_triangular_witness(trace_zero, tol=config.tolerances.get("witness_tol"))
-    checks = [
-        Check(
-            "imaginary-order-witness-fires",
-            "two-point-non-triangularity",
-            verdict_alpha.separation,
-            verdict_alpha.tol,
-            verdict_alpha.verdict == "NOT_SV_TRIANGULAR",
-        ),
-        Check(
-            "identity-kernel-witness-silent",
-            "two-point-non-triangularity",
-            verdict_one.separation,
-            verdict_one.tol,
-            verdict_one.verdict == "INCONCLUSIVE",
-        ),
-        Check(
-            "zero-order-witness-silent",
-            "two-point-non-triangularity",
-            verdict_zero.separation,
-            verdict_zero.tol,
-            verdict_zero.verdict == "INCONCLUSIVE",
-        ),
-    ]
-    return Summary(
-        "witness",
-        _echo(config, alpha=config.alpha, verdicts={
-            "imaginary_power": verdict_alpha.verdict,
-            "one": verdict_one.verdict,
-            "alpha_zero": verdict_zero.verdict,
-        }),
-        checks,
+    cases = (
+        # check name, echo key, kernel, expected verdict
+        ("imaginary-order-witness-fires", "imaginary_power",
+         KernelSpec.fractional_imaginary(config.alpha), "NOT_SV_TRIANGULAR"),
+        ("identity-kernel-witness-silent", "one", KernelSpec.preset("one"), "INCONCLUSIVE"),
+        ("zero-order-witness-silent", "alpha_zero", KernelSpec.fractional_imaginary(0.0), "INCONCLUSIVE"),
     )
+    checks = []
+    verdicts = {}
+    for name, key, kernel, expected in cases:
+        trace = sym.trace_symbol(kernel.s, config.omega, ladder)
+        verdict = sym.non_triangular_witness(trace, tol=config.tolerances.get("witness_tol"))
+        verdicts[key] = verdict.verdict
+        checks.append(
+            Check(name, "two-point-non-triangularity", verdict.separation, verdict.tol, verdict.verdict == expected)
+        )
+    return Summary("witness", _echo(config, alpha=config.alpha, verdicts=verdicts), checks)
 
 
 REGISTRY: dict[str, Callable[[ExperimentConfig, str], Summary]] = {

@@ -25,6 +25,7 @@ from .grid import Grid, GridFunction
 from .specfun import EbetaSpec, e_beta_cumulative, gamma_complex
 
 __all__ = [
+    "KERNEL_PRESETS",
     "KernelSpec",
     "OperatorMatrix",
     "SplitPair",
@@ -41,6 +42,7 @@ __all__ = [
     "chain_invariance_residual",
     "operator_norm",
     "apply",
+    "as_entries",
     "compose",
     "wrap_matrix",
     "save_matrix",
@@ -55,8 +57,10 @@ class KernelSpec:
     Exactly one kind is populated; the classmethods are the only supported
     constructors.  ``phi`` is the bounded real multiplication symbol, ``v``
     a Volterra kernel on ``0 <= t <= x <= omega``, ``s`` a difference kernel
-    on ``(0, omega)``; ``beta``, ``c`` and ``alpha`` parametrize the
-    fractional, log-singular and imaginary-order families.
+    on ``(0, omega)`` with its antiderivative ``s_antiderivative`` (vanishing
+    at 0); ``beta``, ``c`` and ``alpha`` parametrize the fractional,
+    log-singular and imaginary-order families.  The imaginary-order kind
+    carries its difference-kernel handles too.
     """
 
     kind: str
@@ -94,7 +98,48 @@ class KernelSpec:
 
     @classmethod
     def fractional_imaginary(cls, alpha: float) -> "KernelSpec":
-        return cls(kind="fractional_imaginary", alpha=alpha)
+        """``s(t) = t^(i alpha) / Gamma(1 + i alpha)`` and its exact
+        antiderivative ``u^(1 + i alpha) / Gamma(2 + i alpha)``; ``alpha = 0``
+        is the identity kernel ``s = 1``."""
+        if alpha != float(alpha).real:
+            raise ValueError("alpha must be real")
+        if alpha == 0.0:
+            s, s_anti = _DIFFERENCE_PRESETS["one"]
+        else:
+            g1 = gamma_complex(1.0 + 1j * alpha)
+            g2 = gamma_complex(2.0 + 1j * alpha)
+
+            def s(t: float) -> complex:
+                return cmath.exp(1j * alpha * math.log(t)) / g1
+
+            def s_anti(u: float) -> complex:
+                if u == 0.0:
+                    return 0.0 + 0.0j
+                return u * cmath.exp(1j * alpha * math.log(u)) / g2
+
+        return cls(kind="fractional_imaginary", alpha=alpha, s=s, s_antiderivative=s_anti)
+
+    @classmethod
+    def preset(cls, name: str, alpha: float = 1.0) -> "KernelSpec":
+        """Named difference kernel: one of :data:`KERNEL_PRESETS`.
+
+        ``imaginary_power`` is :meth:`fractional_imaginary` of order
+        ``alpha``; the others ignore ``alpha``.
+        """
+        if name == "imaginary_power":
+            return cls.fractional_imaginary(alpha)
+        if name not in _DIFFERENCE_PRESETS:
+            raise ValueError(f"unknown kernel preset {name!r}; known: {list(KERNEL_PRESETS)}")
+        return cls.difference(*_DIFFERENCE_PRESETS[name])
+
+
+# name -> (s, antiderivative of s vanishing at 0)
+_DIFFERENCE_PRESETS = {
+    "one": (lambda t: 1.0 + 0.0j, lambda u: complex(u)),
+    "linear": (lambda t: complex(t), lambda u: complex(0.5 * u * u)),
+    "inv_sqrt": (lambda t: complex(t) ** -0.5, lambda u: complex(2.0 * math.sqrt(u))),
+}
+KERNEL_PRESETS = tuple(_DIFFERENCE_PRESETS) + ("imaginary_power",)
 
 
 @dataclass(frozen=True)
@@ -139,7 +184,8 @@ class SplitPair:
         return np.diag(self.s_part.entries)
 
 
-def _as_entries(t) -> np.ndarray:
+def as_entries(t) -> np.ndarray:
+    """Entries of an :class:`OperatorMatrix`, or a raw matrix as a complex array."""
     if isinstance(t, OperatorMatrix):
         return t.entries
     return np.asarray(t, dtype=complex)
@@ -285,28 +331,11 @@ def build_difference_operator(
 def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
     """Fractional integral of purely imaginary order ``i * alpha``.
 
-    Difference-kernel build with ``s(t) = t^(i alpha) / Gamma(1 + i alpha)``
-    and its exact antiderivative ``t^(1 + i alpha) / Gamma(2 + i alpha)``.
-    ``alpha = 0`` reduces to the identity.
+    Difference-kernel build with the handles of
+    :meth:`KernelSpec.fractional_imaginary`; ``alpha = 0`` reduces to the
+    identity.
     """
-    if alpha != float(alpha).real:
-        raise ValueError("alpha must be real")
-    if alpha == 0.0:
-        op = build_difference_operator(grid, lambda t: 1.0 + 0.0j, antiderivative=lambda u: complex(u))
-        return OperatorMatrix(grid, op.entries, KernelSpec.fractional_imaginary(0.0))
-    g1 = gamma_complex(1.0 + 1j * alpha)
-    g2 = gamma_complex(2.0 + 1j * alpha)
-
-    def s(t: float) -> complex:
-        return cmath.exp(1j * alpha * math.log(t)) / g1
-
-    def s_anti(u: float) -> complex:
-        if u == 0.0:
-            return 0.0 + 0.0j
-        return u * cmath.exp(1j * alpha * math.log(u)) / g2
-
-    op = build_difference_operator(grid, s, antiderivative=s_anti)
-    return OperatorMatrix(grid, op.entries, KernelSpec.fractional_imaginary(alpha))
+    return build_operator(grid, KernelSpec.fractional_imaginary(alpha))
 
 
 def build_operator(grid: Grid, spec: KernelSpec) -> OperatorMatrix:
@@ -319,10 +348,9 @@ def build_operator(grid: Grid, spec: KernelSpec) -> OperatorMatrix:
         return build_fractional(grid, spec.beta)
     if spec.kind == "ebeta":
         return build_ebeta_operator(grid, EbetaSpec(spec.beta, spec.c or 0.0))
-    if spec.kind == "difference":
-        return build_difference_operator(grid, spec.s, spec.s_antiderivative)
-    if spec.kind == "fractional_imaginary":
-        return build_imaginary_fractional(grid, spec.alpha)
+    if spec.kind in ("difference", "fractional_imaginary"):
+        op = build_difference_operator(grid, spec.s, spec.s_antiderivative)
+        return OperatorMatrix(grid, op.entries, spec)
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
@@ -373,7 +401,7 @@ def split_schur(t: OperatorMatrix) -> SplitPair:
     so the returned split is deterministic.  ``s_part`` is the diagonal of
     ``R``, ``n_part`` the strictly upper part.
     """
-    entries = _as_entries(t)
+    entries = as_entries(t)
     if not isinstance(t, OperatorMatrix):
         t = wrap_matrix(entries)
     try:
@@ -425,41 +453,18 @@ def chain_invariance_residual(t: OperatorMatrix, e: OperatorMatrix) -> float:
     Zero (to rounding) exactly when ``ran(E)`` is invariant under ``T``;
     raises ``ValueError`` if ``e`` is not an orthogonal projection.
     """
-    ee = _as_entries(e)
+    ee = as_entries(e)
     herm = float(np.linalg.norm(ee - ee.conj().T, 2))
     idem = float(np.linalg.norm(ee @ ee - ee, 2))
     if herm > 1e-12 or idem > 1e-12:
         raise ValueError("e must be an orthogonal projection (e^2 = e = e*)")
-    tt = _as_entries(t)
+    tt = as_entries(t)
     return float(np.linalg.norm(ee @ tt @ ee - tt @ ee, 2))
 
 
-def operator_norm(t, rtol: float = 1e-8) -> float:
-    """Largest singular value.
-
-    Dense singular values below dimension 1024; above that a deterministic
-    power iteration on ``T* T`` with relative tolerance ``rtol``.
-    """
-    entries = _as_entries(t)
-    n = entries.shape[0]
-    if n < 1024:
-        return float(scipy.linalg.svdvals(entries)[0])
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(500):
-        w = entries @ v
-        v_new = entries.conj().T @ w
-        nv = np.linalg.norm(v_new)
-        if nv == 0.0:
-            return 0.0
-        sigma_new = math.sqrt(nv)
-        v = v_new / nv
-        if abs(sigma_new - sigma) <= rtol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+def operator_norm(t) -> float:
+    """Largest singular value, from the dense singular values."""
+    return float(scipy.linalg.svdvals(as_entries(t))[0])
 
 
 def apply(t: OperatorMatrix, f: GridFunction) -> GridFunction:

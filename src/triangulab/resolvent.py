@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .exceptions import InsufficientDataError, NearSingularError
-from .operators import OperatorMatrix, SplitPair
+from .exceptions import InsufficientDataError, NearSingularError, NumericalError
+from .operators import SplitPair, as_entries
 
 __all__ = [
     "ResolventProfile",
@@ -38,15 +38,9 @@ __all__ = [
 ]
 
 
-def _entries(t) -> np.ndarray:
-    if isinstance(t, OperatorMatrix):
-        return t.entries
-    return np.asarray(t, dtype=complex)
-
-
 def resolvent_norm(t, lam: complex) -> float:
     """``|| (lambda I - T)^{-1} ||`` as the reciprocal smallest singular value."""
-    entries = _entries(t)
+    entries = as_entries(t)
     n = entries.shape[0]
     s = scipy.linalg.svdvals(lam * np.eye(n) - entries)
     smin = float(s[-1])
@@ -86,11 +80,14 @@ class _ChainNorms:
         self.dead = False
 
     def step_norm(self) -> float:
-        """Operator norm of the current power; 0.0 once the chain dies."""
+        """Operator norm of the current power; 0.0 once the chain dies.
+
+        Raises :class:`NumericalError` if the iteration has not settled to
+        ``1e-8`` relative after 60 steps.
+        """
         if self.dead:
             return 0.0
         s_prev = 0.0
-        s_est = 0.0
         for _ in range(60):
             w = self.m @ self.v
             u = self.m.conj().T @ w
@@ -101,9 +98,11 @@ class _ChainNorms:
             s_est = math.sqrt(nu)
             self.v = u / nu
             if abs(s_est - s_prev) <= 1e-8 * max(s_est, 1e-300):
-                break
+                return s_est
             s_prev = s_est
-        return s_est
+        raise NumericalError(
+            f"chain power iteration did not converge in 60 steps (last estimate {s_est:g})"
+        )
 
     def advance(self, nrm: float) -> None:
         self.log_acc += math.log(nrm)
@@ -202,8 +201,10 @@ def profile(
     ``M(y) = max_x ||R_{x+iy}(T)||``.  Chains stop early once ``r_n`` sits
     well below the counting threshold for several consecutive steps, which
     cannot create false counts because ``r_n`` decays past that regime.
+    Envelope samples go through :func:`resolvent_norm`, so a sample point
+    numerically inside the spectrum raises :class:`NearSingularError`.
     """
-    entries = _entries(t)
+    entries = as_entries(t)
     diag = _require_real_diagonal(split)
     v = split.n_part.entries
     dim = entries.shape[0]
@@ -226,7 +227,6 @@ def profile(
     counts = np.zeros(n_y, dtype=int)
     envelope = np.zeros(n_y)
     saturated = np.zeros(n_y, dtype=bool)
-    eye = np.eye(dim)
 
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
@@ -248,11 +248,7 @@ def profile(
                     chain.advance(nrm)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
-        best = 0.0
-        for x in x_grid:
-            s = scipy.linalg.svdvals((x + 1j * y) * eye - entries)
-            best = max(best, 1.0 / float(s[-1]))
-        envelope[j] = best
+        envelope[j] = max(resolvent_norm(entries, x + 1j * y) for x in x_grid)
 
     count_mask = (counts >= 2) & ~saturated
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), count_mask)
@@ -357,7 +353,7 @@ def neumann_residual(t, split: SplitPair, lam: complex, n_max: Optional[int] = N
     """
     if lam.imag == 0.0:
         raise ValueError("the expansion needs Im(lambda) != 0")
-    entries = _entries(t)
+    entries = as_entries(t)
     diag = _require_real_diagonal(split)
     v = split.n_part.entries
     dim = entries.shape[0]

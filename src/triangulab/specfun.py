@@ -97,17 +97,22 @@ def _integrate_log_space(log_f, s_peak: float) -> float:
 
     The peak factorization keeps the quadrature in the representable range
     even when the raw integrand overflows or underflows double precision.
+    The head (0, 1) is integrated in ``q`` with ``s = q**2``, which flattens
+    an ``s^(b-1)`` end for ``b < 1``.
     """
     s_max = _tail_cutoff(log_f, max(s_peak, 1.0))
     shift = log_f(max(s_peak, 1e-12))
 
-    def f(s):
+    def f_tail(s):
         return math.exp(log_f(s) - shift)
 
-    head, head_err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
-    tail, tail_err = integrate.quad(
-        f, 1.0, s_max, epsabs=0.0, epsrel=1e-11, limit=200, points=None
-    )
+    def f_head(q):
+        # s = q^2 on (0, 1); integrand picks up the Jacobian 2q.
+        s = q * q
+        return 2.0 * q * math.exp(log_f(s) - shift)
+
+    head, head_err = integrate.quad(f_head, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
+    tail, tail_err = integrate.quad(f_tail, 1.0, s_max, epsabs=0.0, epsrel=1e-11, limit=200)
     total = head + tail
     if total <= 0.0 or not math.isfinite(total):
         raise QuadratureError("kernel quadrature returned a non-positive value")
@@ -156,8 +161,8 @@ def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
 
         integral_0^a e_beta = integral_0^inf exp(-c s) s^(beta-2) a^s / Gamma(s) ds.
 
-    The s -> 0 end behaves like ``s^(beta-1)``; the substitution ``s = q**2``
-    flattens it for ``beta < 1``.
+    The s -> 0 end behaves like ``s^(beta-1)``, which the ``s = q**2`` head
+    of the quadrature flattens for ``beta < 1``.
     """
     if not a > 0:
         raise ValueError(f"upper limit must be positive, got {a}")
@@ -169,26 +174,7 @@ def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
         # exponent is a^s (not a^(s-1)): the u-integration contributes a^s / s
         return _log_integrand(s, beta - 1.0, c, ln_a) + ln_a
 
-    s_peak = _peak_location(beta - 2.0, c - ln_a + 1.0)
-    s_max = _tail_cutoff(log_f, max(s_peak, 1.0))
-    shift = log_f(max(s_peak, 1e-12))
-
-    def f_tail(s):
-        return math.exp(log_f(s) - shift)
-
-    def f_head(q):
-        # s = q^2 on (0, 1); integrand picks up the Jacobian 2q.
-        s = q * q
-        return 2.0 * q * math.exp(log_f(s) - shift)
-
-    head, head_err = integrate.quad(f_head, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
-    tail, tail_err = integrate.quad(f_tail, 1.0, s_max, epsabs=0.0, epsrel=1e-11, limit=200)
-    total = head + tail
-    if total <= 0.0 or not math.isfinite(total):
-        raise QuadratureError("cumulative kernel quadrature failed")
-    if head_err + tail_err > 1e-8 * total:
-        raise QuadratureError("cumulative kernel quadrature missed its contract")
-    return math.exp(shift) * total
+    return _integrate_log_space(log_f, _peak_location(beta - 2.0, c - ln_a + 1.0))
 
 
 def m_moment(beta: float, spec: EbetaSpec, omega: float) -> float:

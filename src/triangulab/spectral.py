@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NumericalError, QuadratureError
-from .operators import OperatorMatrix, SplitPair, split_schur, wrap_matrix
+from .operators import OperatorMatrix, SplitPair, as_entries, split_schur, wrap_matrix
 
 __all__ = [
     "SpectralReport",
@@ -34,12 +34,6 @@ __all__ = [
     "default_contour",
     "report_to_text",
 ]
-
-
-def _entries(t) -> np.ndarray:
-    if isinstance(t, OperatorMatrix):
-        return t.entries
-    return np.asarray(t, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ def spectrum(
     matrix can only evidence, not prove, a concentrated spectrum.  The
     verdict is always reported together with the tolerance used.
     """
-    entries = _entries(t)
+    entries = as_entries(t)
     n = entries.shape[0]
     if tol_q is None:
         tol_q = 10.0 / n
@@ -83,7 +77,7 @@ def spectrum(
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     radius = float(np.max(np.abs(eigs))) if n else 0.0
     schatten = {float(p): _schatten_from_s(s_nums, p) for p in schatten_p}
-    macaev = float(np.sum(s_nums / (2.0 * np.arange(1, n + 1) - 1.0)))
+    macaev = _macaev_from_s(s_nums)
     return SpectralReport(
         eigenvalues=eigs,
         spectral_radius=radius,
@@ -103,7 +97,7 @@ def eigenvalues_with_machine_noise(t, eps: float = 1e-12, seed: int = 2024) -> n
     computation on a generic nearby matrix would expose.  This probe makes
     the backward error explicit, deterministic, and solver independent.
     """
-    entries = _entries(t)
+    entries = as_entries(t)
     n = entries.shape[0]
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -119,15 +113,18 @@ def _schatten_from_s(s_nums: np.ndarray, p: float) -> float:
     return float(np.sum(s_nums**p) ** (1.0 / p))
 
 
+def _macaev_from_s(s_nums: np.ndarray) -> float:
+    return float(np.sum(s_nums / (2.0 * np.arange(1, s_nums.size + 1) - 1.0)))
+
+
 def schatten_norm(t, p: float) -> float:
     """p-th singular-value norm, ``(sum s_n^p)^(1/p)``."""
-    return _schatten_from_s(scipy.linalg.svdvals(_entries(t)), p)
+    return _schatten_from_s(scipy.linalg.svdvals(as_entries(t)), p)
 
 
 def macaev_norm(t) -> float:
     """Weighted singular-value norm ``sum_k s_k / (2k - 1)``."""
-    s_nums = scipy.linalg.svdvals(_entries(t))
-    return float(np.sum(s_nums / (2.0 * np.arange(1, s_nums.size + 1) - 1.0)))
+    return _macaev_from_s(scipy.linalg.svdvals(as_entries(t)))
 
 
 def spectral_distance(a: Iterable[complex], b: Iterable[complex]) -> float:
@@ -163,9 +160,8 @@ def verify_sigma_equality(t, tolerance: float = 1e-8) -> SigmaEqualityReport:
     ordered Schur form; in finite dimension the two agree exactly, so the
     distance is pure floating-point noise.
     """
-    entries = _entries(t)
-    split = split_schur(t if isinstance(t, OperatorMatrix) else wrap_matrix(entries))
-    eigs = np.linalg.eigvals(entries)
+    split = split_schur(t)
+    eigs = np.linalg.eigvals(as_entries(t))
     dist = spectral_distance(eigs, split.diagonal)
     return SigmaEqualityReport(dist, tolerance, bool(dist <= tolerance), split)
 
@@ -189,12 +185,15 @@ def riesz_calculus(
     """Contour-quadrature functional calculus ``f(T)``.
 
     Trapezoid rule over the given circles (center, radius), doubling the
-    node count until the result moves by less than ``rtol`` in operator
-    norm.  The contour must stay clear of the spectrum and ``f`` must be
-    analytic inside and on it; closeness to an eigenvalue raises early
-    instead of silently blowing up the quadrature.
+    node count from ``start_nodes`` until the result moves by less than
+    ``rtol`` in operator norm; no evaluation uses more than ``max_nodes``
+    nodes per circle.  The contour must stay clear of the spectrum and ``f``
+    must be analytic inside and on it; closeness to an eigenvalue raises
+    early instead of silently blowing up the quadrature.
     """
-    entries = _entries(t)
+    if not 1 <= start_nodes <= max_nodes:
+        raise ValueError(f"need 1 <= start_nodes <= max_nodes, got {start_nodes}, {max_nodes}")
+    entries = as_entries(t)
     grid_holder = t if isinstance(t, OperatorMatrix) else wrap_matrix(entries)
     n = entries.shape[0]
     eigs = np.linalg.eigvals(entries)
@@ -221,7 +220,7 @@ def riesz_calculus(
 
     current = evaluate(start_nodes)
     m = start_nodes
-    while m <= max_nodes:
+    while 2 * m <= max_nodes:
         m *= 2
         refined = evaluate(m)
         delta = float(np.linalg.norm(refined - current, 2))
@@ -257,12 +256,12 @@ def verify_spectral_mapping(
     the computed ``V_f`` instead would amplify quadrature noise like
     ``eps^(1/n)`` and report pure pseudospectral artifacts.
     """
-    entries = _entries(t)
+    entries = as_entries(t)
     ft = riesz_calculus(t, f, contour=contour)
     sigma_ft = np.linalg.eigvals(ft.entries)
     f_sigma = np.asarray([f(z) for z in np.linalg.eigvals(entries)], dtype=complex)
     dist = spectral_distance(sigma_ft, f_sigma)
-    split = split_schur(t if isinstance(t, OperatorMatrix) else wrap_matrix(entries))
+    split = split_schur(t)
     q = split.unitary
     f_diag = np.asarray([f(z) for z in split.diagonal], dtype=complex)
     ft_in_chain_basis = q.conj().T @ ft.entries @ q

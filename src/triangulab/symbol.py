@@ -42,7 +42,8 @@ __all__ = [
     "trace_to_csv",
 ]
 
-_QUAD_LIMIT = 400
+# accuracy contract of every transform quadrature
+_QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 400}
 
 
 def _complex_quad(func, a: float, b: float, **kwargs) -> complex:
@@ -62,36 +63,18 @@ def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
     Clenshaw-Curtis oscillatory weights, whose cost stays near-constant in
     ``xi``.
     """
+    def w_wave(t):
+        return complex(w(t)) * np.exp(1j * t * xi)
+
     if xi == 0.0 or abs(xi) * omega <= 8.0:
-        return _complex_quad(
-            lambda t: complex(w(t)) * np.exp(1j * t * xi),
-            0.0,
-            omega,
-            epsabs=1e-13,
-            epsrel=1e-10,
-            limit=_QUAD_LIMIT,
-        )
+        return _complex_quad(w_wave, 0.0, omega, **_QUAD_OPTS)
     head = min(0.5 * omega, 1.0 / (4.0 * abs(xi)))
-    total = _complex_quad(
-        lambda t: complex(w(t)) * np.exp(1j * t * xi),
-        0.0,
-        head,
-        epsabs=1e-13,
-        epsrel=1e-10,
-        limit=_QUAD_LIMIT,
-    )
+    total = _complex_quad(w_wave, 0.0, head, **_QUAD_OPTS)
     parts = []
     for weight, factor in (("cos", 1.0), ("sin", 1j)):
         for comp, comp_factor in ((np.real, 1.0), (np.imag, 1j)):
             val, err = quad(
-                lambda t: float(comp(complex(w(t)))),
-                head,
-                omega,
-                weight=weight,
-                wvar=xi,
-                epsabs=1e-13,
-                epsrel=1e-10,
-                limit=_QUAD_LIMIT,
+                lambda t: float(comp(complex(w(t)))), head, omega, weight=weight, wvar=xi, **_QUAD_OPTS
             )
             if not math.isfinite(val):
                 raise QuadratureError("oscillatory quadrature diverged")
@@ -268,28 +251,17 @@ def delta_estimate(trace: SymbolTrace, tol: float) -> DeltaReport:
 def prop54_residual(t: OperatorMatrix, xi: float) -> float:
     """Plane-wave residual ``|| T e(-i x xi) - g(xi) e(-i x xi) ||``.
 
-    ``t`` must come from a difference-kernel construction (its provenance
-    carries the kernel handle).  The frequency must respect the grid's
-    aliasing guard.  For admissible frequencies this measures how far the
-    symbol value ``g(xi) = -i xi s_tilde1(xi)`` is from acting as an
-    eigenvalue on the sampled wave.
+    ``t`` must come from a difference-kernel construction: its provenance is
+    a :class:`KernelSpec` carrying the kernel handle ``s``.  The frequency
+    must respect the grid's aliasing guard.  For admissible frequencies this
+    measures how far the symbol value ``g(xi) = -i xi s_tilde1(xi)`` is from
+    acting as an eigenvalue on the sampled wave.
     """
     spec = t.provenance
-    if not isinstance(spec, KernelSpec) or spec.kind not in ("difference", "fractional_imaginary"):
+    if not isinstance(spec, KernelSpec) or spec.s is None:
         raise ValueError("prop54_residual needs an operator built from a difference kernel")
     check_frequency(t.grid, xi)
-    if spec.kind == "fractional_imaginary":
-        from .specfun import gamma_complex
-
-        alpha = spec.alpha
-        if alpha == 0.0:
-            s = lambda u: 1.0 + 0.0j
-        else:
-            norm = gamma_complex(1.0 + 1j * alpha)
-            s = lambda u: np.exp(1j * alpha * np.log(u)) / norm
-    else:
-        s = spec.s
-    s_tilde1, _ = transform(s, t.grid.omega, xi)
+    s_tilde1, _ = transform(spec.s, t.grid.omega, xi)
     wave = sample_exponential(t.grid, xi, sign=-1)
     lhs = t.entries @ wave.values
     rhs = (-1j * xi) * s_tilde1 * wave.values

@@ -82,6 +82,30 @@ def test_numerical_error_exits_three(tmp_path):
     assert main(["run", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"experiment": "spectral-mapping", "grid": {"n": 1}},
+        {"experiment": "spectral-mapping", "grid": {"n": 2.9}},
+        {"experiment": "spectral-mapping", "grid": {"n": True}},
+        {"experiment": "spectral-mapping", "grid": {"omega": 0.0}},
+        {"experiment": "spectral-mapping", "grid": {"omega": -1.0}},
+        {"experiment": "spectral-mapping", "grid": {"omega": float("inf")}},
+        {"experiment": "resolvent-profile", "grid": {"n": 16}, "ladder": {"y": [0.5, 0.0]}},
+        {"experiment": "resolvent-profile", "grid": {"n": 16}, "ladder": {"y": [0.5, float("nan")]}},
+        {"experiment": "resolvent-profile", "grid": {"n": 16}, "kernel": {"beta": -1.0}},
+        {"experiment": "macaev-norms", "seed": True},
+        {"experiment": "macaev-norms", "seed": 1.5},
+    ],
+    ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan",
+         "beta-neg", "seed-true", "seed-1.5"],
+)
+def test_bad_config_values_exit_two(tmp_path, overrides):
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_strictness_at_dataclass_level():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "macaev-norms", "kernel": {"zeta": 1}})

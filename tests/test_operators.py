@@ -7,6 +7,7 @@ import pytest
 from triangulab import EbetaSpec, make_grid, m_moment
 from triangulab.exceptions import ConstructionError
 from triangulab.operators import (
+    KERNEL_PRESETS,
     KernelSpec,
     OperatorMatrix,
     build_difference_operator,
@@ -483,8 +484,29 @@ def test_build_operator_dispatch():
     spec = KernelSpec.fractional(1.0)
     op = build_operator(g, spec)
     np.testing.assert_array_equal(op.entries, build_fractional(g, 1.0).entries)
+    spec = KernelSpec.fractional_imaginary(1.0)
+    op = build_operator(g, spec)
+    np.testing.assert_array_equal(op.entries, build_imaginary_fractional(g, 1.0).entries)
+    assert op.provenance is spec
     with pytest.raises(ValueError):
         build_operator(g, KernelSpec(kind="nonsense"))
+    with pytest.raises(ValueError):
+        KernelSpec.preset("nope")
+
+
+@pytest.mark.parametrize(
+    "name,alpha",
+    [(name, 1.0) for name in KERNEL_PRESETS] + [("imaginary_power", 0.0)],
+)
+def test_preset_antiderivative_matches_quadrature(name, alpha):
+    from scipy.integrate import quad
+
+    spec = KernelSpec.preset(name, alpha)
+    assert spec.s_antiderivative(0.0) == 0.0
+    for u in (0.05, 0.4, 1.0):
+        re, _ = quad(lambda t: spec.s(t).real, 0.0, u, epsabs=1e-13, epsrel=1e-12, limit=400)
+        im, _ = quad(lambda t: spec.s(t).imag, 0.0, u, epsabs=1e-13, epsrel=1e-12, limit=400)
+        assert abs(spec.s_antiderivative(u) - (re + 1j * im)) <= 1e-10
 
 
 def test_wrap_matrix_validates_shape():

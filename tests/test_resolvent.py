@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from triangulab import make_grid
-from triangulab.exceptions import InsufficientDataError, NearSingularError
+from triangulab.exceptions import InsufficientDataError, NearSingularError, NumericalError
 from triangulab.operators import (
     build_fractional,
     build_multiplication,
@@ -13,6 +13,7 @@ from triangulab.operators import (
 )
 from triangulab.resolvent import (
     ResolventProfile,
+    _ChainNorms,
     c_norm,
     cn_bound_to_N_bound,
     levinson_classify,
@@ -276,3 +277,13 @@ def test_neumann_needs_off_axis_lambda():
     t, pair = _phi_plus_fractional(8, 1.0)
     with pytest.raises(ValueError):
         neumann_residual(t, pair, 0.5 + 0.0j)
+
+
+def test_chain_power_iteration_raises_when_unconverged():
+    # eigenvalues 1 and 0.99 with the start vector almost on the smaller one:
+    # after the 60-step cap the estimate still reads about 0.99001, not 1
+    chain = _ChainNorms(np.diag([1.0, 0.99]).astype(complex))
+    start = np.array([0.01, 1.0], dtype=complex)
+    chain.v = start / np.linalg.norm(start)
+    with pytest.raises(NumericalError):
+        chain.step_norm()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triangulab import make_grid
-from triangulab.exceptions import NumericalError
+from triangulab.exceptions import NumericalError, QuadratureError
 from triangulab.operators import (
     build_fractional,
     build_multiplication,
@@ -204,6 +204,21 @@ def test_riesz_is_linear_in_f():
     combined = riesz_calculus(a, lambda z: 3.0 * f(z) - 0.5 * g(z))
     separate = 3.0 * riesz_calculus(a, f).entries - 0.5 * riesz_calculus(a, g).entries
     assert np.linalg.norm(combined.entries - separate, 2) <= 1e-7 * np.linalg.norm(separate, 2)
+
+
+def test_riesz_never_exceeds_node_budget():
+    a = np.diag([0.5, -0.5]).astype(complex)
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return np.exp(3.0 * z)
+
+    with pytest.raises(QuadratureError):
+        riesz_calculus(a, f, start_nodes=4, max_nodes=8)
+    assert len(calls) == 4 + 8
+    with pytest.raises(ValueError):
+        riesz_calculus(a, f, start_nodes=16, max_nodes=8)
 
 
 def test_riesz_rejects_contour_through_spectrum():

@@ -8,10 +8,12 @@ from triangulab import gamma_complex, make_grid
 from triangulab.exceptions import FrequencyRangeError, InsufficientDataError
 from triangulab.grid import l2_norm, sample_exponential
 from triangulab.operators import (
+    KernelSpec,
     apply,
     build_difference_operator,
     build_fractional,
     build_imaginary_fractional,
+    build_operator,
 )
 from triangulab.symbol import (
     boundedness_indicator,
@@ -177,6 +179,8 @@ def test_prop54_residual_decreases_for_imaginary_power():
     op = build_imaginary_fractional(g, 1.0)
     residuals = [prop54_residual(op, xi) for xi in (16.0, 32.0, 64.0)]
     assert residuals[0] > residuals[1] > residuals[2]
+    via_spec = build_operator(g, KernelSpec.fractional_imaginary(1.0))
+    assert [prop54_residual(via_spec, xi) for xi in (16.0, 32.0, 64.0)] == residuals
 
 
 def test_prop54_zero_frequency_documents_operator_action():
