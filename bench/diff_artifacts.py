@@ -1,0 +1,89 @@
+"""Run every registered experiment at default config, or compare two such runs.
+
+    python bench/diff_artifacts.py run OUT --seed N
+    python bench/diff_artifacts.py compare A B
+
+``run`` writes each experiment's artifacts to ``OUT/<name>/``, importing
+triangulab from the ``src/`` of the checkout this script sits in.
+``compare`` lists every file that is not byte-identical between the two
+trees (or exists in only one) and the largest relative change of any check
+value in their ``summary.json`` files; it exits 1 on any difference.
+
+BLAS rounding depends on the thread count, so set ``OPENBLAS_NUM_THREADS=1``
+for both runs when comparing two checkouts bit for bit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_all(out: Path, seed: int) -> None:
+    sys.path.insert(0, str(SRC))
+    from triangulab.experiments import REGISTRY, ExperimentConfig, run_experiment
+
+    for name in sorted(REGISTRY):
+        config = {"experiment": name, "seed": seed, "output_dir": str(out / name)}
+        summary = run_experiment(ExperimentConfig.from_dict(config))
+        print(f"{name}: {'PASS' if summary.passed else 'FAIL'}", flush=True)
+
+
+def _check_values(path: Path) -> dict:
+    checks = json.loads(path.read_text(encoding="ascii"))["checks"]
+    return {c["name"]: c["value"] for c in checks}
+
+
+def _rel_change(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(a: Path, b: Path) -> int:
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    differing = sorted(files_a ^ files_b)
+    worst, worst_at = 0.0, None
+    for rel in sorted(files_a & files_b):
+        if (a / rel).read_bytes() != (b / rel).read_bytes():
+            differing.append(rel)
+        if rel.name == "summary.json":
+            va, vb = _check_values(a / rel), _check_values(b / rel)
+            for name in va.keys() & vb.keys():
+                change = _rel_change(va[name], vb[name])
+                if change > worst:
+                    worst, worst_at = change, f"{rel.parent}/{name}"
+    for rel in differing:
+        where = "" if rel in files_a and rel in files_b else f" (only in {a if rel in files_a else b})"
+        print(f"differs: {rel}{where}")
+    print(f"files compared: {len(files_a | files_b)}, differing: {len(differing)}")
+    print(f"largest relative check-value change: {worst!r}" + (f" at {worst_at}" if worst_at else ""))
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", help="run every experiment at default config into OUT/<name>/")
+    run_p.add_argument("out", type=Path)
+    run_p.add_argument("--seed", type=int, required=True)
+    cmp_p = sub.add_parser("compare", help="list files that differ between two run trees")
+    cmp_p.add_argument("a", type=Path)
+    cmp_p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run_all(args.out, args.seed)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

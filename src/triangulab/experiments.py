@@ -29,7 +29,6 @@ from .operators import (
     build_ebeta_operator,
     build_fractional,
     build_imaginary_fractional,
-    build_multiplication,
     build_operator,
     load_matrix,
     operator_norm,
@@ -37,38 +36,13 @@ from .operators import (
     split_given_basis,
     wrap_matrix,
 )
-from .specfun import EbetaSpec, e_beta, m_moment
+from .specfun import EbetaSpec, e_beta, e_beta_cumulative, m_moment
 
 __all__ = ["ExperimentConfig", "ConfigError", "Check", "Summary", "REGISTRY", "run_experiment"]
 
 
 class ConfigError(ValueError):
     """Raised on malformed or unknown configuration content."""
-
-
-_GRID_KEYS = {"omega", "n"}
-_KERNEL_KEYS = {"beta", "c", "alpha", "s"}
-_LADDER_KEYS = {"y", "xi_k_max", "xi_per_octave"}
-_TOLERANCE_KEYS = {
-    "sigma_distance",
-    "mapping_distance",
-    "vf_radius",
-    "semigroup_rel",
-    "witness_tol",
-    "noise_eps",
-    "levinson_margin",
-}
-_TOP_KEYS = {"experiment", "grid", "kernel", "ladder", "tolerances", "seed", "output_dir", "cache_dir"}
-
-
-def _section(raw: dict, name: str, allowed: set) -> dict:
-    """The ``name`` object of the config, checked for unknown keys."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    if set(section) - allowed:
-        raise ConfigError(f"unknown {name} keys: {sorted(set(section) - allowed)}")
-    return section
 
 
 def _number(where: str, value) -> float:
@@ -78,10 +52,87 @@ def _number(where: str, value) -> float:
     return float(value)
 
 
+def _positive(where: str, value) -> float:
+    value = _number(where, value)
+    if not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return value
+
+
 def _integer(where: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _integer_from(low: int) -> Callable:
+    def check(where: str, value) -> int:
+        if _integer(where, value) < low:
+            raise ConfigError(f"{where} must be at least {low}, got {value}")
+        return value
+    return check
+
+
+def _preset(where: str, value) -> str:
+    if value not in KERNEL_PRESETS:
+        raise ConfigError(f"unknown kernel preset {value!r}; known: {list(KERNEL_PRESETS)}")
+    return value
+
+
+def _y_ladder(where: str, value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    ladder = tuple(_number(where, v) for v in value)
+    if 0.0 in ladder:
+        raise ConfigError(f"{where} must avoid y = 0")
+    return ladder
+
+
+def _text(where: str, value) -> str:
+    return str(value)
+
+
+# tolerance key -> default; witness_tol None is 5% of the larger side
+# modulus of the symbol (symbol.non_triangular_witness)
+_TOLERANCE_DEFAULTS = {
+    "sigma_distance": 1e-8,
+    "mapping_distance": 1e-6,
+    "vf_radius": 1e-6,
+    "semigroup_rel": 5e-2,
+    "witness_tol": None,
+    "noise_eps": 1e-12,
+    "levinson_margin": 0.15,
+}
+
+# config key path -> (ExperimentConfig field, validator); a two-part path
+# is a key inside a section object, and tolerances collect into one dict
+_SCHEMA = {
+    ("grid", "omega"): ("omega", _positive),
+    ("grid", "n"): ("n", _integer_from(2)),
+    ("kernel", "beta"): ("beta", _positive),
+    ("kernel", "c"): ("c", _number),
+    ("kernel", "alpha"): ("alpha", _number),
+    ("kernel", "s"): ("s_preset", _preset),
+    ("ladder", "y"): ("y_ladder", _y_ladder),
+    ("ladder", "xi_k_max"): ("xi_k_max", _integer),
+    ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_from(1)),
+    **{("tolerances", key): ("tolerances", _number) for key in _TOLERANCE_DEFAULTS},
+    ("seed",): ("seed", _integer),
+    ("output_dir",): ("output_dir", _text),
+    ("cache_dir",): ("cache_dir", _text),
+}
+_SECTIONS = {path[0] for path in _SCHEMA if len(path) == 2}
+
+
+def _config_items(raw: dict):
+    """``(key path, value)`` for every config entry but ``experiment``."""
+    for key, value in raw.items():
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+            yield from (((key, sub), v) for sub, v in value.items())
+        elif key != "experiment":
+            yield (key,), value
 
 
 @dataclass(frozen=True)
@@ -107,60 +158,23 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in raw:
-            raise ConfigError("config is missing the 'experiment' key")
-        name = raw["experiment"]
-        if name not in REGISTRY:
-            raise ConfigError(
-                f"unknown experiment {name!r}; known: {sorted(REGISTRY)}"
-            )
-        kwargs: dict = {"experiment": name}
-        grid_cfg = _section(raw, "grid", _GRID_KEYS)
-        if "omega" in grid_cfg:
-            kwargs["omega"] = _number("grid.omega", grid_cfg["omega"])
-            if not kwargs["omega"] > 0:
-                raise ConfigError(f"grid.omega must be positive, got {kwargs['omega']!r}")
-        if "n" in grid_cfg:
-            kwargs["n"] = _integer("grid.n", grid_cfg["n"])
-            if kwargs["n"] < 2:
-                raise ConfigError(f"grid.n must be at least 2, got {kwargs['n']}")
-        kernel_cfg = _section(raw, "kernel", _KERNEL_KEYS)
-        for key in ("beta", "c", "alpha"):
-            if key in kernel_cfg:
-                kwargs[key] = _number(f"kernel.{key}", kernel_cfg[key])
-        if not kwargs.get("beta", 1.0) > 0:
-            raise ConfigError(f"kernel.beta must be positive, got {kwargs['beta']!r}")
-        if "s" in kernel_cfg:
-            if kernel_cfg["s"] not in KERNEL_PRESETS:
-                raise ConfigError(
-                    f"unknown kernel preset {kernel_cfg['s']!r}; known: {list(KERNEL_PRESETS)}"
-                )
-            kwargs["s_preset"] = kernel_cfg["s"]
-        ladder_cfg = _section(raw, "ladder", _LADDER_KEYS)
-        if "y" in ladder_cfg:
-            if not isinstance(ladder_cfg["y"], list):
-                raise ConfigError(f"ladder.y must be a list, got {ladder_cfg['y']!r}")
-            kwargs["y_ladder"] = tuple(_number("ladder.y", v) for v in ladder_cfg["y"])
-            if 0.0 in kwargs["y_ladder"]:
-                raise ConfigError("ladder.y must avoid y = 0")
-        for key in ("xi_k_max", "xi_per_octave"):
-            if key in ladder_cfg:
-                kwargs[key] = _integer(f"ladder.{key}", ladder_cfg[key])
-        tol_cfg = _section(raw, "tolerances", _TOLERANCE_KEYS)
-        kwargs["tolerances"] = {k: _number(f"tolerances.{k}", v) for k, v in tol_cfg.items()}
-        if "seed" in raw:
-            kwargs["seed"] = _integer("seed", raw["seed"])
-        if "output_dir" in raw:
-            kwargs["output_dir"] = str(raw["output_dir"])
-        if "cache_dir" in raw:
-            kwargs["cache_dir"] = str(raw["cache_dir"])
+        name = raw.get("experiment")
+        if not isinstance(name, str) or name not in REGISTRY:
+            raise ConfigError(f"experiment must be one of {sorted(REGISTRY)}, got {name!r}")
+        kwargs: dict = {"experiment": name, "tolerances": {}}
+        for path, value in _config_items(raw):
+            if path not in _SCHEMA:
+                raise ConfigError(f"unknown config key {'.'.join(path)!r}")
+            attr, validate = _SCHEMA[path]
+            value = validate(".".join(path), value)
+            if attr == "tolerances":
+                kwargs["tolerances"][path[1]] = value
+            else:
+                kwargs[attr] = value
         return cls(**kwargs)
 
-    def tol(self, key: str, default: float) -> float:
-        return self.tolerances.get(key, default)
+    def tol(self, key: str) -> Optional[float]:
+        return self.tolerances.get(key, _TOLERANCE_DEFAULTS[key])
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,16 @@ class Check:
     value: float
     threshold: float
     passed: bool
+
+
+def at_most(name: str, value: float, limit: float) -> tuple:
+    """Check ``name`` of an experiment body: passes when ``value <= limit``."""
+    return name, value, limit, value <= limit
+
+
+def at_least(name: str, value: float, limit: float) -> tuple:
+    """Check ``name`` of an experiment body: passes when ``value >= limit``."""
+    return name, value, limit, value >= limit
 
 
 @dataclass
@@ -200,16 +224,6 @@ class Summary:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _echo(config: ExperimentConfig, **resolved) -> dict:
-    raw = dataclasses.asdict(config)
-    # paths are not part of the scientific configuration; dropping them keeps
-    # summary.json byte-identical across runs of the same config and seed
-    raw.pop("output_dir", None)
-    raw.pop("cache_dir", None)
-    raw["resolved"] = resolved
-    return json.loads(json.dumps(raw, default=str, sort_keys=True))
-
-
 def _write_csv(outdir: str, name: str, header: str, rows) -> None:
     """Write ``outdir/name``: the header line, then one line per row.
 
@@ -222,49 +236,53 @@ def _write_csv(outdir: str, name: str, header: str, rows) -> None:
             fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row) + "\n")
 
 
-def _phi_identity(x: float) -> float:
-    return x
-
-
 def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
     """``phi + V`` with ``phi(x) = x`` on ``grid`` and ``V`` given by its entries."""
-    return wrap_matrix(build_multiplication(grid, _phi_identity).entries + v, omega=grid.omega)
+    return wrap_matrix(np.diag(grid.nodes) + v, omega=grid.omega)
 
 
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
     """Build (or reload) a log-singular convolution matrix.
 
     The per-cell quadratures make these the most expensive constructions, so
-    the CLI can cache them in the documented text format.
+    the CLI can cache them in the documented text format.  A cached file is
+    trusted only if its first cell matches the kernel's; otherwise the
+    matrix is rebuilt and the file overwritten.
     """
-    if config.cache_dir:
-        # repr is exact, so parameters that differ in any digit never share a file
-        tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
-        path = os.path.join(config.cache_dir, tag)
-        if os.path.exists(path):
-            cached = load_matrix(path)
-            if cached.grid.n == grid.n and abs(cached.grid.omega - grid.omega) < 1e-12:
-                return OperatorMatrix(grid, cached.entries.copy(), "cached")
-        op = build_ebeta_operator(grid, EbetaSpec(beta, config.c))
-        os.makedirs(config.cache_dir, exist_ok=True)
-        # write under a name no reader looks for, then rename it into place
-        # atomically, so a concurrent run never loads a half-written matrix
-        tmp = os.path.join(config.cache_dir, f".{tag}.{os.getpid()}.tmp")
-        try:
-            save_matrix(op, tmp)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return op
-    return build_ebeta_operator(grid, EbetaSpec(beta, config.c))
+    kernel = EbetaSpec(beta, config.c)
+    if not config.cache_dir:
+        return build_ebeta_operator(grid, kernel)
+    # repr is exact, so parameters that differ in any digit never share a file
+    tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
+    path = os.path.join(config.cache_dir, tag)
+    if os.path.exists(path):
+        cached = load_matrix(path)
+        first = e_beta_cumulative(0.5 * grid.h, kernel) / math.gamma(beta)
+        if (
+            cached.grid.n == grid.n
+            and abs(cached.grid.omega - grid.omega) < 1e-12
+            and abs(cached.entries[0, 0] - first) <= 1e-12 * abs(first)
+        ):
+            return OperatorMatrix(grid, cached.entries, KernelSpec.ebeta(beta, config.c))
+    op = build_ebeta_operator(grid, kernel)
+    os.makedirs(config.cache_dir, exist_ok=True)
+    # write under a name no reader looks for, then rename it into place
+    # atomically, so a concurrent run never loads a half-written matrix
+    tmp = os.path.join(config.cache_dir, f".{tag}.{os.getpid()}.tmp")
+    try:
+        save_matrix(op, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return op
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations
 
 
-def _exp_sigma_equality(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_sigma_equality(config: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(config.seed)
     count = 100
     worst = 0.0
@@ -273,19 +291,15 @@ def _exp_sigma_equality(config: ExperimentConfig, outdir: str) -> Summary:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         report = spec.verify_sigma_equality(a)
         worst = max(worst, report.distance)
-    tol = config.tol("sigma_distance", 1e-8)
-    checks = [
-        Check("max-sigma-distance-over-100-random", "spectrum-equals-scalar-part", worst, tol, worst <= tol)
-    ]
-    return Summary("sigma-equality", _echo(config, matrices=count, max_dim=64), checks)
+    checks = [at_most("max-sigma-distance-over-100-random", worst, config.tol("sigma_distance"))]
+    return checks, dict(matrices=count, max_dim=64)
 
 
-def _exp_spectral_mapping(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_spectral_mapping(config: ExperimentConfig, outdir: str):
     n = config.n or 32
     grid = make_grid(config.omega, n)
     t = _phi_plus(grid, build_fractional(grid, config.beta or 0.5).entries)
-    tol_d = config.tol("mapping_distance", 1e-6)
-    tol_v = config.tol("vf_radius", 1e-6)
+    tol_d = config.tol("mapping_distance")
     functions = [
         ("identity", lambda z: z),
         ("square-plus-one", lambda z: z * z + 1.0),
@@ -294,16 +308,12 @@ def _exp_spectral_mapping(config: ExperimentConfig, outdir: str) -> Summary:
     checks = []
     for label, f in functions:
         report = spec.verify_spectral_mapping(t, f, tolerance=tol_d)
-        checks.append(
-            Check(f"distance-{label}", "analytic-spectral-mapping", report.distance, tol_d, report.distance <= tol_d)
-        )
-        checks.append(
-            Check(f"vf-radius-{label}", "analytic-spectral-mapping", report.vf_spectral_radius, tol_v, report.vf_spectral_radius <= tol_v)
-        )
-    return Summary("spectral-mapping", _echo(config, n=n, functions=[f[0] for f in functions]), checks)
+        checks.append(at_most(f"distance-{label}", report.distance, tol_d))
+        checks.append(at_most(f"vf-radius-{label}", report.vf_spectral_radius, config.tol("vf_radius")))
+    return checks, dict(n=n, functions=[f[0] for f in functions])
 
 
-def _exp_macaev_norms(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_macaev_norms(config: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(config.seed)
     slack = 1e-10
     p_grid = (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)
@@ -325,12 +335,12 @@ def _exp_macaev_norms(config: ExperimentConfig, outdir: str) -> Summary:
     fixed = spec.macaev_norm(np.diag([3.0, 2.0, 1.0]).astype(complex))
     fixed_err = abs(fixed - (3.0 + 2.0 / 3.0 + 1.0 / 5.0))
     checks = [
-        Check("weighted-norm-below-trace-norm", "singular-value-ideal-norms", worst_ideal, slack, worst_ideal <= slack),
-        Check("schatten-monotone-in-p", "singular-value-ideal-norms", worst_monotone, slack, worst_monotone <= slack),
-        Check("weighted-norm-cauchy-schwarz", "singular-value-ideal-norms", worst_cs, slack, worst_cs <= slack),
-        Check("diag-321-closed-form", "singular-value-ideal-norms", fixed_err, 1e-12, fixed_err <= 1e-12),
+        at_most("weighted-norm-below-trace-norm", worst_ideal, slack),
+        at_most("schatten-monotone-in-p", worst_monotone, slack),
+        at_most("weighted-norm-cauchy-schwarz", worst_cs, slack),
+        at_most("diag-321-closed-form", fixed_err, 1e-12),
     ]
-    return Summary("macaev-norms", _echo(config, matrices=50, dim=16, p_grid=[str(p) for p in p_grid]), checks)
+    return checks, dict(matrices=50, dim=16, p_grid=[str(p) for p in p_grid])
 
 
 def _default_ladder(kind: str, beta: float) -> tuple:
@@ -369,21 +379,21 @@ def _phi_plus_profile(
     )
 
 
-def _exponent_checks(name: str, anchor: str, fitted_p: float, target: float) -> list:
+def _exponent_checks(name: str, fitted_p: float, target: float) -> list:
     """``<name>-lower`` and ``<name>-upper``: ``fitted_p`` within ``target +- 0.4``."""
     return [
-        Check(f"{name}-lower", anchor, fitted_p, target - 0.4, fitted_p >= target - 0.4),
-        Check(f"{name}-upper", anchor, fitted_p, target + 0.4, fitted_p <= target + 0.4),
+        at_least(f"{name}-lower", fitted_p, target - 0.4),
+        at_most(f"{name}-upper", fitted_p, target + 0.4),
     ]
 
 
-def _verdict_check(config: ExperimentConfig, prof, name: str, anchor: str, expected: str):
+def _verdict_check(config: ExperimentConfig, prof, name: str, expected: str):
     """Levinson verdict of ``prof`` and the check that it is ``expected``."""
-    verdict = res.levinson_classify(prof, margin=config.tol("levinson_margin", 0.15))
-    return verdict, Check(name, anchor, verdict.p, 1.0, verdict.verdict == expected)
+    verdict = res.levinson_classify(prof, margin=config.tol("levinson_margin"))
+    return verdict, (name, verdict.p, 1.0, verdict.verdict == expected)
 
 
-def _exp_resolvent_profile(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_resolvent_profile(config: ExperimentConfig, outdir: str):
     n = config.n or 256
     beta = config.beta if config.beta is not None else 1.0
     ladder = config.y_ladder or _default_ladder("fractional", beta)
@@ -407,18 +417,14 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str) -> Summary:
         drawn += 1
         worst_neumann = max(worst_neumann, res.neumann_residual(t32, split32, lam))
     checks = [
-        Check("chain-series-vs-dense-inverse", "resolvent-chain-expansion", worst_neumann, 1e-8, worst_neumann <= 1e-8),
-        *_exponent_checks("count-exponent", "resolvent-chain-expansion", prof.fitted_p, 1.0 / beta),
-        Check("envelope-uplift-factor", "resolvent-chain-expansion", prof.envelope_violation, 100.0, prof.envelope_violation <= 100.0),
+        at_most("chain-series-vs-dense-inverse", worst_neumann, 1e-8),
+        *_exponent_checks("count-exponent", prof.fitted_p, 1.0 / beta),
+        at_most("envelope-uplift-factor", prof.envelope_violation, 100.0),
     ]
-    return Summary(
-        "resolvent-profile",
-        _echo(config, n=n, beta=beta, ladder=list(ladder), fitted_q=prof.fitted_q),
-        checks,
-    )
+    return checks, dict(n=n, beta=beta, ladder=list(ladder), fitted_q=prof.fitted_q)
 
 
-def _exp_levinson(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_levinson(config: ExperimentConfig, outdir: str):
     n = config.n or 256
     beta = config.beta if config.beta is not None else 2.0
     ladder = config.y_ladder or _default_ladder("ebeta", beta)
@@ -426,18 +432,12 @@ def _exp_levinson(config: ExperimentConfig, outdir: str) -> Summary:
     res.profile_to_csv(prof, os.path.join(outdir, "profile.csv"))
     res.r_table_to_csv(prof, os.path.join(outdir, "r_table.csv"))
     expected = "INTEGRABLE" if 1.0 / beta < 1.0 else "DIVERGENT"
-    verdict, check = _verdict_check(
-        config, prof, f"verdict-is-{expected.lower()}", "log-count-integrability", expected
-    )
-    return Summary(
-        "levinson",
-        _echo(config, n=n, beta=beta, ladder=list(ladder), verdict=verdict.verdict,
-              p=verdict.p, q=verdict.q),
-        [check],
-    )
+    verdict, check = _verdict_check(config, prof, f"verdict-is-{expected.lower()}", expected)
+    echo = dict(n=n, beta=beta, ladder=list(ladder), verdict=verdict.verdict, p=verdict.p, q=verdict.q)
+    return [check], echo
 
 
-def _exp_fractional_powers(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_fractional_powers(config: ExperimentConfig, outdir: str):
     omega = config.omega
     errs = {}
     for size in (64, 128, 256, 512):
@@ -446,22 +446,18 @@ def _exp_fractional_powers(config: ExperimentConfig, outdir: str) -> Summary:
         j1 = build_fractional(grid, 1.0)
         errs[size] = operator_norm(jh.entries @ jh.entries - j1.entries)
     worst_ratio = min(errs[a] / errs[2 * a] for a in (64, 128, 256))
-    checks = [
-        Check("square-root-law-halving-ratio", "fractional-power-law", worst_ratio, 1.5, worst_ratio >= 1.5)
-    ]
+    checks = [at_least("square-root-law-halving-ratio", worst_ratio, 1.5)]
     _write_csv(outdir, "power_law.csv", "n,defect", errs.items())
     for beta, m in ((0.5, 2), (1.0, 3)):
         grid = make_grid(omega, 256)
         jb = build_fractional(grid, beta)
         norm = operator_norm(np.linalg.matrix_power(jb.entries, m))
         bound = 1.05 * omega ** (m * beta) / math.gamma(m * beta + 1.0)
-        checks.append(
-            Check(f"power-norm-bound-beta{beta:g}-m{m}", "fractional-power-law", norm, bound, norm <= bound)
-        )
-    return Summary("fractional-powers", _echo(config, sizes=[64, 128, 256, 512]), checks)
+        checks.append(at_most(f"power-norm-bound-beta{beta:g}-m{m}", norm, bound))
+    return checks, dict(sizes=[64, 128, 256, 512])
 
 
-def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str):
     checks = []
     rows = []
     for beta in (1.0, 2.0):
@@ -469,26 +465,15 @@ def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str) -> Summary:
         for x, lo, hi in ((1e-6, 0.8, 1.2), (1e-8, 0.9, 1.1)):
             ratio = e_beta(x, kernel) * x * abs(math.log(x)) ** (beta + 1.0) / math.gamma(beta + 1.0)
             rows.append((beta, x, ratio))
-            checks.append(
-                Check(
-                    f"asymptotic-ratio-beta{beta:g}-x{x:g}-low",
-                    "log-singular-kernel-asymptotics", ratio, lo, ratio >= lo,
-                )
-            )
-            checks.append(
-                Check(
-                    f"asymptotic-ratio-beta{beta:g}-x{x:g}-high",
-                    "log-singular-kernel-asymptotics", ratio, hi, ratio <= hi,
-                )
-            )
+            checks.append(at_least(f"asymptotic-ratio-beta{beta:g}-x{x:g}-low", ratio, lo))
+            checks.append(at_most(f"asymptotic-ratio-beta{beta:g}-x{x:g}-high", ratio, hi))
         # sampled lower-bound constant on (0, 0.5]
         m_fit = min(
             e_beta(x, kernel) * x * abs(math.log(x)) ** (beta + 1.0)
             for x in np.geomspace(1e-8, 0.5, 25)
         )
-        checks.append(
-            Check(f"kernel-lower-bound-beta{beta:g}", "log-singular-kernel-asymptotics", m_fit, 0.0, m_fit > 0.0)
-        )
+        # strictly positive: a zero constant bounds nothing
+        checks.append((f"kernel-lower-bound-beta{beta:g}", m_fit, 0.0, m_fit > 0.0))
     # moment finiteness and the fitted-constant bound at orders 4, 8, 16
     kernel = EbetaSpec(1.0, config.c)
     moments = {k: m_moment(float(k), kernel, config.omega) for k in (4, 8, 16)}
@@ -496,18 +481,14 @@ def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str) -> Summary:
     bound_ok = all(
         moments[k] <= (fitted_m / math.log(k)) ** k * (1 + 1e-12) for k in moments
     )
-    checks.append(
-        Check("moment-log-bound-single-constant", "log-singular-kernel-asymptotics", fitted_m, 10.0, bound_ok and fitted_m <= 10.0)
-    )
+    checks.append(("moment-log-bound-single-constant", fitted_m, 10.0, bound_ok and fitted_m <= 10.0))
     decreasing = moments[4] > moments[8] > moments[16]
-    checks.append(
-        Check("moments-decreasing", "log-singular-kernel-asymptotics", moments[16], moments[8], decreasing)
-    )
+    checks.append(("moments-decreasing", moments[16], moments[8], decreasing))
     _write_csv(outdir, "asymptotics.csv", "beta,x,ratio", rows)
-    return Summary("ebeta-asymptotics", _echo(config, moments={str(k): v for k, v in moments.items()}), checks)
+    return checks, dict(moments={str(k): v for k, v in moments.items()})
 
 
-def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str):
     omega = config.omega
     orders = (0.5, 1.0, 1.5)
     pairs = list(itertools.product(orders, repeat=2))
@@ -522,22 +503,15 @@ def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
             / operator_norm(ops[a + b])
             for a, b in pairs
         )
-    tol = config.tol("semigroup_rel", 5e-2)
     checks = [
-        Check("semigroup-defect-at-256", "convolution-semigroup-law", worst[256], tol, worst[256] <= tol),
-        Check(
-            "semigroup-defect-decreasing",
-            "convolution-semigroup-law",
-            worst[256],
-            worst[64],
-            worst[64] > worst[128] > worst[256],
-        ),
+        at_most("semigroup-defect-at-256", worst[256], config.tol("semigroup_rel")),
+        ("semigroup-defect-decreasing", worst[256], worst[64], worst[64] > worst[128] > worst[256]),
     ]
     _write_csv(outdir, "semigroup.csv", "n,worst_rel_defect", worst.items())
-    return Summary("semigroup-ebeta", _echo(config, sizes=list(sizes), pairs=len(pairs)), checks)
+    return checks, dict(sizes=list(sizes), pairs=len(pairs))
 
 
-def _exp_growth_frac(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_growth_frac(config: ExperimentConfig, outdir: str):
     n = config.n or 256
     checks = []
     fitted = {}
@@ -545,13 +519,11 @@ def _exp_growth_frac(config: ExperimentConfig, outdir: str) -> Summary:
         prof = _phi_plus_profile(config, n, "fractional", beta, _default_ladder("fractional", beta))
         res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
         fitted[beta] = prof.fitted_p
-        checks += _exponent_checks(
-            f"exponent-beta{beta:g}", "fractional-growth-exponent", prof.fitted_p, 1.0 / beta
-        )
-    return Summary("growth-frac", _echo(config, n=n, fitted={str(k): v for k, v in fitted.items()}), checks)
+        checks += _exponent_checks(f"exponent-beta{beta:g}", prof.fitted_p, 1.0 / beta)
+    return checks, dict(n=n, fitted={str(k): v for k, v in fitted.items()})
 
 
-def _exp_growth_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_growth_ebeta(config: ExperimentConfig, outdir: str):
     n = config.n or 256
     checks = []
     verdicts = {}
@@ -559,11 +531,11 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
         prof = _phi_plus_profile(config, n, "ebeta", beta, _default_ladder("ebeta", beta))
         res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
         verdicts[beta], check = _verdict_check(
-            config, prof, f"verdict-beta{beta:g}-{expected.lower()}", "log-singular-growth-exponent", expected
+            config, prof, f"verdict-beta{beta:g}-{expected.lower()}", expected
         )
         checks.append(check)
         # consistency with the closed-form crossing bound, one fitted constant
-        mask = (prof.count_n >= 2) & ~prof.saturated
+        mask = prof.fit_mask
         if mask.sum():
             y = prof.y_grid[mask]
             ln_n = np.log(prof.count_n[mask].astype(float))
@@ -574,31 +546,19 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str) -> Summary:
                 lv <= res.cn_bound_to_N_bound(beta, m_fit, float(yv)) * (1 + 1e-9)
                 for yv, lv in zip(y, ln_n)
             )
-            checks.append(
-                Check(f"count-bound-beta{beta:g}", "log-singular-growth-exponent", m_fit, 10.0, bound_ok and m_fit <= 10.0)
-            )
+            checks.append((f"count-bound-beta{beta:g}", m_fit, 10.0, bound_ok and m_fit <= 10.0))
     # kernel-bound variant: e_beta dominates the simpler log-singular envelope
     kernel = EbetaSpec(1.0, config.c)
     ratio_floor = min(
         e_beta(u, kernel) * u * (abs(math.log(u)) ** 2 + 1.0)
         for u in np.geomspace(1e-6, 0.9, 30)
     )
-    checks.append(
-        Check("kernel-dominates-log-envelope", "log-singular-growth-exponent", ratio_floor, 0.0, ratio_floor > 0.0)
-    )
-    return Summary(
-        "growth-ebeta",
-        _echo(
-            config,
-            n=n,
-            p_beta2=verdicts[2.0].p,
-            p_beta_half=verdicts[0.5].p,
-        ),
-        checks,
-    )
+    # strictly positive: a zero floor is no domination
+    checks.append(("kernel-dominates-log-envelope", ratio_floor, 0.0, ratio_floor > 0.0))
+    return checks, dict(n=n, p_beta2=verdicts[2.0].p, p_beta_half=verdicts[0.5].p)
 
 
-def _exp_symbol_trace(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
     preset = config.s_preset or "imaginary_power"
     s = KernelSpec.preset(preset, config.alpha).s
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
@@ -611,16 +571,12 @@ def _exp_symbol_trace(config: ExperimentConfig, outdir: str) -> Summary:
             for i, x in enumerate(trace.xi_samples)
             if x > 0
         )
-        checks.append(
-            Check("hermitian-symmetry-real-kernel", "difference-kernel-symbol", sym_err, 1e-8, sym_err <= 1e-8)
-        )
+        checks.append(at_most("hermitian-symmetry-real-kernel", sym_err, 1e-8))
     if preset == "one":
         report = sym.delta_estimate(trace, tol=0.05)
         err = max(abs(report.plus.value - 1.0), abs(report.minus.value - 1.0))
         ok = report.plus.kind == "CONVERGENT" and report.minus.kind == "CONVERGENT"
-        checks.append(
-            Check("identity-kernel-limits-to-one", "difference-kernel-symbol", err, 0.05, ok and err <= 0.05)
-        )
+        checks.append(("identity-kernel-limits-to-one", err, 0.05, ok and err <= 0.05))
     if preset == "imaginary_power" and config.alpha != 0.0:
         a = abs(config.alpha)
         lo = math.exp(-a * math.pi / 2.0)
@@ -629,36 +585,30 @@ def _exp_symbol_trace(config: ExperimentConfig, outdir: str) -> Summary:
             abs(trace.window_plus.mean_modulus - (lo if config.alpha > 0 else hi)),
             abs(trace.window_minus.mean_modulus - (hi if config.alpha > 0 else lo)),
         )
-        checks.append(
-            Check("side-moduli-match-ring-radii", "difference-kernel-symbol", err, 0.02 * hi, err <= 0.02 * hi)
-        )
+        checks.append(at_most("side-moduli-match-ring-radii", err, 0.02 * hi))
     if not checks:
-        checks.append(Check("trace-completed", "difference-kernel-symbol", 0.0, 1.0, True))
-    return Summary("symbol-trace", _echo(config, preset=preset, samples=len(trace.xi_samples)), checks)
+        checks.append(("trace-completed", 0.0, 1.0, True))
+    return checks, dict(preset=preset, samples=len(trace.xi_samples))
 
 
-def _exp_prop54(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_prop54(config: ExperimentConfig, outdir: str):
     n = config.n or 2048
     grid = make_grid(config.omega, n)
     op = build_imaginary_fractional(grid, config.alpha)
     frequencies = (32.0, 64.0, 128.0)
     residuals = [sym.prop54_residual(op, xi) for xi in frequencies]
     decreasing = residuals[0] > residuals[1] > residuals[2]
-    checks = [
-        Check("residual-strictly-decreasing", "plane-wave-symbol-residual", residuals[-1], residuals[0], decreasing)
-    ]
+    checks = [("residual-strictly-decreasing", residuals[-1], residuals[0], decreasing)]
     # the identity-kernel case collapses to quadrature noise at full periods
     ident = build_operator(grid, KernelSpec.preset("one"))
     xi0 = 2.0 * math.pi * round(64.0 * config.omega / (2.0 * math.pi)) / config.omega
     r_ident = sym.prop54_residual(ident, xi0)
-    checks.append(
-        Check("identity-kernel-residual", "plane-wave-symbol-residual", r_ident, 1e-8, r_ident <= 1e-8)
-    )
+    checks.append(at_most("identity-kernel-residual", r_ident, 1e-8))
     _write_csv(outdir, "residuals.csv", "xi,residual", zip(frequencies, residuals))
-    return Summary("prop54", _echo(config, n=n, alpha=config.alpha, residuals=residuals), checks)
+    return checks, dict(n=n, alpha=config.alpha, residuals=residuals)
 
 
-def _exp_boundedness(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_boundedness(config: ExperimentConfig, outdir: str):
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     cases = [
         ("imaginary_power", "bounded"),
@@ -670,43 +620,34 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str) -> Summary:
     for preset, expected in cases:
         report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, ladder)
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
-        checks.append(
-            Check(
-                f"{preset}-classified-{expected}",
-                "symbol-boundedness-test",
-                report.trend_slope,
-                0.1,
-                report.classification == expected,
-            )
-        )
+        passed = report.classification == expected
+        checks.append((f"{preset}-classified-{expected}", report.trend_slope, 0.1, passed))
     _write_csv(outdir, "boundedness.csv", "preset,sup_indicator,trend_slope,classification", rows)
-    return Summary("boundedness", _echo(config, cases=[c[0] for c in cases]), checks)
+    return checks, dict(cases=[c[0] for c in cases])
 
 
-def _exp_annulus(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_annulus(config: ExperimentConfig, outdir: str):
     alpha = config.alpha
     n = config.n or 2048
     outer = math.exp(abs(alpha) * math.pi / 2.0)
-    eps = config.tol("noise_eps", 1e-12)
+    eps = config.tol("noise_eps")
     moduli_by_size = {}
     for size in (512, 1024, n):
         grid = make_grid(config.omega, size)
         op = build_imaginary_fractional(grid, alpha)
         eigs = spec.eigenvalues_with_machine_noise(op, eps=eps, seed=config.seed)
         moduli_by_size[size] = np.abs(eigs)
-    main = moduli_by_size[n]
+    main = float(moduli_by_size[n].max())
     checks = [
-        Check("all-moduli-within-outer-ring", "imaginary-order-annulus", float(main.max()), 1.05 * outer, bool(main.max() <= 1.05 * outer)),
-        Check("max-modulus-reaches-ring", "imaginary-order-annulus", float(main.max()), 0.85 * outer, bool(main.max() >= 0.85 * outer)),
+        at_most("all-moduli-within-outer-ring", main, 1.05 * outer),
+        at_least("max-modulus-reaches-ring", main, 0.85 * outer),
     ]
     sizes = sorted(moduli_by_size)
     trend = all(
         moduli_by_size[a].max() < moduli_by_size[b].max()
         for a, b in zip(sizes, sizes[1:])
     ) and all(moduli_by_size[s].max() <= outer for s in sizes)
-    checks.append(
-        Check("filling-approaches-ring-from-below", "imaginary-order-annulus", float(moduli_by_size[sizes[0]].max()), outer, trend)
-    )
+    checks.append(("filling-approaches-ring-from-below", float(moduli_by_size[sizes[0]].max()), outer, trend))
     s = KernelSpec.fractional_imaginary(alpha).s
     lo = math.exp(-alpha * math.pi / 2.0)
     hi = math.exp(alpha * math.pi / 2.0)
@@ -714,15 +655,13 @@ def _exp_annulus(config: ExperimentConfig, outdir: str) -> Summary:
         s1, _ = sym.transform(s, config.omega, xi)
         gval = abs(-1j * xi * s1)
         rel = abs(gval - target) / target
-        checks.append(
-            Check(f"symbol-modulus-at-xi-{xi:+.0f}", "imaginary-order-annulus", rel, 0.02, rel <= 0.02)
-        )
+        checks.append(at_most(f"symbol-modulus-at-xi-{xi:+.0f}", rel, 0.02))
     rows = [(size, moduli_by_size[size].max(), moduli_by_size[size].min()) for size in sizes]
     _write_csv(outdir, "eigen_moduli.csv", "n,max_modulus,min_modulus", rows)
-    return Summary("annulus-jialpha", _echo(config, n=n, alpha=alpha, eps=eps), checks)
+    return checks, dict(n=n, alpha=alpha, eps=eps)
 
 
-def _exp_witness(config: ExperimentConfig, outdir: str) -> Summary:
+def _exp_witness(config: ExperimentConfig, outdir: str):
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     cases = (
         # check name, echo key, kernel, expected verdict
@@ -735,38 +674,49 @@ def _exp_witness(config: ExperimentConfig, outdir: str) -> Summary:
     verdicts = {}
     for name, key, kernel, expected in cases:
         trace = sym.trace_symbol(kernel.s, config.omega, ladder)
-        verdict = sym.non_triangular_witness(trace, tol=config.tolerances.get("witness_tol"))
+        verdict = sym.non_triangular_witness(trace, tol=config.tol("witness_tol"))
         verdicts[key] = verdict.verdict
-        checks.append(
-            Check(name, "two-point-non-triangularity", verdict.separation, verdict.tol, verdict.verdict == expected)
-        )
-    return Summary("witness", _echo(config, alpha=config.alpha, verdicts=verdicts), checks)
+        checks.append((name, verdict.separation, verdict.tol, verdict.verdict == expected))
+    return checks, dict(alpha=config.alpha, verdicts=verdicts)
 
 
-REGISTRY: dict[str, Callable[[ExperimentConfig, str], Summary]] = {
-    "sigma-equality": _exp_sigma_equality,
-    "spectral-mapping": _exp_spectral_mapping,
-    "macaev-norms": _exp_macaev_norms,
-    "resolvent-profile": _exp_resolvent_profile,
-    "levinson": _exp_levinson,
-    "fractional-powers": _exp_fractional_powers,
-    "ebeta-asymptotics": _exp_ebeta_asymptotics,
-    "semigroup-ebeta": _exp_semigroup_ebeta,
-    "growth-frac": _exp_growth_frac,
-    "growth-ebeta": _exp_growth_ebeta,
-    "symbol-trace": _exp_symbol_trace,
-    "prop54": _exp_prop54,
-    "boundedness": _exp_boundedness,
-    "annulus-jialpha": _exp_annulus,
-    "witness": _exp_witness,
+# experiment name -> (body, anchor carried by every check of the experiment);
+# a body returns its checks as (name, value, threshold, passed) tuples and
+# the resolved values echoed in summary.json
+REGISTRY: dict[str, tuple[Callable, str]] = {
+    "sigma-equality": (_exp_sigma_equality, "spectrum-equals-scalar-part"),
+    "spectral-mapping": (_exp_spectral_mapping, "analytic-spectral-mapping"),
+    "macaev-norms": (_exp_macaev_norms, "singular-value-ideal-norms"),
+    "resolvent-profile": (_exp_resolvent_profile, "resolvent-chain-expansion"),
+    "levinson": (_exp_levinson, "log-count-integrability"),
+    "fractional-powers": (_exp_fractional_powers, "fractional-power-law"),
+    "ebeta-asymptotics": (_exp_ebeta_asymptotics, "log-singular-kernel-asymptotics"),
+    "semigroup-ebeta": (_exp_semigroup_ebeta, "convolution-semigroup-law"),
+    "growth-frac": (_exp_growth_frac, "fractional-growth-exponent"),
+    "growth-ebeta": (_exp_growth_ebeta, "log-singular-growth-exponent"),
+    "symbol-trace": (_exp_symbol_trace, "difference-kernel-symbol"),
+    "prop54": (_exp_prop54, "plane-wave-symbol-residual"),
+    "boundedness": (_exp_boundedness, "symbol-boundedness-test"),
+    "annulus-jialpha": (_exp_annulus, "imaginary-order-annulus"),
+    "witness": (_exp_witness, "two-point-non-triangularity"),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> Summary:
     """Execute one registered experiment, writing artifacts to its output dir."""
+    body, anchor = REGISTRY[config.experiment]
     outdir = config.output_dir
     os.makedirs(outdir, exist_ok=True)
-    summary = REGISTRY[config.experiment](config, outdir)
+    checks, resolved = body(config, outdir)
+    # paths are not part of the scientific configuration; dropping them keeps
+    # summary.json byte-identical across runs of the same config and seed
+    echo = {**dataclasses.asdict(config), "resolved": resolved}
+    del echo["output_dir"], echo["cache_dir"]
+    summary = Summary(
+        config.experiment,
+        json.loads(json.dumps(echo, default=str, sort_keys=True)),
+        [Check(name, anchor, value, threshold, passed) for name, value, threshold, passed in checks],
+    )
     with open(os.path.join(outdir, "summary.json"), "w", encoding="ascii") as fh:
         fh.write(summary.to_json())
         fh.write("\n")

@@ -298,11 +298,9 @@ def _cell_integrals(s: Callable, antiderivative: Optional[Callable], h: float, n
     out = np.empty(n, dtype=complex)
     for d in range(n):
         a, b = d * h, (d + 1) * h
-        re, re_err = quad(lambda u: np.real(s(u)), a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        im, im_err = quad(lambda u: np.imag(s(u)), a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        if not (math.isfinite(re) and math.isfinite(im)):
+        out[d], _ = quad(s, a, b, complex_func=True, epsabs=1e-13, epsrel=1e-11, limit=200)
+        if not cmath.isfinite(out[d]):
             raise ConstructionError(f"difference-kernel cell integral diverged on [{a:g}, {b:g}]")
-        out[d] = re + 1j * im
     return out
 
 

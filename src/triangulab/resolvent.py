@@ -172,6 +172,15 @@ class ResolventProfile:
                     self.count_n, self.envelope_m, self.saturated):
             arr.setflags(write=False)
 
+    @property
+    def fit_mask(self) -> np.ndarray:
+        """Ladder points the exponent fits use: unsaturated, with ``N >= 2``."""
+        return _fit_mask(self.count_n, self.saturated)
+
+
+def _fit_mask(count_n: np.ndarray, saturated: np.ndarray) -> np.ndarray:
+    return (count_n >= 2) & ~saturated
+
 
 def _fit_power(y: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
     """Slope of log(values) against log(1/y) on the masked ladder points."""
@@ -185,7 +194,6 @@ def profile(
     t,
     split: SplitPair,
     y_ladder: Sequence[float],
-    x_window: Optional[tuple] = None,
     n_max: Optional[int] = None,
     x_samples: int = 64,
     power_x_samples: Optional[int] = None,
@@ -193,9 +201,9 @@ def profile(
 ) -> ResolventProfile:
     """Sweep the half-plane ladder and fill every resolvent-growth table.
 
-    For each ``y`` in the ladder: chain norms ``r_n`` are maximized over a
-    real search window (default ``[min sigma(S) - 1, max sigma(S) + 1]`` with
-    ``x_samples`` points; ``power_x_samples`` trims the expensive chain sweep
+    For each ``y`` in the ladder: chain norms ``r_n`` are maximized over the
+    real search window ``[min sigma(S) - 1, max sigma(S) + 1]`` with
+    ``x_samples`` points (``power_x_samples`` trims the expensive chain sweep
     independently of the resolvent envelope sweep), the crossing count is
     ``N(y) = #{n <= n_max : r_n(y) > |y|/2}``, and the envelope is
     ``M(y) = max_x ||R_{x+iy}(T)||``.  Chains stop early once ``r_n`` sits
@@ -213,8 +221,7 @@ def profile(
     y_grid = np.asarray(list(y_ladder), dtype=float)
     if np.any(y_grid == 0.0):
         raise ValueError("the ladder must avoid y = 0")
-    if x_window is None:
-        x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
+    x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
         x_grid
@@ -250,8 +257,7 @@ def profile(
         saturated[j] = counts[j] >= n_max
         envelope[j] = max(resolvent_norm(entries, x + 1j * y) for x in x_grid)
 
-    count_mask = (counts >= 2) & ~saturated
-    fitted_p = _fit_power(y_grid, np.maximum(counts, 1), count_mask)
+    fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
     log_m = np.log(np.maximum(envelope, 1.0 + 1e-15))
     fitted_q = _fit_power(y_grid, log_m, log_m > 0)
 
@@ -301,20 +307,15 @@ def levinson_classify(prof: ResolventProfile, margin: float = 0.15) -> LevinsonV
     INCONCLUSIVE.  The margin absorbs the fit noise observed on geometric
     ladders so the verdict does not flip on rounding.
     """
-    mask = (prof.count_n >= 2) & ~prof.saturated
+    mask = prof.fit_mask
     if mask.sum() < 4:
         raise InsufficientDataError(
             f"need at least 4 unsaturated ladder points with N >= 2, have {int(mask.sum())}"
         )
-    y = prof.y_grid[mask]
-    ln_n = np.log(prof.count_n[mask].astype(float))
-    p = float(-np.polyfit(np.log(y), np.log(ln_n), 1)[0])
-    m_mask = mask & (np.log(np.maximum(prof.envelope_m, 1.0 + 1e-15)) > 1.0)
-    if m_mask.sum() >= 4:
-        lnln_m = np.log(np.log(prof.envelope_m[m_mask]))
-        q = float(-np.polyfit(np.log(prof.y_grid[m_mask]), lnln_m, 1)[0])
-    else:
-        q = float("nan")
+    p = _fit_power(prof.y_grid, np.log(np.maximum(prof.count_n, 1)), mask)
+    ln_m = np.log(np.maximum(prof.envelope_m, 1.0 + 1e-15))
+    m_mask = mask & (ln_m > 1.0)
+    q = _fit_power(prof.y_grid, ln_m, m_mask) if m_mask.sum() >= 4 else float("nan")
     if p < 1.0 - margin:
         verdict = "INTEGRABLE"
     elif p > 1.0 + margin:

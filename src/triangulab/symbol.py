@@ -15,6 +15,7 @@ structure along the natural chain.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -47,11 +48,10 @@ _QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 400}
 
 
 def _complex_quad(func, a: float, b: float, **kwargs) -> complex:
-    re, re_err = quad(lambda t: func(t).real, a, b, **kwargs)
-    im, im_err = quad(lambda t: func(t).imag, a, b, **kwargs)
-    if not (math.isfinite(re) and math.isfinite(im)):
+    value, _ = quad(func, a, b, complex_func=True, **_QUAD_OPTS, **kwargs)
+    if not cmath.isfinite(value):
         raise QuadratureError(f"transform quadrature diverged on [{a:g}, {b:g}]")
-    return re + 1j * im
+    return value
 
 
 def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
@@ -67,19 +67,11 @@ def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
         return complex(w(t)) * np.exp(1j * t * xi)
 
     if xi == 0.0 or abs(xi) * omega <= 8.0:
-        return _complex_quad(w_wave, 0.0, omega, **_QUAD_OPTS)
+        return _complex_quad(w_wave, 0.0, omega)
     head = min(0.5 * omega, 1.0 / (4.0 * abs(xi)))
-    total = _complex_quad(w_wave, 0.0, head, **_QUAD_OPTS)
-    parts = []
-    for weight, factor in (("cos", 1.0), ("sin", 1j)):
-        for comp, comp_factor in ((np.real, 1.0), (np.imag, 1j)):
-            val, err = quad(
-                lambda t: float(comp(complex(w(t)))), head, omega, weight=weight, wvar=xi, **_QUAD_OPTS
-            )
-            if not math.isfinite(val):
-                raise QuadratureError("oscillatory quadrature diverged")
-            parts.append(factor * comp_factor * val)
-    return total + sum(parts)
+    cos_part = _complex_quad(w, head, omega, weight="cos", wvar=xi)
+    sin_part = _complex_quad(w, head, omega, weight="sin", wvar=xi)
+    return _complex_quad(w_wave, 0.0, head) + (cos_part + 1j * sin_part)
 
 
 def transform(s: Callable, omega: float, xi: float) -> tuple[complex, complex]:
@@ -285,12 +277,11 @@ def boundedness_indicator(
     s: Callable,
     omega: float,
     xi_ladder: Optional[Sequence[float]] = None,
-    growth_threshold: float = 0.1,
 ) -> BoundednessReport:
     """Evidence for boundedness of the operator via ``sup |xi s_tilde(xi)|``.
 
     Fits the log-log slope of ``|xi s_tilde(xi)|`` over the outer half of the
-    ladder; a slope above ``growth_threshold`` classifies as "growing".
+    ladder; a slope above 0.1 classifies as "growing".
     """
     if xi_ladder is None:
         xi_ladder = default_xi_ladder()
@@ -303,7 +294,7 @@ def boundedness_indicator(
     half = len(xi) // 2
     logs = np.log(np.abs(xi[half:]))
     slope = float(np.polyfit(logs, np.log(np.maximum(vals[half:], 1e-300)), 1)[0])
-    label = "growing" if slope > growth_threshold else "bounded"
+    label = "growing" if slope > 0.1 else "bounded"
     return BoundednessReport(
         sup_value=float(np.max(vals)),
         trend_slope=slope,

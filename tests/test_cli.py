@@ -45,6 +45,8 @@ def test_unknown_keys_rejected(tmp_path):
     assert main(["run", "--config", cfg]) == 2
     cfg = write_config(tmp_path, {"experiment": "macaev-norms", "tolerances": {"nope": 1.0}})
     assert main(["run", "--config", cfg]) == 2
+    cfg = write_config(tmp_path, {"experiment": "macaev-norms", "grid.n": 4})
+    assert main(["run", "--config", cfg]) == 2
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -96,9 +98,13 @@ def test_numerical_error_exits_three(tmp_path):
         {"experiment": "resolvent-profile", "grid": {"n": 16}, "kernel": {"beta": -1.0}},
         {"experiment": "macaev-norms", "seed": True},
         {"experiment": "macaev-norms", "seed": 1.5},
+        {"experiment": "symbol-trace", "ladder": {"xi_per_octave": 0}},
+        {"experiment": "symbol-trace", "ladder": {"xi_per_octave": -1}},
+        {"experiment": ["macaev-norms"]},
     ],
     ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan",
-         "beta-neg", "seed-true", "seed-1.5"],
+         "beta-neg", "seed-true", "seed-1.5", "xi-per-octave-0", "xi-per-octave-neg",
+         "experiment-list"],
 )
 def test_bad_config_values_exit_two(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})

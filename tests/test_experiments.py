@@ -3,6 +3,7 @@ exercise at reduced size (the heavy defaults run there)."""
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -98,3 +99,24 @@ def test_ebeta_cache_keeps_betas_that_format_alike_apart(tmp_path):
     assert len(list(cache.glob("ebeta_*.txt"))) == 2
     assert sorted(os.listdir(cache)) == sorted(p.name for p in cache.glob("ebeta_*.txt"))
     assert (first.entries != second.entries).any()
+
+
+def test_ebeta_cache_rebuilds_a_file_saved_under_another_beta(tmp_path):
+    from triangulab.experiments import _cached_ebeta
+    from triangulab.grid import make_grid
+    from triangulab.operators import KernelSpec, build_ebeta_operator, load_matrix
+    from triangulab.specfun import EbetaSpec
+
+    cache = tmp_path / "cache"
+    config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(cache)})
+    grid = make_grid(config.omega, 16)
+    _cached_ebeta(config, grid, 2.0)
+    wrong = cache / "ebeta_b0.5_c0.0_om1.0_n16.txt"
+    shutil.copy(cache / "ebeta_b2.0_c0.0_om1.0_n16.txt", wrong)
+    expected = build_ebeta_operator(grid, EbetaSpec(0.5)).entries
+    rebuilt = _cached_ebeta(config, grid, 0.5)
+    assert (rebuilt.entries == expected).all()
+    assert (load_matrix(wrong).entries == expected).all()  # the bad file was overwritten
+    loaded = _cached_ebeta(config, grid, 0.5)
+    assert (loaded.entries == expected).all()
+    assert rebuilt.provenance == loaded.provenance == KernelSpec.ebeta(0.5, 0.0)
