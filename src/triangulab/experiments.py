@@ -88,8 +88,10 @@ def _y_ladder(where: str, value) -> tuple:
     return ladder
 
 
-def _text(where: str, value) -> str:
-    return str(value)
+def _path(where: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    return value
 
 
 # tolerance key -> default; witness_tol None is 5% of the larger side
@@ -117,9 +119,12 @@ _SCHEMA = {
     ("ladder", "xi_k_max"): ("xi_k_max", _integer),
     ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_from(1)),
     **{("tolerances", key): ("tolerances", _number) for key in _TOLERANCE_DEFAULTS},
+    # replaces the entry above: the witness compares separations against
+    # witness_tol, so it must be positive
+    ("tolerances", "witness_tol"): ("tolerances", _positive),
     ("seed",): ("seed", _integer),
-    ("output_dir",): ("output_dir", _text),
-    ("cache_dir",): ("cache_dir", _text),
+    ("output_dir",): ("output_dir", _path),
+    ("cache_dir",): ("cache_dir", _path),
 }
 _SECTIONS = {path[0] for path in _SCHEMA if len(path) == 2}
 
@@ -171,7 +176,15 @@ class ExperimentConfig:
                 kwargs["tolerances"][path[1]] = value
             else:
                 kwargs[attr] = value
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
+        per_side = int(np.sum(ladder > 0))
+        if per_side < sym.MIN_WINDOW:
+            raise ConfigError(
+                f"ladder.xi_k_max {config.xi_k_max} at xi_per_octave {config.xi_per_octave} gives"
+                f" {per_side} frequencies per side; the limit-set window needs {sym.MIN_WINDOW}"
+            )
+        return config
 
     def tol(self, key: str) -> Optional[float]:
         return self.tolerances.get(key, _TOLERANCE_DEFAULTS[key])
@@ -573,9 +586,9 @@ def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
         )
         checks.append(at_most("hermitian-symmetry-real-kernel", sym_err, 1e-8))
     if preset == "one":
-        report = sym.delta_estimate(trace, tol=0.05)
-        err = max(abs(report.plus.value - 1.0), abs(report.minus.value - 1.0))
-        ok = report.plus.kind == "CONVERGENT" and report.minus.kind == "CONVERGENT"
+        plus, minus = trace.window_plus, trace.window_minus
+        err = max(abs(plus.mean_value - 1.0), abs(minus.mean_value - 1.0))
+        ok = plus.kind(0.05) == minus.kind(0.05) == "CONVERGENT"
         checks.append(("identity-kernel-limits-to-one", err, 0.05, ok and err <= 0.05))
     if preset == "imaginary_power" and config.alpha != 0.0:
         a = abs(config.alpha)

@@ -9,7 +9,7 @@ midpoint quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,13 @@ class Grid:
         Cell width, ``omega / n``.
     nodes : numpy.ndarray
         Midpoints ``(k + 1/2) h`` for ``k = 0..n-1``, strictly increasing.
+        Derived from ``omega`` and ``n``, so equality ignores it.
     """
 
     omega: float
     n: int
     h: float
-    nodes: np.ndarray
+    nodes: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -95,7 +96,7 @@ def l2_norm(f: GridFunction) -> float:
 
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:
     """Discrete L2 inner product ``h * sum conj(f_k) g_k``."""
-    if f.grid is not g.grid and f.grid != g.grid:
+    if f.grid != g.grid:
         raise ValueError("inner product requires a common grid")
     return complex(f.grid.h * np.vdot(f.values, g.values))
 

@@ -30,13 +30,12 @@ from .operators import OperatorMatrix, KernelSpec
 __all__ = [
     "SymbolTrace",
     "WindowSummary",
-    "DeltaReport",
     "BoundednessReport",
     "WitnessVerdict",
     "transform",
     "trace_symbol",
     "default_xi_ladder",
-    "delta_estimate",
+    "MIN_WINDOW",
     "prop54_residual",
     "boundedness_indicator",
     "non_triangular_witness",
@@ -45,6 +44,9 @@ __all__ = [
 
 # accuracy contract of every transform quadrature
 _QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 400}
+
+# trailing samples per side the limit-set classification needs
+MIN_WINDOW = 16
 
 
 def _complex_quad(func, a: float, b: float, **kwargs) -> complex:
@@ -63,6 +65,9 @@ def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
     Clenshaw-Curtis oscillatory weights, whose cost stays near-constant in
     ``xi``.
     """
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+
     def w_wave(t):
         return complex(w(t)) * np.exp(1j * t * xi)
 
@@ -81,8 +86,6 @@ def transform(s: Callable, omega: float, xi: float) -> tuple[complex, complex]:
     ``(1 - t/omega)``, then the plain one.  ``s`` may be complex valued with
     an integrable endpoint singularity at ``t = 0``.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
     s_tilde1 = _oscillatory_integral(lambda t: s(t) * (1.0 - t / omega), omega, xi)
     s_tilde = _oscillatory_integral(s, omega, xi)
     return s_tilde1, s_tilde
@@ -98,8 +101,18 @@ class WindowSummary:
     modulus_spread: float
     complex_spread: float
     arg_span: float
-    arg_drift_per_step: float
     samples: int
+
+    def kind(self, tol: float) -> str:
+        """CONVERGENT when the window clusters to one complex point within
+        ``tol``, else LIMIT_SET.
+
+        A LIMIT_SET side may have a settled modulus while its argument keeps
+        drifting: a circle-like limit set, which no pointwise limit reveals.
+        """
+        if not tol > 0:
+            raise ValueError("tol must be positive")
+        return "CONVERGENT" if self.complex_spread < tol else "LIMIT_SET"
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,6 @@ def _window_summary(xi: np.ndarray, g: np.ndarray, side: int, window: int) -> Wi
         modulus_spread=float(np.max(moduli) - np.min(moduli)),
         complex_spread=float(np.max(np.abs(g_tail - mean))),
         arg_span=float(np.max(args) - np.min(args)),
-        arg_drift_per_step=float((args[-1] - args[0]) / max(len(args) - 1, 1)),
         samples=int(g_tail.shape[0]),
     )
 
@@ -162,9 +174,15 @@ def trace_symbol(
     s: Callable,
     omega: float,
     xi_samples: Optional[Sequence[float]] = None,
-    window: int = 16,
+    window: int = MIN_WINDOW,
 ) -> SymbolTrace:
-    """Evaluate both transforms along a signed ladder and summarize the tails."""
+    """Evaluate both transforms along a signed ladder and summarize the tails.
+
+    Each side is summarized over its ``window`` highest frequencies, at
+    least :data:`MIN_WINDOW` of them.
+    """
+    if window < MIN_WINDOW:
+        raise InsufficientDataError(f"window must be at least {MIN_WINDOW}, got {window}")
     if xi_samples is None:
         xi_samples = default_xi_ladder()
     xi = np.asarray(sorted(xi_samples), dtype=float)
@@ -183,60 +201,6 @@ def trace_symbol(
         g=g,
         window_plus=plus,
         window_minus=minus,
-    )
-
-
-@dataclass(frozen=True)
-class SideEstimate:
-    """Classification of one side of the ladder: a point limit or a limit set."""
-
-    side: int
-    kind: str  # "CONVERGENT" or "LIMIT_SET"
-    value: complex  # limit point (CONVERGENT) or mean of the window
-    modulus: float
-    modulus_spread: float
-    arg_span: float
-
-
-@dataclass(frozen=True)
-class DeltaReport:
-    plus: SideEstimate
-    minus: SideEstimate
-    tol: float
-
-
-def _classify(summary: WindowSummary, tol: float) -> SideEstimate:
-    if summary.complex_spread < tol:
-        kind = "CONVERGENT"
-    else:
-        # The modulus may settle while the argument keeps drifting; that is a
-        # circle-like limit set, which no pointwise limit would reveal.
-        kind = "LIMIT_SET"
-    return SideEstimate(
-        side=summary.side,
-        kind=kind,
-        value=summary.mean_value,
-        modulus=summary.mean_modulus,
-        modulus_spread=summary.modulus_spread,
-        arg_span=summary.arg_span,
-    )
-
-
-def delta_estimate(trace: SymbolTrace, tol: float) -> DeltaReport:
-    """Classify the two high-frequency limit sets of the symbol.
-
-    Each side becomes CONVERGENT (trailing window clusters to one complex
-    point within ``tol``) or LIMIT_SET (a modulus band with drifting
-    argument).  Requires at least 16 trailing samples per side.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if trace.window_plus.samples < 16 or trace.window_minus.samples < 16:
-        raise InsufficientDataError("need at least 16 trailing samples per side")
-    return DeltaReport(
-        plus=_classify(trace.window_plus, tol),
-        minus=_classify(trace.window_minus, tol),
-        tol=tol,
     )
 
 
@@ -289,8 +253,7 @@ def boundedness_indicator(
     xi = xi[xi != 0]
     vals = np.empty(xi.shape, dtype=float)
     for i, x in enumerate(xi):
-        _, s0 = transform(s, omega, x)
-        vals[i] = abs(x * s0)
+        vals[i] = abs(x * _oscillatory_integral(s, omega, x))
     half = len(xi) // 2
     logs = np.log(np.abs(xi[half:]))
     slope = float(np.polyfit(logs, np.log(np.maximum(vals[half:], 1e-300)), 1)[0])
@@ -312,29 +275,23 @@ class WitnessVerdict:
     detail: str
 
 
-def non_triangular_witness(report_or_trace, tol: Optional[float] = None) -> WitnessVerdict:
+def non_triangular_witness(trace: SymbolTrace, tol: Optional[float] = None) -> WitnessVerdict:
     """Two-point witness against scalar-plus-compact triangular structure.
 
-    Fires NOT_SV_TRIANGULAR when the two side estimates are separated by
+    Fires NOT_SV_TRIANGULAR when the two sides of the trace are separated by
     more than ``tol`` in the complex plane, or when a single side is a
     limit set whose chord (modulus times argument span) exceeds ``tol``,
     since either case exhibits two distinct limit points.  Never asserts
-    the opposite; everything else is INCONCLUSIVE.
+    the opposite; everything else is INCONCLUSIVE.  ``tol`` defaults to 5%
+    of the larger side modulus.
     """
-    if isinstance(report_or_trace, SymbolTrace):
-        trace = report_or_trace
-        base = max(trace.window_plus.mean_modulus, trace.window_minus.mean_modulus)
-        if tol is None:
-            tol = 0.05 * base
-        report = delta_estimate(trace, tol)
-    else:
-        report = report_or_trace
-        if tol is None:
-            tol = report.tol
-    plus, minus = report.plus, report.minus
+    plus, minus = trace.window_plus, trace.window_minus
+    if tol is None:
+        tol = 0.05 * max(plus.mean_modulus, minus.mean_modulus)
+    kinds = (plus.kind(tol), minus.kind(tol))
 
-    if plus.kind == "CONVERGENT" and minus.kind == "CONVERGENT":
-        separation = abs(plus.value - minus.value)
+    if kinds == ("CONVERGENT", "CONVERGENT"):
+        separation = abs(plus.mean_value - minus.mean_value)
         if separation > tol:
             return WitnessVerdict(
                 "NOT_SV_TRIANGULAR", separation, tol, "two distinct point limits"
@@ -342,20 +299,20 @@ def non_triangular_witness(report_or_trace, tol: Optional[float] = None) -> Witn
         return WitnessVerdict("INCONCLUSIVE", separation, tol, "single point limit")
 
     # A modulus gap between the sides separates the limit sets outright.
-    separation = abs(plus.modulus - minus.modulus)
+    separation = abs(plus.mean_modulus - minus.mean_modulus)
     if separation > tol + plus.modulus_spread + minus.modulus_spread:
         return WitnessVerdict(
             "NOT_SV_TRIANGULAR", separation, tol, "side moduli differ"
         )
-    for est in (plus, minus):
-        if est.kind == "LIMIT_SET" and est.modulus_spread < tol:
-            chord = 2.0 * est.modulus * math.sin(min(est.arg_span, math.pi) / 2.0)
+    for side, kind in zip((plus, minus), kinds):
+        if kind == "LIMIT_SET" and side.modulus_spread < tol:
+            chord = 2.0 * side.mean_modulus * math.sin(min(side.arg_span, math.pi) / 2.0)
             if chord > tol:
                 return WitnessVerdict(
                     "NOT_SV_TRIANGULAR",
                     chord,
                     tol,
-                    f"side {est.side:+d} is a circle-like continuum",
+                    f"side {side.side:+d} is a circle-like continuum",
                 )
     return WitnessVerdict("INCONCLUSIVE", separation, tol, "no separation found")
 

@@ -101,15 +101,27 @@ def test_numerical_error_exits_three(tmp_path):
         {"experiment": "symbol-trace", "ladder": {"xi_per_octave": 0}},
         {"experiment": "symbol-trace", "ladder": {"xi_per_octave": -1}},
         {"experiment": ["macaev-norms"]},
+        {"experiment": "symbol-trace", "ladder": {"xi_k_max": 5}},
+        {"experiment": "witness", "tolerances": {"witness_tol": -1.0}},
+        {"experiment": "witness", "tolerances": {"witness_tol": 0.0}},
     ],
     ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan",
          "beta-neg", "seed-true", "seed-1.5", "xi-per-octave-0", "xi-per-octave-neg",
-         "experiment-list"],
+         "experiment-list", "xi-k-max-5", "witness-tol-neg", "witness-tol-0"],
 )
 def test_bad_config_values_exit_two(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["output_dir", "cache_dir"])
+@pytest.mark.parametrize("value", [None, False, "", 3], ids=["null", "false", "empty", "number"])
+def test_path_keys_must_be_nonempty_strings(tmp_path, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"experiment": "macaev-norms", "output_dir": "out", key: value})
+    assert main(["run", "--config", cfg]) == 2
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_config_strictness_at_dataclass_level():

@@ -479,6 +479,29 @@ def test_apply_and_compose():
     np.testing.assert_allclose(out.values.real, g.nodes, atol=1e-12)
 
 
+def test_equal_grids_built_apart_combine(tmp_path):
+    from triangulab import l2_inner, sample_function
+    from triangulab.operators import apply
+
+    a, b = make_grid(1.0, 8), make_grid(1.0, 8)
+    assert a == b and a is not b
+    assert a != make_grid(1.0, 16) and a != make_grid(2.0, 8)
+    op = build_fractional(a, 0.5)
+    f = sample_function(b, lambda x: x)
+    np.testing.assert_array_equal(apply(op, f).values, op.entries @ f.values)
+    other = build_fractional(b, 1.0)
+    np.testing.assert_array_equal(compose(op, other).entries, op.entries @ other.entries)
+    assert l2_inner(sample_function(a, lambda x: 1.0), f) == pytest.approx(0.5)
+    path = tmp_path / "op.txt"
+    save_matrix(op, path)
+    loaded = load_matrix(path)
+    assert loaded.grid == a
+    np.testing.assert_array_equal(apply(loaded, f).values, op.entries @ f.values)
+    np.testing.assert_array_equal(compose(loaded, op).entries, op.entries @ op.entries)
+    with pytest.raises(ValueError):
+        apply(op, sample_function(make_grid(1.0, 16), lambda x: x))
+
+
 def test_build_operator_dispatch():
     g = make_grid(1.0, 8)
     spec = KernelSpec.fractional(1.0)

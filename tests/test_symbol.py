@@ -18,7 +18,6 @@ from triangulab.operators import (
 from triangulab.symbol import (
     boundedness_indicator,
     default_xi_ladder,
-    delta_estimate,
     non_triangular_witness,
     prop54_residual,
     trace_symbol,
@@ -121,11 +120,11 @@ def test_default_ladder_covers_both_sides():
 
 def test_trace_identity_kernel_converges_to_one():
     trace = trace_symbol(lambda t: 1.0, OMEGA)
-    report = delta_estimate(trace, tol=0.05)
-    assert report.plus.kind == "CONVERGENT"
-    assert report.minus.kind == "CONVERGENT"
-    assert abs(report.plus.value - 1.0) <= 0.05
-    assert abs(report.minus.value - 1.0) <= 0.05
+    plus, minus = trace.window_plus, trace.window_minus
+    assert plus.kind(0.05) == "CONVERGENT"
+    assert minus.kind(0.05) == "CONVERGENT"
+    assert abs(plus.mean_value - 1.0) <= 0.05
+    assert abs(minus.mean_value - 1.0) <= 0.05
 
 
 def test_trace_identity_kernel_estimate_stable_under_window_doubling():
@@ -133,26 +132,32 @@ def test_trace_identity_kernel_estimate_stable_under_window_doubling():
     trace = trace_symbol(lambda t: 1.0, OMEGA, ladder, window=16)
     wide = trace_symbol(lambda t: 1.0, OMEGA, ladder, window=25)
     tol = 0.05
-    a = delta_estimate(trace, tol)
-    b = delta_estimate(wide, tol)
-    assert abs(a.plus.value - b.plus.value) < tol / 2.0
+    assert abs(trace.window_plus.mean_value - wide.window_plus.mean_value) < tol / 2.0
 
 
 def test_trace_imaginary_power_limit_sets():
     trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
-    report = delta_estimate(trace, tol=0.05)
-    assert report.plus.kind == "LIMIT_SET"
-    assert report.minus.kind == "LIMIT_SET"
-    assert report.plus.modulus == pytest.approx(math.exp(-math.pi / 2.0), rel=0.02)
-    assert report.minus.modulus == pytest.approx(math.exp(math.pi / 2.0), rel=0.02)
-    assert report.plus.arg_span > math.pi / 2.0
+    plus, minus = trace.window_plus, trace.window_minus
+    assert plus.kind(0.05) == "LIMIT_SET"
+    assert minus.kind(0.05) == "LIMIT_SET"
+    assert plus.mean_modulus == pytest.approx(math.exp(-math.pi / 2.0), rel=0.02)
+    assert minus.mean_modulus == pytest.approx(math.exp(math.pi / 2.0), rel=0.02)
+    assert plus.arg_span > math.pi / 2.0
 
 
-def test_delta_estimate_requires_enough_samples():
+def test_trace_symbol_requires_enough_samples():
     short = np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
-    trace = trace_symbol(lambda t: 1.0, OMEGA, short, window=3)
     with pytest.raises(InsufficientDataError):
-        delta_estimate(trace, tol=0.05)
+        trace_symbol(lambda t: 1.0, OMEGA, short, window=3)
+    with pytest.raises(InsufficientDataError):
+        trace_symbol(lambda t: 1.0, OMEGA, short)
+
+
+def test_side_kind_requires_positive_tol():
+    side = trace_symbol(lambda t: 1.0, OMEGA).window_plus
+    for tol in (0.0, -0.05, float("nan")):
+        with pytest.raises(ValueError):
+            side.kind(tol)
 
 
 def test_trace_csv_header(tmp_path):
@@ -257,8 +262,7 @@ def test_witness_silent_for_zero_order():
     assert non_triangular_witness(trace).verdict == "INCONCLUSIVE"
 
 
-def test_witness_accepts_precomputed_report():
+def test_witness_accepts_explicit_tol():
     trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
-    report = delta_estimate(trace, tol=0.2)
-    verdict = non_triangular_witness(report)
+    verdict = non_triangular_witness(trace, tol=0.2)
     assert verdict.verdict == "NOT_SV_TRIANGULAR"
