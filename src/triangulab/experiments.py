@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -65,10 +66,12 @@ def _integer(where: str, value) -> int:
     return value
 
 
-def _integer_from(low: int) -> Callable:
+def _integer_in(low: float = -math.inf, high: float = math.inf) -> Callable:
     def check(where: str, value) -> int:
         if _integer(where, value) < low:
             raise ConfigError(f"{where} must be at least {low}, got {value}")
+        if value > high:
+            raise ConfigError(f"{where} must be at most {high}, got {value}")
         return value
     return check
 
@@ -110,14 +113,15 @@ _TOLERANCE_DEFAULTS = {
 # is a key inside a section object, and tolerances collect into one dict
 _SCHEMA = {
     ("grid", "omega"): ("omega", _positive),
-    ("grid", "n"): ("n", _integer_from(2)),
+    ("grid", "n"): ("n", _integer_in(2)),
     ("kernel", "beta"): ("beta", _positive),
     ("kernel", "c"): ("c", _number),
     ("kernel", "alpha"): ("alpha", _number),
     ("kernel", "s"): ("s_preset", _preset),
     ("ladder", "y"): ("y_ladder", _y_ladder),
-    ("ladder", "xi_k_max"): ("xi_k_max", _integer),
-    ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_from(1)),
+    # the top frequency 2**xi_k_max must be a finite double
+    ("ladder", "xi_k_max"): ("xi_k_max", _integer_in(high=sys.float_info.max_exp - 1)),
+    ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_in(1)),
     **{("tolerances", key): ("tolerances", _number) for key in _TOLERANCE_DEFAULTS},
     # replaces the entry above: the witness compares separations against
     # witness_tol, so it must be positive
@@ -665,7 +669,7 @@ def _exp_annulus(config: ExperimentConfig, outdir: str):
     lo = math.exp(-alpha * math.pi / 2.0)
     hi = math.exp(alpha * math.pi / 2.0)
     for xi, target in ((1e4, lo), (-1e4, hi)):
-        s1, _ = sym.transform(s, config.omega, xi)
+        s1 = sym.weighted_transform(s, config.omega, xi)
         gval = abs(-1j * xi * s1)
         rel = abs(gval - target) / target
         checks.append(at_most(f"symbol-modulus-at-xi-{xi:+.0f}", rel, 0.02))

@@ -59,57 +59,73 @@ def _require_real_diagonal(split: SplitPair) -> np.ndarray:
     return diag.real
 
 
-class _ChainNorms:
-    """Renormalized powers of one weighted chain matrix.
+def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
+    """``log ||B_c^k||`` for each chain ``B_c = diag(d[:, c]) V``, all columns at once.
 
-    Keeps the running product ``B^k`` scaled to unit norm and accumulates the
-    log of the true norm, so ``||B^k||`` is available in log form far past
-    the underflow range.  Operator norms come from a warm-started power
-    iteration on ``M* M``; the warm start makes it exact to rounding in
-    practice (validated against dense SVD in the tests).
+    A warm-started power iteration on ``(B^k)* B^k``, which applies ``B`` and
+    its adjoint ``k`` times each to the block of start vectors ``vecs``
+    (updated in place), renormalizing every column after every product so
+    the log norm never underflows.  A column leaves the block once its
+    estimate settles to ``1e-8`` relative; a column whose vector becomes
+    exactly zero is a dead chain and reads ``-inf``.  The warm start makes
+    the estimate exact to rounding in practice (validated against dense SVD
+    in the tests).  Raises :class:`NumericalError` if a column has not
+    settled after 60 steps.
     """
+    v_adj = v.conj().T
+    log_s = np.full(d.shape[1], -np.inf)
+    todo = np.arange(d.shape[1])
+    for _ in range(60):
+        w = vecs[:, todo]
+        dk = d[:, todo]
+        log_nu = np.zeros(todo.size)
+        for i in range(2 * k):
+            w = dk * (v @ w) if i < k else v_adj @ (dk.conj() * w)
+            nrm = np.linalg.norm(w, axis=0)
+            with np.errstate(divide="ignore"):
+                log_nu += np.log(nrm)
+            w /= np.where(nrm > 0.0, nrm, 1.0)
+        vecs[:, todo] = w
+        s_est = 0.5 * log_nu
+        with np.errstate(invalid="ignore"):
+            settled = (s_est == -np.inf) | (np.abs(np.expm1(log_s[todo] - s_est)) <= 1e-8)
+        log_s[todo] = s_est
+        todo = todo[~settled]
+        if todo.size == 0:
+            return log_s
+    raise NumericalError(
+        f"chain power iteration did not converge in 60 steps at power {k}"
+        f" (last log-norm estimate {float(log_s[todo[0]]):g})"
+    )
 
-    def __init__(self, b: np.ndarray, seed: int = 3):
-        self.b = b
-        self.m = b.copy()
-        self.log_acc = 0.0
-        rng = np.random.default_rng(seed)
-        n = b.shape[0]
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        self.v = v / np.linalg.norm(v)
-        self.dead = False
 
-    def step_norm(self) -> float:
-        """Operator norm of the current power; 0.0 once the chain dies.
+def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int = 3) -> np.ndarray:
+    """``max_c ||B_c^k||^{1/k}`` for ``k = 1..n_max``, the chains run in lockstep.
 
-        Raises :class:`NumericalError` if the iteration has not settled to
-        ``1e-8`` relative after 60 steps.
-        """
-        if self.dead:
-            return 0.0
-        s_prev = 0.0
-        for _ in range(60):
-            w = self.m @ self.v
-            u = self.m.conj().T @ w
-            nu = float(np.linalg.norm(u))
-            if nu == 0.0:
-                self.dead = True
-                return 0.0
-            s_est = math.sqrt(nu)
-            self.v = u / nu
-            if abs(s_est - s_prev) <= 1e-8 * max(s_est, 1e-300):
-                return s_est
-            s_prev = s_est
-        raise NumericalError(
-            f"chain power iteration did not converge in 60 steps (last estimate {s_est:g})"
-        )
-
-    def advance(self, nrm: float) -> None:
-        self.log_acc += math.log(nrm)
-        self.m = (self.m / nrm) @ self.b
-
-    def log_norm(self, nrm: float) -> float:
-        return self.log_acc + math.log(nrm)
+    Column ``c`` of ``d`` holds the diagonal of one chain matrix
+    ``B_c = diag(d[:, c]) V``.  Every chain starts from the same seeded
+    vector and carries its power-iteration vector from ``k`` to ``k + 1``.
+    A chain stops when it dies or after 4 consecutive steps with
+    ``||B_c^k||^{1/k} < 0.4 |y|``, which cannot create false crossing counts
+    at ``|y|/2`` because the roots decay past that regime.  Entry ``k - 1``
+    is 0.0 once every chain has stopped.
+    """
+    n, m = d.shape
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vecs = np.tile((start / np.linalg.norm(start))[:, None], (1, m))
+    below_streak = np.zeros(m, dtype=int)
+    roots = np.zeros(n_max)
+    for k in range(1, n_max + 1):
+        log_norms = _log_power_norms(v, d, vecs, k)
+        rk = np.exp(log_norms / k)
+        roots[k - 1] = rk.max()
+        below_streak = np.where(rk < 0.4 * abs(y), below_streak + 1, 0)
+        go = (log_norms > -np.inf) & (below_streak < 4)
+        if not go.any():
+            break
+        d, vecs, below_streak = d[:, go], vecs[:, go], below_streak[go]
+    return roots
 
 
 def c_norm(split: SplitPair, lam: complex, n: int) -> float:
@@ -237,22 +253,8 @@ def profile(
 
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
-        for x in power_x_grid:
-            lam = x + 1j * y
-            chain = _ChainNorms((-y / (diag - lam))[:, None] * v, seed=seed)
-            below_streak = 0
-            for k in range(1, n_max + 1):
-                nrm = chain.step_norm()
-                if nrm == 0.0:
-                    break
-                rk = math.exp(chain.log_norm(nrm) / k)
-                if rk > r[k - 1, j]:
-                    r[k - 1, j] = rk
-                below_streak = below_streak + 1 if rk < 0.4 * abs(y) else 0
-                if below_streak >= 4:
-                    break
-                if k < n_max:
-                    chain.advance(nrm)
+        d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
+        r[:, j] = _chain_roots(v, d, y, n_max, seed=seed)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
         envelope[j] = max(resolvent_norm(entries, x + 1j * y) for x in x_grid)

@@ -33,6 +33,7 @@ __all__ = [
     "BoundednessReport",
     "WitnessVerdict",
     "transform",
+    "weighted_transform",
     "trace_symbol",
     "default_xi_ladder",
     "MIN_WINDOW",
@@ -79,16 +80,22 @@ def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
     return _complex_quad(w_wave, 0.0, head) + (cos_part + 1j * sin_part)
 
 
+def weighted_transform(s: Callable, omega: float, xi: float) -> complex:
+    """``s_tilde1(xi)``, the transform of ``s`` weighted by ``(1 - t/omega)``.
+
+    The symbol is ``g(xi) = -i xi s_tilde1(xi)``.  ``s`` may be complex
+    valued with an integrable endpoint singularity at ``t = 0``.
+    """
+    return _oscillatory_integral(lambda t: s(t) * (1.0 - t / omega), omega, xi)
+
+
 def transform(s: Callable, omega: float, xi: float) -> tuple[complex, complex]:
     """Both transforms of ``s`` at frequency ``xi``.
 
-    Returns ``(s_tilde1, s_tilde)``: first the transform weighted by
-    ``(1 - t/omega)``, then the plain one.  ``s`` may be complex valued with
-    an integrable endpoint singularity at ``t = 0``.
+    Returns ``(s_tilde1, s_tilde)``: first :func:`weighted_transform`, then
+    the plain one.
     """
-    s_tilde1 = _oscillatory_integral(lambda t: s(t) * (1.0 - t / omega), omega, xi)
-    s_tilde = _oscillatory_integral(s, omega, xi)
-    return s_tilde1, s_tilde
+    return weighted_transform(s, omega, xi), _oscillatory_integral(s, omega, xi)
 
 
 @dataclass(frozen=True)
@@ -217,7 +224,7 @@ def prop54_residual(t: OperatorMatrix, xi: float) -> float:
     if not isinstance(spec, KernelSpec) or spec.s is None:
         raise ValueError("prop54_residual needs an operator built from a difference kernel")
     check_frequency(t.grid, xi)
-    s_tilde1, _ = transform(spec.s, t.grid.omega, xi)
+    s_tilde1 = weighted_transform(spec.s, t.grid.omega, xi)
     wave = sample_exponential(t.grid, xi, sign=-1)
     lhs = t.entries @ wave.values
     rhs = (-1j * xi) * s_tilde1 * wave.values

@@ -13,7 +13,7 @@ from triangulab.operators import (
 )
 from triangulab.resolvent import (
     ResolventProfile,
-    _ChainNorms,
+    _chain_roots,
     c_norm,
     cn_bound_to_N_bound,
     levinson_classify,
@@ -280,10 +280,37 @@ def test_neumann_needs_off_axis_lambda():
 
 
 def test_chain_power_iteration_raises_when_unconverged():
-    # eigenvalues 1 and 0.99 with the start vector almost on the smaller one:
-    # after the 60-step cap the estimate still reads about 0.99001, not 1
-    chain = _ChainNorms(np.diag([1.0, 0.99]).astype(complex))
-    start = np.array([0.01, 1.0], dtype=complex)
-    chain.v = start / np.linalg.norm(start)
+    # singular values 1 and 0.99: the seeded start vector has not settled to
+    # 1e-8 relative by the 60-step cap, so the estimate is still moving
+    v = np.eye(2, dtype=complex)
+    d = np.array([[1.0], [0.99]], dtype=complex)
     with pytest.raises(NumericalError):
-        chain.step_norm()
+        _chain_roots(v, d, 0.5, 1)
+
+
+def test_lockstep_chains_match_single_chain_runs():
+    # batching the x samples couples no columns: the block result is the
+    # maximum of one-column runs, including where chains stop or die
+    t, pair = _phi_plus_fractional(48, 1.0)
+    v = pair.n_part.entries
+    xs = np.linspace(-1.0, 2.0, 9)
+    for y in (0.5, 0.125):
+        d = -y / (pair.diagonal.real[:, None] - (xs + 1j * y)[None, :])
+        block = _chain_roots(v, d, y, 48)
+        singles = np.max([_chain_roots(v, d[:, [c]], y, 48) for c in range(d.shape[1])], axis=0)
+        np.testing.assert_array_equal(block == 0.0, singles == 0.0)
+        np.testing.assert_allclose(block, singles, rtol=1e-13, atol=0.0)
+        assert 0.0 < np.count_nonzero(block) < 48
+
+
+def test_dead_chain_stops_without_raising():
+    # V^4 = 0 exactly for the strict 4x4 triangle, and a zero scale column
+    # kills its chain at the first product; neither may raise
+    v = np.tril(np.ones((4, 4)), -1).astype(complex)
+    d = np.column_stack([np.ones(4), np.zeros(4)]).astype(complex)
+    roots = _chain_roots(v, d, 1e-3, 6)
+    assert np.all(roots[3:] == 0.0)
+    exact = [np.linalg.norm(np.linalg.matrix_power(v, k), 2) ** (1.0 / k) for k in (1, 2, 3)]
+    np.testing.assert_allclose(roots[:3], exact, rtol=1e-8)
+    np.testing.assert_array_equal(roots, _chain_roots(v, d[:, [0]], 1e-3, 6))
+    np.testing.assert_array_equal(_chain_roots(v, d[:, [1]], 1e-3, 6), np.zeros(6))

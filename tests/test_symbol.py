@@ -23,6 +23,7 @@ from triangulab.symbol import (
     trace_symbol,
     trace_to_csv,
     transform,
+    weighted_transform,
 )
 
 OMEGA = 1.0
@@ -58,6 +59,7 @@ def test_transform_matches_closed_form(xi):
     exact1, exact0 = closed_form_one(xi)
     assert abs(s0 - exact0) <= 1e-8 * max(abs(exact0), 1e-3)
     assert abs(s1 - exact1) <= 1e-8 * max(abs(exact1), 1e-3)
+    assert weighted_transform(lambda t: 1.0, OMEGA, xi) == s1
 
 
 def test_transform_is_linear():
