@@ -131,6 +131,9 @@ _SCHEMA = {
     ("cache_dir",): ("cache_dir", _path),
 }
 _SECTIONS = {path[0] for path in _SCHEMA if len(path) == 2}
+# bounds the symbol ladder's size; the default xi_per_octave reaches 4,063
+# frequencies per side at the largest xi_k_max (1023)
+_MAX_XI_PER_SIDE = 4096
 
 
 def _config_items(raw: dict):
@@ -181,12 +184,12 @@ class ExperimentConfig:
             else:
                 kwargs[attr] = value
         config = cls(**kwargs)
-        ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
-        per_side = int(np.sum(ladder > 0))
-        if per_side < sym.MIN_WINDOW:
+        per_side = sym.xi_ladder_side_count(config.xi_k_max, per_octave=config.xi_per_octave)
+        if not sym.MIN_WINDOW <= per_side <= _MAX_XI_PER_SIDE:
             raise ConfigError(
                 f"ladder.xi_k_max {config.xi_k_max} at xi_per_octave {config.xi_per_octave} gives"
                 f" {per_side} frequencies per side; the limit-set window needs {sym.MIN_WINDOW}"
+                f" and at most {_MAX_XI_PER_SIDE} are allowed"
             )
         return config
 

@@ -494,11 +494,13 @@ def save_matrix(t: OperatorMatrix, path) -> None:
 def load_matrix(path) -> OperatorMatrix:
     """Read the text format written by :func:`save_matrix`."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError("matrix file is truncated")
-    rows, cols, omega = int(tokens[0]), int(tokens[1]), float(tokens[2])
-    data = np.asarray([float(tok) for tok in tokens[3:]])
+        header = fh.readline().split()
+        if len(header) < 3:
+            raise ValueError("matrix file is truncated")
+        rows, cols, omega = int(header[0]), int(header[1]), float(header[2])
+        # parsed a line at a time: a token list of the whole file would hold
+        # ~16 MiB of Python strings for one 1 MiB matrix at n=256
+        data = np.fromiter((float(tok) for line in fh for tok in line.split()), dtype=float)
     if data.size != 2 * rows * cols:
         raise ValueError(
             f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {data.size}"

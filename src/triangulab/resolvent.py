@@ -155,13 +155,46 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     return math.exp(log_acc + math.log(nrm))
 
 
+def _envelope(entries: np.ndarray, x_grid: np.ndarray, y: float) -> tuple:
+    """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated)``.
+
+    Best-first branch and bound on ``sigma_min(lambda I - T)``, which is
+    1-Lipschitz in ``lambda`` (Weyl): each evaluated sample ``x_j`` bounds
+    ``sigma_min >= 1/||R|| - |x - x_j|`` at every other sample.  The sample
+    with the smallest bound (the lowest index on ties) goes through
+    :func:`resolvent_norm` next, until every remaining bound exceeds the
+    smallest ``sigma_min`` found by ``1e-12 (||T||_inf + max|x| + |y|)``, far
+    above LAPACK's rounding in ``sigma_min``.  Skipped samples are strictly
+    below the maximum, so it is the same float the full sweep gives, first
+    attained at the same ``x``.
+    """
+    t_inf = float(np.abs(entries).sum(axis=1).max())
+    margin = 1e-12 * (t_inf + float(np.abs(x_grid).max()) + abs(y))
+    norms = np.zeros(x_grid.size)  # 0.0 marks a sample not evaluated
+    lower = np.zeros(x_grid.size)  # lower bounds on sigma_min; inf once evaluated
+    floor = math.inf  # smallest sigma_min found
+    while True:
+        i = int(np.argmin(lower))
+        if lower[i] > floor + margin:
+            break
+        norms[i] = resolvent_norm(entries, x_grid[i] + 1j * y)
+        smin = 1.0 / norms[i]
+        floor = min(floor, smin)
+        lower = np.maximum(lower, smin - np.abs(x_grid - x_grid[i]))
+        lower[i] = np.inf
+    top = int(np.argmax(norms))
+    return float(norms[top]), float(x_grid[top]), int(np.count_nonzero(norms))
+
+
 @dataclass(frozen=True)
 class ResolventProfile:
     """All tables produced by :func:`profile`, plus the fitted exponents.
 
     ``r[k, j]`` holds ``r_{k+1}(y_j)``; ``count_n[j]`` the number of chain
     indices whose ``r_n`` exceeds ``|y_j| / 2``; ``envelope_m[j]`` the largest
-    resolvent norm found along ``Im lambda = y_j``.  ``fitted_p`` is the
+    resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
+    first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
+    ``x_grid`` samples the envelope evaluated.  ``fitted_p`` is the
     exponent in ``N(y) ~ y^{-p}``; ``fitted_q`` the exponent in
     ``ln M(y) ~ y^{-q}``.  ``envelope_c`` and ``envelope_m_const`` are the
     least-squares constants of the bound
@@ -176,6 +209,8 @@ class ResolventProfile:
     r: np.ndarray
     count_n: np.ndarray
     envelope_m: np.ndarray
+    envelope_x: np.ndarray
+    envelope_evals: np.ndarray
     fitted_p: float
     fitted_q: float
     envelope_c: float
@@ -185,7 +220,8 @@ class ResolventProfile:
 
     def __post_init__(self):
         for arr in (self.y_grid, self.x_grid, self.power_x_grid, self.r,
-                    self.count_n, self.envelope_m, self.saturated):
+                    self.count_n, self.envelope_m, self.envelope_x, self.envelope_evals,
+                    self.saturated):
             arr.setflags(write=False)
 
     @property
@@ -225,8 +261,13 @@ def profile(
     ``M(y) = max_x ||R_{x+iy}(T)||``.  Chains stop early once ``r_n`` sits
     well below the counting threshold for several consecutive steps, which
     cannot create false counts because ``r_n`` decays past that regime.
-    Envelope samples go through :func:`resolvent_norm`, so a sample point
-    numerically inside the spectrum raises :class:`NearSingularError`.
+    The envelope evaluates only the ``x`` samples that can attain ``M(y)``
+    (see :func:`_envelope`); each goes through :func:`resolvent_norm`, so an
+    evaluated sample numerically inside the spectrum raises
+    :class:`NearSingularError`.  A sample is skipped only when its
+    ``sigma_min`` provably exceeds the smallest one found by a margin far
+    above the ``1e-14 ||lambda I - T||`` guard, so a sample that would trip
+    the guard is always evaluated and the error is raised as before.
     """
     entries = as_entries(t)
     diag = _require_real_diagonal(split)
@@ -249,6 +290,8 @@ def profile(
     r = np.zeros((n_max, n_y))
     counts = np.zeros(n_y, dtype=int)
     envelope = np.zeros(n_y)
+    envelope_x = np.zeros(n_y)
+    envelope_evals = np.zeros(n_y, dtype=int)
     saturated = np.zeros(n_y, dtype=bool)
 
     for j, y in enumerate(y_grid):
@@ -257,7 +300,7 @@ def profile(
         r[:, j] = _chain_roots(v, d, y, n_max, seed=seed)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
-        envelope[j] = max(resolvent_norm(entries, x + 1j * y) for x in x_grid)
+        envelope[j], envelope_x[j], envelope_evals[j] = _envelope(entries, x_grid, y)
 
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
     log_m = np.log(np.maximum(envelope, 1.0 + 1e-15))
@@ -279,6 +322,8 @@ def profile(
         r=r,
         count_n=counts,
         envelope_m=envelope,
+        envelope_x=envelope_x,
+        envelope_evals=envelope_evals,
         fitted_p=fitted_p,
         fitted_q=fitted_q,
         envelope_c=math.exp(ln_c),

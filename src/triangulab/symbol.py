@@ -36,6 +36,7 @@ __all__ = [
     "weighted_transform",
     "trace_symbol",
     "default_xi_ladder",
+    "xi_ladder_side_count",
     "MIN_WINDOW",
     "prop54_residual",
     "boundedness_indicator",
@@ -151,6 +152,11 @@ def default_xi_ladder(k_max: int = 14, refine_from: int = 10, per_octave: int = 
     exponents = np.concatenate([coarse, fine])
     positive = 2.0**exponents
     return np.concatenate([-positive[::-1], positive])
+
+
+def xi_ladder_side_count(k_max: int = 14, refine_from: int = 10, per_octave: int = 4) -> int:
+    """Frequencies per side of :func:`default_xi_ladder`, without building it."""
+    return refine_from + max(0, (k_max - refine_from) * per_octave + 1)
 
 
 def _window_summary(xi: np.ndarray, g: np.ndarray, side: int, window: int) -> WindowSummary:

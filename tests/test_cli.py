@@ -106,11 +106,13 @@ def test_numerical_error_exits_three(tmp_path):
         {"experiment": "witness", "tolerances": {"witness_tol": 0.0}},
         {"experiment": "macaev-norms", "ladder": {"xi_k_max": 1024}},
         {"experiment": "macaev-norms", "ladder": {"xi_k_max": 10**6}},
+        {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 10**6}},
+        {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 2000}},
     ],
     ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan",
          "beta-neg", "seed-true", "seed-1.5", "xi-per-octave-0", "xi-per-octave-neg",
          "experiment-list", "xi-k-max-5", "witness-tol-neg", "witness-tol-0", "xi-k-max-1024",
-         "xi-k-max-1000000"],
+         "xi-k-max-1000000", "xi-per-octave-1000000", "xi-per-octave-2000"],
 )
 def test_bad_config_values_exit_two(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})

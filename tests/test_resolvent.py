@@ -5,7 +5,9 @@ import pytest
 
 from triangulab import make_grid
 from triangulab.exceptions import InsufficientDataError, NearSingularError, NumericalError
+from triangulab.experiments import _default_ladder, _phi_plus
 from triangulab.operators import (
+    build_ebeta_operator,
     build_fractional,
     build_multiplication,
     split_given_basis,
@@ -14,6 +16,7 @@ from triangulab.operators import (
 from triangulab.resolvent import (
     ResolventProfile,
     _chain_roots,
+    _envelope,
     c_norm,
     cn_bound_to_N_bound,
     levinson_classify,
@@ -23,6 +26,7 @@ from triangulab.resolvent import (
     r_table_to_csv,
     resolvent_norm,
 )
+from triangulab.specfun import EbetaSpec
 
 
 def _phi_plus_fractional(n=64, beta=1.0, omega=1.0):
@@ -121,6 +125,62 @@ def test_profile_zero_nilpotent_part():
     assert np.all(prof.count_n == 0)
     for j, y in enumerate(ys):
         assert prof.envelope_m[j] == pytest.approx(1.0 / y, rel=1e-3)
+    _assert_envelope_is_dense_max(t, prof)
+
+
+def _assert_envelope_is_dense_max(t, prof):
+    # the pruned envelope against the full sweep through resolvent_norm
+    for j, y in enumerate(prof.y_grid):
+        dense = [resolvent_norm(t, x + 1j * y) for x in prof.x_grid]
+        assert prof.envelope_m[j] == max(dense)
+        assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(dense))]
+
+
+@pytest.mark.parametrize(
+    "kind, beta",
+    [("fractional", 0.5), ("fractional", 1.0), ("ebeta", 2.0)],
+    ids=["frac-0.5", "frac-1", "ebeta-2"],
+)
+def test_envelope_equals_dense_sweep(kind, beta):
+    g = make_grid(1.0, 64)
+    v = build_fractional(g, beta) if kind == "fractional" else build_ebeta_operator(g, EbetaSpec(beta))
+    t = _phi_plus(g, v.entries)
+    # the envelope does not read the chain sweep, so keep that short
+    prof = profile(t, split_given_basis(t), _default_ladder(kind, beta), n_max=4, power_x_samples=5)
+    _assert_envelope_is_dense_max(t, prof)
+
+
+def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
+    # the Lipschitz bound holds for any matrix; the triangle makes this one
+    # far from normal (resolvent norms ~100 at distance >= 0.1 from the spectrum)
+    rng = np.random.default_rng(17)
+    a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / np.sqrt(40.0)
+    a += 2.0 * np.triu(rng.standard_normal((40, 40)), 1) / np.sqrt(40.0)
+    x_grid = np.linspace(-3.0, 3.0, 64)
+    for y in (1.0, 0.3, -0.1):
+        dense = [resolvent_norm(a, x + 1j * y) for x in x_grid]
+        top, x_top, evals = _envelope(a, x_grid, y)
+        assert top == max(dense)
+        assert x_top == x_grid[int(np.argmax(dense))]
+        assert 1 <= evals < x_grid.size
+
+
+def test_envelope_skips_samples_on_the_default_fractional_ladder():
+    t, pair = _phi_plus_fractional(64, 1.0)
+    prof = profile(t, pair, _default_ladder("fractional", 1.0), n_max=4, power_x_samples=5)
+    assert prof.envelope_evals.dtype.kind == "i"
+    assert np.all(prof.envelope_evals >= 1)
+    assert np.all(prof.envelope_evals < prof.x_grid.size)
+    for arr in (prof.envelope_x, prof.envelope_evals):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_envelope_raises_on_a_sample_inside_the_spectrum():
+    # x_samples=5 puts the grid at -1, 0, 1, 2, 3: two samples sit on eigenvalues
+    t = wrap_matrix(np.diag([0.0, 2.0]).astype(complex))
+    with pytest.raises(NearSingularError):
+        profile(t, split_given_basis(t), [1e-300], x_samples=5)
 
 
 def test_profile_counts_are_bounded_integers():
@@ -177,6 +237,8 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         r=np.zeros((min(n_max, 16), ys.size)),
         count_n=counts,
         envelope_m=envelopes,
+        envelope_x=np.zeros(ys.size),
+        envelope_evals=np.ones(ys.size, dtype=int),
         fitted_p=float("nan"),
         fitted_q=float("nan"),
         envelope_c=1.0,

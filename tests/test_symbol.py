@@ -24,6 +24,7 @@ from triangulab.symbol import (
     trace_to_csv,
     transform,
     weighted_transform,
+    xi_ladder_side_count,
 )
 
 OMEGA = 1.0
@@ -118,6 +119,13 @@ def test_default_ladder_covers_both_sides():
     assert np.sum(ladder > 0) >= 16
     assert np.sum(ladder < 0) >= 16
     assert ladder.max() == pytest.approx(2.0**14)
+
+
+@pytest.mark.parametrize("k_max, per_octave", [(14, 4), (5, 4), (10, 7), (12, 1), (40, 3)])
+def test_ladder_side_count_matches_the_ladder(k_max, per_octave):
+    ladder = default_xi_ladder(k_max, per_octave=per_octave)
+    count = xi_ladder_side_count(k_max, per_octave=per_octave)
+    assert count == np.sum(ladder > 0) == np.sum(ladder < 0)
 
 
 def test_trace_identity_kernel_converges_to_one():
