@@ -106,7 +106,7 @@ _TOLERANCE_DEFAULTS = {
     "semigroup_rel": 5e-2,
     "witness_tol": None,
     "noise_eps": 1e-12,
-    "levinson_margin": 0.15,
+    "levinson_margin": res.LEVINSON_MARGIN,
 }
 
 # config key path -> (ExperimentConfig field, validator); a two-part path
@@ -393,10 +393,8 @@ def _phi_plus_profile(
         v_op = build_fractional(grid, beta)
     else:
         v_op = _cached_ebeta(config, grid, beta)
-    t = _phi_plus(grid, v_op.entries)
-    return res.profile(
-        t, split_given_basis(t), ladder, x_samples=64, power_x_samples=33, seed=config.seed
-    )
+    split = split_given_basis(_phi_plus(grid, v_op.entries))
+    return res.profile(split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
 
 
 def _exponent_checks(name: str, fitted_p: float, target: float) -> list:
@@ -424,10 +422,8 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str):
     # chain-series identity against the dense inverse on a small companion build
     small = make_grid(config.omega, 32)
     rng = np.random.default_rng(config.seed)
-    t32 = _phi_plus(
-        small, np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.25
-    )
-    split32 = split_given_basis(t32)
+    v32 = np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.25
+    split32 = split_given_basis(_phi_plus(small, v32))
     worst_neumann = 0.0
     drawn = 0
     while drawn < 20:
@@ -435,7 +431,7 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str):
         if abs(lam.imag) < 0.1:
             continue
         drawn += 1
-        worst_neumann = max(worst_neumann, res.neumann_residual(t32, split32, lam))
+        worst_neumann = max(worst_neumann, res.neumann_residual(split32, lam))
     checks = [
         at_most("chain-series-vs-dense-inverse", worst_neumann, 1e-8),
         *_exponent_checks("count-exponent", prof.fitted_p, 1.0 / beta),

@@ -196,10 +196,9 @@ class ResolventProfile:
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``fitted_p`` is the
     exponent in ``N(y) ~ y^{-p}``; ``fitted_q`` the exponent in
-    ``ln M(y) ~ y^{-q}``.  ``envelope_c`` and ``envelope_m_const`` are the
-    least-squares constants of the bound
-    ``||R|| <= (C/|y|) (M/|y|)^{N(y)}`` and ``envelope_violation`` the largest
-    factor by which the data exceeds that fitted bound.
+    ``ln M(y) ~ y^{-q}``.  ``envelope_violation`` is the largest factor by
+    which the data exceeds the bound ``||R|| <= (C/|y|) (M/|y|)^{N(y)}``
+    with ``C`` and ``M`` fitted by least squares in log space.
     """
 
     y_grid: np.ndarray
@@ -213,8 +212,6 @@ class ResolventProfile:
     envelope_evals: np.ndarray
     fitted_p: float
     fitted_q: float
-    envelope_c: float
-    envelope_m_const: float
     envelope_violation: float
     saturated: np.ndarray
 
@@ -243,7 +240,6 @@ def _fit_power(y: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
 
 
 def profile(
-    t,
     split: SplitPair,
     y_ladder: Sequence[float],
     n_max: Optional[int] = None,
@@ -258,9 +254,11 @@ def profile(
     ``x_samples`` points (``power_x_samples`` trims the expensive chain sweep
     independently of the resolvent envelope sweep), the crossing count is
     ``N(y) = #{n <= n_max : r_n(y) > |y|/2}``, and the envelope is
-    ``M(y) = max_x ||R_{x+iy}(T)||``.  Chains stop early once ``r_n`` sits
-    well below the counting threshold for several consecutive steps, which
-    cannot create false counts because ``r_n`` decays past that regime.
+    ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T = S + N`` in the split's basis,
+    the same for every split of one operator (unlike ``r_n`` and ``N``).
+    Chains stop early once ``r_n`` sits well below the counting threshold
+    for several consecutive steps, which cannot create false counts because
+    ``r_n`` decays past that regime.
     The envelope evaluates only the ``x`` samples that can attain ``M(y)``
     (see :func:`_envelope`); each goes through :func:`resolvent_norm`, so an
     evaluated sample numerically inside the spectrum raises
@@ -268,8 +266,11 @@ def profile(
     ``sigma_min`` provably exceeds the smallest one found by a margin far
     above the ``1e-14 ||lambda I - T||`` guard, so a sample that would trip
     the guard is always evaluated and the error is raised as before.
+    A chain whose power iteration has not settled in 60 steps, as when the
+    top singular values of some ``B^k`` nearly coincide, raises
+    :class:`NumericalError` (see :func:`_log_power_norms`).
     """
-    entries = as_entries(t)
+    entries = split.s_part.entries + split.n_part.entries
     diag = _require_real_diagonal(split)
     v = split.n_part.entries
     dim = entries.shape[0]
@@ -310,7 +311,7 @@ def profile(
     a = np.column_stack([np.ones(n_y), counts.astype(float)])
     b = np.log(envelope) + np.log(np.abs(y_grid)) + counts * np.log(np.abs(y_grid))
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    ln_c, ln_mc = float(sol[0]), float(sol[1])
+    ln_c, ln_mc = sol
     predicted = ln_c - np.log(np.abs(y_grid)) + counts * (ln_mc - np.log(np.abs(y_grid)))
     violation = float(np.max(np.exp(np.log(envelope) - predicted)))
 
@@ -326,8 +327,6 @@ def profile(
         envelope_evals=envelope_evals,
         fitted_p=fitted_p,
         fitted_q=fitted_q,
-        envelope_c=math.exp(ln_c),
-        envelope_m_const=math.exp(ln_mc),
         envelope_violation=violation,
         saturated=saturated,
     )
@@ -343,7 +342,10 @@ class LevinsonVerdict:
     points_used: int
 
 
-def levinson_classify(prof: ResolventProfile, margin: float = 0.15) -> LevinsonVerdict:
+LEVINSON_MARGIN = 0.15  # half-width of the INCONCLUSIVE band around p = 1
+
+
+def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -> LevinsonVerdict:
     """Integrability classification of ``ln N(y)`` near ``y = 0``.
 
     Fits ``ln N(y) ~ c y^{-p}`` and ``ln ln M(y) ~ c' y^{-q}`` on the
@@ -392,16 +394,16 @@ def cn_bound_to_N_bound(alpha: float, m_const: float, y: float) -> float:
     return (2.0 * m_const / abs(y)) ** (1.0 / alpha)
 
 
-def neumann_residual(t, split: SplitPair, lam: complex, n_max: Optional[int] = None) -> float:
+def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None) -> float:
     """Relative gap between the direct resolvent and the truncated chain series.
 
     Evaluates ``(I + sum_{n<=n_max} c_n / (Im lambda)^n)(S - lambda)^{-1}``
-    against a dense solve of ``(T - lambda)^{-1}``; exact (to rounding) at
-    ``n_max = dim`` when the quasinilpotent part is strictly triangular.
+    against a dense solve of ``(T - lambda)^{-1}``, ``T = S + N`` in the
+    split's basis; exact (to rounding) at ``n_max = dim``.
     """
     if lam.imag == 0.0:
         raise ValueError("the expansion needs Im(lambda) != 0")
-    entries = as_entries(t)
+    entries = split.s_part.entries + split.n_part.entries
     diag = _require_real_diagonal(split)
     v = split.n_part.entries
     dim = entries.shape[0]

@@ -140,7 +140,7 @@ def test_criterion_07_chain_series_identity():
         if abs(lam.imag) < 0.1:
             continue
         drawn += 1
-        worst = max(worst, neumann_residual(t, split, lam))
+        worst = max(worst, neumann_residual(split, lam))
     crit.finish(worst <= 1e-8)
 
 

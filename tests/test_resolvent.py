@@ -11,6 +11,7 @@ from triangulab.operators import (
     build_fractional,
     build_multiplication,
     split_given_basis,
+    split_schur,
     wrap_matrix,
 )
 from triangulab.resolvent import (
@@ -106,7 +107,7 @@ def test_profile_estimator_matches_exact_chain_norms():
     # the sweep's warm power iteration against the dense-SVD route of c_norm
     t, pair = _phi_plus_fractional(48, 1.0)
     y = 0.25
-    prof = profile(t, pair, [y], x_samples=5, power_x_samples=5, n_max=20)
+    prof = profile(pair, [y], x_samples=5, power_x_samples=5, n_max=20)
     xs = prof.power_x_grid
     for k in (1, 3, 8, 15):
         exact = max(c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs)
@@ -121,7 +122,7 @@ def test_profile_zero_nilpotent_part():
     t = build_multiplication(g, lambda x: x)
     pair = split_given_basis(t)
     ys = [0.5, 0.25, 0.125]
-    prof = profile(t, pair, ys, x_samples=65)
+    prof = profile(pair, ys, x_samples=65)
     assert np.all(prof.count_n == 0)
     for j, y in enumerate(ys):
         assert prof.envelope_m[j] == pytest.approx(1.0 / y, rel=1e-3)
@@ -146,7 +147,7 @@ def test_envelope_equals_dense_sweep(kind, beta):
     v = build_fractional(g, beta) if kind == "fractional" else build_ebeta_operator(g, EbetaSpec(beta))
     t = _phi_plus(g, v.entries)
     # the envelope does not read the chain sweep, so keep that short
-    prof = profile(t, split_given_basis(t), _default_ladder(kind, beta), n_max=4, power_x_samples=5)
+    prof = profile(split_given_basis(t), _default_ladder(kind, beta), n_max=4, power_x_samples=5)
     _assert_envelope_is_dense_max(t, prof)
 
 
@@ -167,7 +168,7 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
 
 def test_envelope_skips_samples_on_the_default_fractional_ladder():
     t, pair = _phi_plus_fractional(64, 1.0)
-    prof = profile(t, pair, _default_ladder("fractional", 1.0), n_max=4, power_x_samples=5)
+    prof = profile(pair, _default_ladder("fractional", 1.0), n_max=4, power_x_samples=5)
     assert prof.envelope_evals.dtype.kind == "i"
     assert np.all(prof.envelope_evals >= 1)
     assert np.all(prof.envelope_evals < prof.x_grid.size)
@@ -180,12 +181,12 @@ def test_envelope_raises_on_a_sample_inside_the_spectrum():
     # x_samples=5 puts the grid at -1, 0, 1, 2, 3: two samples sit on eigenvalues
     t = wrap_matrix(np.diag([0.0, 2.0]).astype(complex))
     with pytest.raises(NearSingularError):
-        profile(t, split_given_basis(t), [1e-300], x_samples=5)
+        profile(split_given_basis(t), [1e-300], x_samples=5)
 
 
 def test_profile_counts_are_bounded_integers():
     t, pair = _phi_plus_fractional(48, 1.0)
-    prof = profile(t, pair, [0.5, 0.25], x_samples=9, power_x_samples=9)
+    prof = profile(pair, [0.5, 0.25], x_samples=9, power_x_samples=9)
     assert prof.count_n.dtype.kind == "i"
     assert np.all(prof.count_n <= prof.n_max)
 
@@ -193,27 +194,55 @@ def test_profile_counts_are_bounded_integers():
 def test_profile_counts_vanish_above_chain_ceiling():
     # once |y|/2 exceeds every r_n the count is zero
     t, pair = _phi_plus_fractional(32, 1.0)
-    prof = profile(t, pair, [8.0], x_samples=9, power_x_samples=9)
+    prof = profile(pair, [8.0], x_samples=9, power_x_samples=9)
     assert prof.count_n[0] == 0
+
+
+def test_profile_envelope_is_the_same_for_any_split():
+    # M(y) is a property of T = Q (S + N) Q*; r_n(y) belongs to the split,
+    # so only the envelope is compared across splits
+    t, pair = _phi_plus_fractional(64, 1.0)
+    ys = [0.5, 0.25, 0.125]
+    given = profile(pair, ys, n_max=4, power_x_samples=5)
+    schur = profile(split_schur(t), ys, n_max=4, power_x_samples=5)
+    np.testing.assert_allclose(schur.envelope_m, given.envelope_m, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(
+        np.searchsorted(schur.x_grid, schur.envelope_x),
+        np.searchsorted(given.x_grid, given.envelope_x),
+    )
+
+
+def test_profile_envelope_fit_does_not_overflow():
+    # the envelope fit gives ln C ~ 788 here, past the double range of exp;
+    # the violation factor is taken in log space and stays finite
+    rng = np.random.default_rng(12)
+    n = 32
+    t = wrap_matrix(
+        np.diag(np.linspace(0.0, 1.0, n))
+        + 0.25 * np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    )
+    prof = profile(split_given_basis(t), [0.5, 0.25, 0.125], x_samples=9, power_x_samples=9)
+    np.testing.assert_array_equal(prof.count_n, [30, 31, 31])
+    assert math.isfinite(prof.envelope_violation)
 
 
 def test_profile_rejects_zero_ladder_point():
     t, pair = _phi_plus_fractional(16, 1.0)
     with pytest.raises(ValueError):
-        profile(t, pair, [0.5, 0.0])
+        profile(pair, [0.5, 0.0])
 
 
 def test_fitted_p_reproducible_on_disjoint_half_ladders():
     t, pair = _phi_plus_fractional(128, 1.0)
     full = [2.0 ** (-e / 3.0) for e in range(9)]
-    prof_a = profile(t, pair, full[0::2], x_samples=33, power_x_samples=17)
-    prof_b = profile(t, pair, full[1::2], x_samples=33, power_x_samples=17)
+    prof_a = profile(pair, full[0::2], x_samples=33, power_x_samples=17)
+    prof_b = profile(pair, full[1::2], x_samples=33, power_x_samples=17)
     assert abs(prof_a.fitted_p - prof_b.fitted_p) <= 0.3
 
 
 def test_profile_csv_headers(tmp_path):
     t, pair = _phi_plus_fractional(24, 1.0)
-    prof = profile(t, pair, [0.5, 0.25], x_samples=5, power_x_samples=5)
+    prof = profile(pair, [0.5, 0.25], x_samples=5, power_x_samples=5)
     p1 = tmp_path / "profile.csv"
     p2 = tmp_path / "r.csv"
     profile_to_csv(prof, p1)
@@ -241,8 +270,6 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         envelope_evals=np.ones(ys.size, dtype=int),
         fitted_p=float("nan"),
         fitted_q=float("nan"),
-        envelope_c=1.0,
-        envelope_m_const=1.0,
         envelope_violation=1.0,
         saturated=counts >= n_max,
     )
@@ -324,21 +351,30 @@ def test_neumann_series_exact_for_nilpotent_part():
     )
     pair = split_given_basis(t)
     for lam in (0.5 + 0.3j, -1.0 + 0.1j, 2.0 - 0.8j):
-        assert neumann_residual(t, pair, lam) <= 1e-8
+        assert neumann_residual(pair, lam) <= 1e-8
+
+
+def test_neumann_series_exact_in_the_schur_basis():
+    # the series and the dense inverse both use T = S + N in the split's basis
+    t, _ = _phi_plus_fractional(64, 1.0)
+    pair = split_schur(t)
+    for x in (-0.5, 0.3, 1.2):
+        for y in (0.5, -0.2):
+            assert neumann_residual(pair, complex(x, y)) <= 1e-8
 
 
 def test_neumann_truncation_error_shrinks_with_order():
     t, pair = _phi_plus_fractional(24, 1.0)
     lam = 0.5 + 0.6j
-    res_short = neumann_residual(t, pair, lam, n_max=2)
-    res_long = neumann_residual(t, pair, lam, n_max=24)
+    res_short = neumann_residual(pair, lam, n_max=2)
+    res_long = neumann_residual(pair, lam, n_max=24)
     assert res_long < res_short
 
 
 def test_neumann_needs_off_axis_lambda():
     t, pair = _phi_plus_fractional(8, 1.0)
     with pytest.raises(ValueError):
-        neumann_residual(t, pair, 0.5 + 0.0j)
+        neumann_residual(pair, 0.5 + 0.0j)
 
 
 def test_chain_power_iteration_raises_when_unconverged():
