@@ -47,6 +47,7 @@ __all__ = [
     "wrap_matrix",
     "save_matrix",
     "load_matrix",
+    "write_csv",
 ]
 
 
@@ -291,7 +292,6 @@ def _cell_integrals(s: Callable, antiderivative: Optional[Callable], h: float, n
     """Integrals of ``s`` over the cells ``[d h, (d+1) h]``, ``d = 0..n-1``."""
     if antiderivative is not None:
         pts = np.array([antiderivative(d * h) for d in range(n + 1)], dtype=complex)
-        pts[0] = antiderivative(0.0) if h > 0 else 0.0
         return np.diff(pts)
     from scipy.integrate import quad
 
@@ -509,3 +509,15 @@ def load_matrix(path) -> OperatorMatrix:
     from .grid import make_grid
 
     return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols), "loaded")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the CSV artifact format: the header line, then one line per row.
+
+    Strings and integers are written as they are, every other value as the
+    ``repr`` of a float, which round-trips exactly.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row) + "\n")

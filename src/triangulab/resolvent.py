@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .exceptions import InsufficientDataError, NearSingularError, NumericalError
-from .operators import SplitPair, as_entries
+from .exceptions import InsufficientDataError, NearSingularError
+from .operators import SplitPair, as_entries, write_csv
 
 __all__ = [
     "ResolventProfile",
@@ -59,18 +59,34 @@ def _require_real_diagonal(split: SplitPair) -> np.ndarray:
     return diag.real
 
 
+def _dense_log_norm(b: np.ndarray, k: int) -> float:
+    """``log ||b^k||`` by renormalized powers with a dense SVD at every step.
+
+    ``-inf`` when some power of ``b`` up to ``k`` is exactly zero.
+    """
+    m = b
+    log_acc = 0.0
+    for i in range(k):
+        nrm = float(scipy.linalg.svdvals(m)[0])
+        if nrm == 0.0:
+            return -math.inf
+        log_acc += math.log(nrm)
+        if i < k - 1:
+            m = (m / nrm) @ b
+    return log_acc
+
+
 def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
     """``log ||B_c^k||`` for each chain ``B_c = diag(d[:, c]) V``, all columns at once.
 
     A warm-started power iteration on ``(B^k)* B^k``, which applies ``B`` and
     its adjoint ``k`` times each to the block of start vectors ``vecs``
     (updated in place), renormalizing every column after every product so
-    the log norm never underflows.  A column leaves the block once its
-    estimate settles to ``1e-8`` relative; a column whose vector becomes
-    exactly zero is a dead chain and reads ``-inf``.  The warm start makes
-    the estimate exact to rounding in practice (validated against dense SVD
-    in the tests).  Raises :class:`NumericalError` if a column has not
-    settled after 60 steps.
+    the log norm never underflows.  A column leaves the block once two
+    successive estimates agree to ``1e-8`` relative; a column whose vector
+    becomes exactly zero is a dead chain and reads ``-inf``.  A column still
+    unsettled after 60 steps, as when the top singular values of ``B^k``
+    nearly coincide, gets the dense value :func:`_dense_log_norm` instead.
     """
     v_adj = v.conj().T
     log_s = np.full(d.shape[1], -np.inf)
@@ -93,10 +109,9 @@ def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> 
         todo = todo[~settled]
         if todo.size == 0:
             return log_s
-    raise NumericalError(
-        f"chain power iteration did not converge in 60 steps at power {k}"
-        f" (last log-norm estimate {float(log_s[todo[0]]):g})"
-    )
+    for c in todo:
+        log_s[c] = _dense_log_norm(d[:, c, None] * v, k)
+    return log_s
 
 
 def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int = 3) -> np.ndarray:
@@ -139,20 +154,8 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     if n < 1:
         raise ValueError("power must be a positive integer")
     diag = _require_real_diagonal(split)
-    v = split.n_part.entries
-    b = (-lam.imag / (diag - lam))[:, None] * v
-    m = b.copy()
-    log_acc = 0.0
-    for _ in range(n - 1):
-        nrm = float(scipy.linalg.svdvals(m)[0])
-        if nrm == 0.0:
-            return 0.0
-        log_acc += math.log(nrm)
-        m = (m / nrm) @ b
-    nrm = float(scipy.linalg.svdvals(m)[0])
-    if nrm == 0.0:
-        return 0.0
-    return math.exp(log_acc + math.log(nrm))
+    b = (-lam.imag / (diag - lam))[:, None] * split.n_part.entries
+    return math.exp(_dense_log_norm(b, n))
 
 
 def _envelope(entries: np.ndarray, x_grid: np.ndarray, y: float) -> tuple:
@@ -267,8 +270,8 @@ def profile(
     above the ``1e-14 ||lambda I - T||`` guard, so a sample that would trip
     the guard is always evaluated and the error is raised as before.
     A chain whose power iteration has not settled in 60 steps, as when the
-    top singular values of some ``B^k`` nearly coincide, raises
-    :class:`NumericalError` (see :func:`_log_power_norms`).
+    top singular values of some ``B^k`` nearly coincide, gets its norm from
+    dense singular values instead (see :func:`_log_power_norms`).
     """
     entries = split.s_part.entries + split.n_part.entries
     diag = _require_real_diagonal(split)
@@ -426,19 +429,19 @@ def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None
 
 def profile_to_csv(prof: ResolventProfile, path) -> None:
     """CSV columns: y, N(y), M(y), ln M(y)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("y,count_n,envelope_m,ln_envelope_m\n")
-        for j, y in enumerate(prof.y_grid):
-            m = prof.envelope_m[j]
-            fh.write(f"{float(y)!r},{int(prof.count_n[j])},{float(m)!r},{math.log(m)!r}\n")
+    rows = (
+        (y, int(n), m, math.log(m))
+        for y, n, m in zip(prof.y_grid, prof.count_n, prof.envelope_m)
+    )
+    write_csv(path, "y,count_n,envelope_m,ln_envelope_m", rows)
 
 
 def r_table_to_csv(prof: ResolventProfile, path) -> None:
     """CSV columns: n, y, r_n(y); zero rows are skipped."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("n,y,r_n\n")
-        for j, y in enumerate(prof.y_grid):
-            for k in range(prof.n_max):
-                val = prof.r[k, j]
-                if val > 0.0:
-                    fh.write(f"{k + 1},{float(y)!r},{float(val)!r}\n")
+    rows = (
+        (k + 1, y, prof.r[k, j])
+        for j, y in enumerate(prof.y_grid)
+        for k in range(prof.n_max)
+        if prof.r[k, j] > 0.0
+    )
+    write_csv(path, "n,y,r_n", rows)

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .exceptions import InsufficientDataError, QuadratureError
 from .grid import GridFunction, check_frequency, l2_norm, sample_exponential
-from .operators import OperatorMatrix, KernelSpec
+from .operators import OperatorMatrix, KernelSpec, write_csv
 
 __all__ = [
     "SymbolTrace",
@@ -332,11 +332,8 @@ def non_triangular_witness(trace: SymbolTrace, tol: Optional[float] = None) -> W
 
 def trace_to_csv(trace: SymbolTrace, path) -> None:
     """CSV columns: xi, Re/Im of both transforms, Re/Im/|.| of the symbol."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g\n")
-        for i, x in enumerate(trace.xi_samples):
-            st, s1, g = trace.s_tilde[i], trace.s_tilde1[i], trace.g[i]
-            fh.write(
-                f"{float(x)!r},{float(st.real)!r},{float(st.imag)!r},{float(s1.real)!r},{float(s1.imag)!r},"
-                f"{float(g.real)!r},{float(g.imag)!r},{float(abs(g))!r}\n"
-            )
+    rows = (
+        (x, st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g))
+        for x, st, s1, g in zip(trace.xi_samples, trace.s_tilde, trace.s_tilde1, trace.g)
+    )
+    write_csv(path, "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g", rows)

@@ -177,6 +177,11 @@ def test_trace_csv_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g"
     assert len(lines) == len(trace.xi_samples) + 1
+    # every field parses back to the float it was written from
+    for i, line in enumerate(lines[1:]):
+        st, s1, g = trace.s_tilde[i], trace.s_tilde1[i], trace.g[i]
+        expected = [trace.xi_samples[i], st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g)]
+        assert [float(field) for field in line.split(",")] == expected
 
 
 # ---------------------------------------------------------------- plane-wave residual
