@@ -76,27 +76,43 @@ def _dense_log_norm(b: np.ndarray, k: int) -> float:
     return log_acc
 
 
-def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
+def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for a C-contiguous complex block ``w``.
+
+    A real ``a`` acts on the real and imaginary parts of ``w`` alike, so it
+    is applied to ``w``'s float64 view: one real GEMM on ``2m`` interleaved
+    columns, with no copy, in place of a complex GEMM.
+    """
+    if a.dtype.kind == "f":
+        return (a @ w.view(np.float64)).view(np.complex128)
+    return a @ w
+
+
+def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> tuple:
     """``log ||B_c^k||`` for each chain ``B_c = diag(d[:, c]) V``, all columns at once.
 
     A warm-started power iteration on ``(B^k)* B^k``, which applies ``B`` and
     its adjoint ``k`` times each to the block of start vectors ``vecs``
     (updated in place), renormalizing every column after every product so
-    the log norm never underflows.  A column leaves the block once two
-    successive estimates agree to ``1e-8`` relative; a column whose vector
-    becomes exactly zero is a dead chain and reads ``-inf``.  A column still
-    unsettled after 60 steps, as when the top singular values of ``B^k``
-    nearly coincide, gets the dense value :func:`_dense_log_norm` instead.
+    the log norm never underflows.  A real ``V`` (float64) is applied by
+    real GEMM (see :func:`_gemm`); a complex one by complex GEMM.  A column
+    leaves the block once two successive estimates agree to ``1e-8``
+    relative; a column whose vector becomes exactly zero is a dead chain
+    and reads ``-inf``.  A column still unsettled after 60 steps, as when
+    the top singular values of ``B^k`` nearly coincide, gets the dense value
+    :func:`_dense_log_norm` instead.  Returns the log norms and the number
+    of columns that took that dense value.
     """
     v_adj = v.conj().T
     log_s = np.full(d.shape[1], -np.inf)
     todo = np.arange(d.shape[1])
     for _ in range(60):
-        w = vecs[:, todo]
+        w = np.take(vecs, todo, axis=1)  # C-contiguous, as _gemm needs
         dk = d[:, todo]
+        dk_conj = dk.conj()
         log_nu = np.zeros(todo.size)
         for i in range(2 * k):
-            w = dk * (v @ w) if i < k else v_adj @ (dk.conj() * w)
+            w = dk * _gemm(v, w) if i < k else _gemm(v_adj, dk_conj * w)
             nrm = np.linalg.norm(w, axis=0)
             with np.errstate(divide="ignore"):
                 log_nu += np.log(nrm)
@@ -108,13 +124,13 @@ def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> 
         log_s[todo] = s_est
         todo = todo[~settled]
         if todo.size == 0:
-            return log_s
+            return log_s, 0
     for c in todo:
         log_s[c] = _dense_log_norm(d[:, c, None] * v, k)
-    return log_s
+    return log_s, todo.size
 
 
-def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int = 3) -> np.ndarray:
+def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int = 3) -> tuple:
     """``max_c ||B_c^k||^{1/k}`` for ``k = 1..n_max``, the chains run in lockstep.
 
     Column ``c`` of ``d`` holds the diagonal of one chain matrix
@@ -123,7 +139,8 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int =
     A chain stops when it dies or after 4 consecutive steps with
     ``||B_c^k||^{1/k} < 0.4 |y|``, which cannot create false crossing counts
     at ``|y|/2`` because the roots decay past that regime.  Entry ``k - 1``
-    is 0.0 once every chain has stopped.
+    is 0.0 once every chain has stopped.  Returns the roots and how many
+    ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`.
     """
     n, m = d.shape
     rng = np.random.default_rng(seed)
@@ -131,8 +148,10 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int =
     vecs = np.tile((start / np.linalg.norm(start))[:, None], (1, m))
     below_streak = np.zeros(m, dtype=int)
     roots = np.zeros(n_max)
+    fallbacks = 0
     for k in range(1, n_max + 1):
-        log_norms = _log_power_norms(v, d, vecs, k)
+        log_norms, dense = _log_power_norms(v, d, vecs, k)
+        fallbacks += dense
         rk = np.exp(log_norms / k)
         roots[k - 1] = rk.max()
         below_streak = np.where(rk < 0.4 * abs(y), below_streak + 1, 0)
@@ -140,7 +159,7 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int =
         if not go.any():
             break
         d, vecs, below_streak = d[:, go], vecs[:, go], below_streak[go]
-    return roots
+    return roots, fallbacks
 
 
 def c_norm(split: SplitPair, lam: complex, n: int) -> float:
@@ -158,30 +177,39 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     return math.exp(_dense_log_norm(b, n))
 
 
-def _envelope(entries: np.ndarray, x_grid: np.ndarray, y: float) -> tuple:
+def _envelope(entries: np.ndarray, x_grid: np.ndarray, y: float, samples: list) -> tuple:
     """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated)``.
 
     Best-first branch and bound on ``sigma_min(lambda I - T)``, which is
-    1-Lipschitz in ``lambda`` (Weyl): each evaluated sample ``x_j`` bounds
-    ``sigma_min >= 1/||R|| - |x - x_j|`` at every other sample.  The sample
-    with the smallest bound (the lowest index on ties) goes through
-    :func:`resolvent_norm` next, until every remaining bound exceeds the
-    smallest ``sigma_min`` found by ``1e-12 (||T||_inf + max|x| + |y|)``, far
-    above LAPACK's rounding in ``sigma_min``.  Skipped samples are strictly
-    below the maximum, so it is the same float the full sweep gives, first
-    attained at the same ``x``.
+    1-Lipschitz in ``lambda`` over the whole complex plane (Weyl): a sample
+    ``(x', y', sigma')`` bounds ``sigma_min >= sigma' - |(x - x') + i(y - y')|``
+    at every ``x + iy``.  ``samples`` lists the ``(x, y, sigma_min)`` of every
+    sample evaluated so far, on this line or on earlier ones, and each
+    sample evaluated here is appended to it.  The bounds start from those
+    samples (0 when there are none); the sample with the smallest bound
+    (the lowest index on ties) goes through :func:`resolvent_norm` next,
+    until every remaining bound exceeds the smallest ``sigma_min`` found on
+    this line by ``1e-12 (||T||_inf + max|x| + |y|)``, far above LAPACK's
+    rounding in ``sigma_min``.  Skipped samples are strictly below the
+    maximum, so it is the same float the full sweep gives, first attained
+    at the same ``x``.
     """
     t_inf = float(np.abs(entries).sum(axis=1).max())
     margin = 1e-12 * (t_inf + float(np.abs(x_grid).max()) + abs(y))
     norms = np.zeros(x_grid.size)  # 0.0 marks a sample not evaluated
     lower = np.zeros(x_grid.size)  # lower bounds on sigma_min; inf once evaluated
-    floor = math.inf  # smallest sigma_min found
+    if samples:
+        xs, ys, smins = np.array(samples).T
+        dist = np.abs((x_grid[:, None] - xs) + 1j * (y - ys))
+        lower = np.maximum(lower, (smins - dist).max(axis=1))
+    floor = math.inf  # smallest sigma_min found on this line
     while True:
         i = int(np.argmin(lower))
         if lower[i] > floor + margin:
             break
         norms[i] = resolvent_norm(entries, x_grid[i] + 1j * y)
         smin = 1.0 / norms[i]
+        samples.append((x_grid[i], y, smin))
         floor = min(floor, smin)
         lower = np.maximum(lower, smin - np.abs(x_grid - x_grid[i]))
         lower[i] = np.inf
@@ -197,9 +225,11 @@ class ResolventProfile:
     indices whose ``r_n`` exceeds ``|y_j| / 2``; ``envelope_m[j]`` the largest
     resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
-    ``x_grid`` samples the envelope evaluated.  ``fitted_p`` is the
-    exponent in ``N(y) ~ y^{-p}``; ``fitted_q`` the exponent in
-    ``ln M(y) ~ y^{-q}``.  ``envelope_violation`` is the largest factor by
+    ``x_grid`` samples the envelope evaluated.  ``chain_fallbacks[j]`` counts
+    the chain norms at ``y_j`` that the power iteration left unsettled and
+    dense singular values finished (see :func:`_log_power_norms`).
+    ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
+    exponent in ``ln M(y) ~ |y|^{-q}``.  ``envelope_violation`` is the largest factor by
     which the data exceeds the bound ``||R|| <= (C/|y|) (M/|y|)^{N(y)}``
     with ``C`` and ``M`` fitted by least squares in log space.
     """
@@ -213,6 +243,7 @@ class ResolventProfile:
     envelope_m: np.ndarray
     envelope_x: np.ndarray
     envelope_evals: np.ndarray
+    chain_fallbacks: np.ndarray
     fitted_p: float
     fitted_q: float
     envelope_violation: float
@@ -221,7 +252,7 @@ class ResolventProfile:
     def __post_init__(self):
         for arr in (self.y_grid, self.x_grid, self.power_x_grid, self.r,
                     self.count_n, self.envelope_m, self.envelope_x, self.envelope_evals,
-                    self.saturated):
+                    self.chain_fallbacks, self.saturated):
             arr.setflags(write=False)
 
     @property
@@ -235,10 +266,10 @@ def _fit_mask(count_n: np.ndarray, saturated: np.ndarray) -> np.ndarray:
 
 
 def _fit_power(y: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
-    """Slope of log(values) against log(1/y) on the masked ladder points."""
+    """Slope of log(values) against log(1/|y|) on the masked ladder points."""
     if mask.sum() < 2:
         return float("nan")
-    coeffs = np.polyfit(np.log(y[mask]), np.log(values[mask]), 1)
+    coeffs = np.polyfit(np.log(np.abs(y[mask])), np.log(values[mask]), 1)
     return float(-coeffs[0])
 
 
@@ -263,7 +294,9 @@ def profile(
     for several consecutive steps, which cannot create false counts because
     ``r_n`` decays past that regime.
     The envelope evaluates only the ``x`` samples that can attain ``M(y)``
-    (see :func:`_envelope`); each goes through :func:`resolvent_norm`, so an
+    (see :func:`_envelope`), using the ``sigma_min`` of every sample
+    evaluated at this and earlier ladder points to rule samples out; each
+    evaluated sample goes through :func:`resolvent_norm`, so an
     evaluated sample numerically inside the spectrum raises
     :class:`NearSingularError`.  A sample is skipped only when its
     ``sigma_min`` provably exceeds the smallest one found by a margin far
@@ -271,11 +304,15 @@ def profile(
     the guard is always evaluated and the error is raised as before.
     A chain whose power iteration has not settled in 60 steps, as when the
     top singular values of some ``B^k`` nearly coincide, gets its norm from
-    dense singular values instead (see :func:`_log_power_norms`).
+    dense singular values instead (see :func:`_log_power_norms`), and
+    ``chain_fallbacks`` counts those.  When ``V`` has no imaginary part, as
+    for every real kernel, the chain sweep applies ``V`` by real GEMM.
     """
     entries = split.s_part.entries + split.n_part.entries
     diag = _require_real_diagonal(split)
     v = split.n_part.entries
+    if not np.any(v.imag):
+        v = np.ascontiguousarray(v.real)  # real GEMMs in the chain sweep
     dim = entries.shape[0]
     if n_max is None:
         n_max = dim
@@ -296,15 +333,19 @@ def profile(
     envelope = np.zeros(n_y)
     envelope_x = np.zeros(n_y)
     envelope_evals = np.zeros(n_y, dtype=int)
+    envelope_samples = []  # (x, y, sigma_min) of every envelope sample evaluated
+    chain_fallbacks = np.zeros(n_y, dtype=int)
     saturated = np.zeros(n_y, dtype=bool)
 
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
         d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
-        r[:, j] = _chain_roots(v, d, y, n_max, seed=seed)
+        r[:, j], chain_fallbacks[j] = _chain_roots(v, d, y, n_max, seed=seed)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
-        envelope[j], envelope_x[j], envelope_evals[j] = _envelope(entries, x_grid, y)
+        envelope[j], envelope_x[j], envelope_evals[j] = _envelope(
+            entries, x_grid, y, envelope_samples
+        )
 
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
     log_m = np.log(np.maximum(envelope, 1.0 + 1e-15))
@@ -328,6 +369,7 @@ def profile(
         envelope_m=envelope,
         envelope_x=envelope_x,
         envelope_evals=envelope_evals,
+        chain_fallbacks=chain_fallbacks,
         fitted_p=fitted_p,
         fitted_q=fitted_q,
         envelope_violation=violation,

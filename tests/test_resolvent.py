@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from triangulab import make_grid
 from triangulab.exceptions import InsufficientDataError, NearSingularError
@@ -18,6 +19,7 @@ from triangulab.resolvent import (
     ResolventProfile,
     _chain_roots,
     _envelope,
+    _gemm,
     c_norm,
     cn_bound_to_N_bound,
     levinson_classify,
@@ -28,6 +30,8 @@ from triangulab.resolvent import (
     resolvent_norm,
 )
 from triangulab.specfun import EbetaSpec
+
+from .strategies import triangular_operators
 
 
 def _phi_plus_fractional(n=64, beta=1.0, omega=1.0):
@@ -103,15 +107,32 @@ def test_c_norm_validates_arguments():
         c_norm(split_given_basis(complex_diag), 0.5j, 1)
 
 
-def test_profile_estimator_matches_exact_chain_norms():
+def _assert_sweep_matches_c_norm(pair, powers):
     # the sweep's warm power iteration against the dense-SVD route of c_norm
-    t, pair = _phi_plus_fractional(48, 1.0)
     y = 0.25
     prof = profile(pair, [y], x_samples=5, power_x_samples=5, n_max=20)
     xs = prof.power_x_grid
-    for k in (1, 3, 8, 15):
+    for k in powers:
         exact = max(c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs)
         assert prof.r[k - 1, 0] == pytest.approx(exact, rel=1e-5)
+
+
+def test_profile_estimator_matches_exact_chain_norms():
+    # a real V: the sweep applies it by real GEMM
+    t, pair = _phi_plus_fractional(48, 1.0)
+    assert not np.any(pair.n_part.entries.imag)
+    _assert_sweep_matches_c_norm(pair, (1, 3, 8, 15))
+
+
+def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
+    # phi + J^1 has real Schur vectors; a diagonal unitary similarity makes
+    # them complex, so V is complex and the sweep keeps the complex GEMM
+    t, _ = _phi_plus_fractional(48, 1.0)
+    phase = np.exp(1j * np.linspace(0.0, 3.0, 48))
+    schur = split_schur(wrap_matrix(phase[:, None] * t.entries * phase.conj()[None, :]))
+    assert np.any(schur.n_part.entries.imag)
+    # its chains stop one power earlier (r_15 reads 0.0): compare up to r_14
+    _assert_sweep_matches_c_norm(schur, (1, 3, 8, 14))
 
 
 # ---------------------------------------------------------------- profiles
@@ -158,9 +179,10 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
     a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / np.sqrt(40.0)
     a += 2.0 * np.triu(rng.standard_normal((40, 40)), 1) / np.sqrt(40.0)
     x_grid = np.linspace(-3.0, 3.0, 64)
+    samples = []  # shared across the three lines, as profile shares it across its ladder
     for y in (1.0, 0.3, -0.1):
         dense = [resolvent_norm(a, x + 1j * y) for x in x_grid]
-        top, x_top, evals = _envelope(a, x_grid, y)
+        top, x_top, evals = _envelope(a, x_grid, y, samples)
         assert top == max(dense)
         assert x_top == x_grid[int(np.argmax(dense))]
         assert 1 <= evals < x_grid.size
@@ -175,6 +197,17 @@ def test_envelope_skips_samples_on_the_default_fractional_ladder():
     for arr in (prof.envelope_x, prof.envelope_evals):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_envelope_carries_bounds_across_the_ladder():
+    # samples from earlier ladder points rule out samples at later ones, so
+    # the ladder takes fewer evaluations than a fresh sample list per point
+    t, pair = _phi_plus_fractional(64, 1.0)
+    ladder = _default_ladder("fractional", 1.0)
+    prof = profile(pair, ladder, n_max=4, power_x_samples=5)
+    per_line = sum(_envelope(t.entries, prof.x_grid, y, [])[2] for y in ladder)
+    assert prof.envelope_evals.sum() < per_line
+    _assert_envelope_is_dense_max(t, prof)
 
 
 def test_envelope_raises_on_a_sample_inside_the_spectrum():
@@ -224,6 +257,19 @@ def test_profile_envelope_fit_does_not_overflow():
     prof = profile(split_given_basis(t), [0.5, 0.25, 0.125], x_samples=9, power_x_samples=9)
     np.testing.assert_array_equal(prof.count_n, [30, 31, 31])
     assert math.isfinite(prof.envelope_violation)
+
+
+def test_profile_of_a_real_operator_is_symmetric_in_y():
+    # ||R_{conj(lambda)}(T)|| = ||R_lambda(T)|| for a real T, so a negated
+    # ladder gives the same tables and fits in |y|
+    t, pair = _phi_plus_fractional(32, 1.0)
+    ys = [0.5, 0.25, 0.125, 0.0625]
+    up = profile(pair, ys, x_samples=9, power_x_samples=9)
+    down = profile(pair, [-y for y in ys], x_samples=9, power_x_samples=9)
+    np.testing.assert_array_equal(down.count_n, up.count_n)
+    np.testing.assert_allclose(down.envelope_m, up.envelope_m, rtol=1e-12)
+    assert down.fitted_p == pytest.approx(up.fitted_p, rel=1e-9)
+    assert down.fitted_q == pytest.approx(up.fitted_q, rel=1e-9)
 
 
 def test_profile_rejects_zero_ladder_point():
@@ -284,6 +330,7 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         envelope_m=envelopes,
         envelope_x=np.zeros(ys.size),
         envelope_evals=np.ones(ys.size, dtype=int),
+        chain_fallbacks=np.zeros(ys.size, dtype=int),
         fitted_p=float("nan"),
         fitted_q=float("nan"),
         envelope_violation=1.0,
@@ -398,7 +445,9 @@ def test_unsettled_chain_gets_the_dense_norm():
     # 1e-8 relative by the 60-step cap, so the dense norm is taken instead
     v = np.eye(2, dtype=complex)
     d = np.array([[1.0], [0.99]], dtype=complex)
-    np.testing.assert_array_equal(_chain_roots(v, d, 0.5, 1), [1.0])
+    roots, fallbacks = _chain_roots(v, d, 0.5, 1)
+    np.testing.assert_array_equal(roots, [1.0])
+    assert fallbacks == 1
 
 
 @pytest.mark.parametrize("n, seed", [(8, 1), (8, 8), (16, 4), (16, 17)])
@@ -416,6 +465,16 @@ def test_profile_finishes_where_power_iteration_stalls(n, seed):
                 continue
             dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
             assert prof.r[k - 1, j] == pytest.approx(dense, rel=1e-6)
+    assert prof.chain_fallbacks.sum() > 0
+
+
+def test_chain_fallbacks_vanish_on_the_default_fractional_ladder():
+    t, pair = _phi_plus_fractional(64, 1.0)
+    prof = profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+    assert prof.chain_fallbacks.dtype.kind == "i"
+    np.testing.assert_array_equal(prof.chain_fallbacks, np.zeros(prof.y_grid.size))
+    with pytest.raises(ValueError):
+        prof.chain_fallbacks[0] = 1
 
 
 def test_lockstep_chains_match_single_chain_runs():
@@ -426,8 +485,8 @@ def test_lockstep_chains_match_single_chain_runs():
     xs = np.linspace(-1.0, 2.0, 9)
     for y in (0.5, 0.125):
         d = -y / (pair.diagonal.real[:, None] - (xs + 1j * y)[None, :])
-        block = _chain_roots(v, d, y, 48)
-        singles = np.max([_chain_roots(v, d[:, [c]], y, 48) for c in range(d.shape[1])], axis=0)
+        block = _chain_roots(v, d, y, 48)[0]
+        singles = np.max([_chain_roots(v, d[:, [c]], y, 48)[0] for c in range(d.shape[1])], axis=0)
         np.testing.assert_array_equal(block == 0.0, singles == 0.0)
         np.testing.assert_allclose(block, singles, rtol=1e-13, atol=0.0)
         assert 0.0 < np.count_nonzero(block) < 48
@@ -438,9 +497,47 @@ def test_dead_chain_stops_without_raising():
     # kills its chain at the first product; neither may raise
     v = np.tril(np.ones((4, 4)), -1).astype(complex)
     d = np.column_stack([np.ones(4), np.zeros(4)]).astype(complex)
-    roots = _chain_roots(v, d, 1e-3, 6)
+    roots = _chain_roots(v, d, 1e-3, 6)[0]
     assert np.all(roots[3:] == 0.0)
     exact = [np.linalg.norm(np.linalg.matrix_power(v, k), 2) ** (1.0 / k) for k in (1, 2, 3)]
     np.testing.assert_allclose(roots[:3], exact, rtol=1e-8)
-    np.testing.assert_array_equal(roots, _chain_roots(v, d[:, [0]], 1e-3, 6))
-    np.testing.assert_array_equal(_chain_roots(v, d[:, [1]], 1e-3, 6), np.zeros(6))
+    np.testing.assert_array_equal(roots, _chain_roots(v, d[:, [0]], 1e-3, 6)[0])
+    np.testing.assert_array_equal(_chain_roots(v, d[:, [1]], 1e-3, 6)[0], np.zeros(6))
+
+
+# ---------------------------------------------------------------- randomized oracles
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(triangular_operators())
+def test_profile_envelope_is_the_dense_maximum_on_random_operators(case):
+    a, ladder = case
+    t = wrap_matrix(a)
+    # the envelope does not read the chain sweep, so keep that short
+    prof = profile(split_given_basis(t), ladder, n_max=1, power_x_samples=2)
+    _assert_envelope_is_dense_max(t, prof)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(triangular_operators())
+def test_real_chain_product_matches_the_complex_one_on_random_operators(case):
+    a, ladder = case
+    t = a.real
+    n = t.shape[0]
+    v = np.tril(t, -1)
+    vc = v.astype(complex)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    for op, oracle in ((v, vc), (v.T, vc.conj().T)):
+        # relative to the scale |V||W| of GEMM rounding, entry by entry
+        scale = np.abs(oracle) @ np.abs(w)
+        assert np.all(np.abs(_gemm(op, w) - oracle @ w) <= 1e-14 * scale)
+    pair = split_given_basis(wrap_matrix(t.astype(complex)))
+    y = ladder[-1]
+    xs = np.linspace(-2.0, 2.0, 3)
+    d = -y / (t.diagonal()[:, None] - (xs + 1j * y)[None, :])
+    roots, _ = _chain_roots(v, d, y, n)
+    assert (roots[0] > 0.0) == np.any(v)
+    for k in np.flatnonzero(roots) + 1:
+        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
