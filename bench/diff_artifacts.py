@@ -7,7 +7,10 @@
 triangulab from the ``src/`` of the checkout this script sits in.
 ``compare`` lists every file that is not byte-identical between the two
 trees (or exists in only one) and the largest relative change of any check
-value in their ``summary.json`` files; it exits 1 on any difference.
+value in their ``summary.json`` files; it exits 1 on any difference.  For a
+differing CSV with the same header and row count in both trees it also
+says whether every non-float field matches and how far the float fields
+moved (the largest relative change).
 
 BLAS rounding depends on the thread count, so set ``OPENBLAS_NUM_THREADS=1``
 for both runs when comparing two checkouts bit for bit.
@@ -47,6 +50,38 @@ def _rel_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _float_field(field: str):
+    """The value of a CSV field written as a float ``repr``; None for an integer or a string."""
+    if field.lstrip("-").isdigit():
+        return None
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _csv_drift(a: Path, b: Path):
+    """How far CSV ``b`` moved from ``a``: ``(non-float fields match, largest relative float change)``.
+
+    None unless the two files have the same header and the same row count.
+    """
+    lines_a = a.read_text(encoding="ascii").splitlines()
+    lines_b = b.read_text(encoding="ascii").splitlines()
+    if lines_a[:1] != lines_b[:1] or len(lines_a) != len(lines_b):
+        return None
+    match, worst = True, 0.0
+    for row_a, row_b in zip(lines_a[1:], lines_b[1:]):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        match = match and len(fields_a) == len(fields_b)
+        for fa, fb in zip(fields_a, fields_b):
+            xa, xb = _float_field(fa), _float_field(fb)
+            if xa is None or xb is None:
+                match = match and fa == fb
+            else:
+                worst = max(worst, _rel_change(xa, xb))
+    return match, worst
+
+
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -62,8 +97,18 @@ def compare(a: Path, b: Path) -> int:
                 if change > worst:
                     worst, worst_at = change, f"{rel.parent}/{name}"
     for rel in differing:
-        where = "" if rel in files_a and rel in files_b else f" (only in {a if rel in files_a else b})"
-        print(f"differs: {rel}{where}")
+        if rel not in files_a or rel not in files_b:
+            print(f"differs: {rel} (only in {a if rel in files_a else b})")
+            continue
+        drift = _csv_drift(a / rel, b / rel) if rel.suffix == ".csv" else None
+        if drift is None:
+            print(f"differs: {rel}")
+        else:
+            match, moved = drift
+            print(
+                f"differs: {rel} (same header and rows; non-float fields "
+                f"{'match' if match else 'differ'}; largest relative float change: {moved!r})"
+            )
     print(f"files compared: {len(files_a | files_b)}, differing: {len(differing)}")
     print(f"largest relative check-value change: {worst!r}" + (f" at {worst_at}" if worst_at else ""))
     return 1 if differing else 0

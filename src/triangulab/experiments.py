@@ -35,7 +35,6 @@ from .operators import (
     operator_norm,
     save_matrix,
     split_given_basis,
-    wrap_matrix,
     write_csv,
 )
 from .specfun import EbetaSpec, e_beta, e_beta_cumulative, m_moment
@@ -247,7 +246,7 @@ class Summary:
 
 def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
     """``phi + V`` with ``phi(x) = x`` on ``grid`` and ``V`` given by its entries."""
-    return wrap_matrix(np.diag(grid.nodes) + v, omega=grid.omega)
+    return OperatorMatrix(grid, np.diag(grid.nodes) + v, "custom")
 
 
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
@@ -383,7 +382,7 @@ def _phi_plus_profile(
     else:
         v_op = _cached_ebeta(config, grid, beta)
     split = split_given_basis(_phi_plus(grid, v_op.entries))
-    return res.profile(split, ladder, x_samples=64, power_x_samples=33, seed=config.seed)
+    return res.profile(split, ladder, x_samples=64, power_x_samples=33)
 
 
 def _exponent_checks(name: str, fitted_p: float, target: float) -> list:

@@ -72,10 +72,12 @@ class GridFunction:
 def make_grid(omega: float, n: int) -> Grid:
     """Build the uniform midpoint grid on (0, omega).
 
-    Raises ``ValueError`` unless ``omega > 0`` and ``n >= 2``.
+    Raises ``ValueError`` unless ``omega > 0`` and ``n`` is an integer ``>= 2``.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the cell count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 cells, got {n}")
     h = omega / n

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ConstructionError, NumericalError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, make_grid
 from .specfun import EbetaSpec, e_beta_cumulative, gamma_complex
 
 __all__ = [
@@ -89,8 +89,7 @@ class KernelSpec:
 
     @classmethod
     def ebeta(cls, beta: float, c: float = 0.0) -> "KernelSpec":
-        if not beta > 0:
-            raise ValueError(f"kernel order must be positive, got {beta}")
+        EbetaSpec(beta, c)  # validates both parameters
         return cls(kind="ebeta", beta=beta, c=c)
 
     @classmethod
@@ -102,8 +101,8 @@ class KernelSpec:
         """``s(t) = t^(i alpha) / Gamma(1 + i alpha)`` and its exact
         antiderivative ``u^(1 + i alpha) / Gamma(2 + i alpha)``; ``alpha = 0``
         is the identity kernel ``s = 1``."""
-        if alpha != float(alpha).real:
-            raise ValueError("alpha must be real")
+        if np.iscomplexobj(alpha) or not math.isfinite(alpha):
+            raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
         if alpha == 0.0:
             s, s_anti = _DIFFERENCE_PRESETS["one"]
         else:
@@ -197,8 +196,6 @@ def wrap_matrix(entries: np.ndarray, omega: float = 1.0, provenance: object = "c
     entries = np.array(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    from .grid import make_grid
-
     return OperatorMatrix(make_grid(omega, entries.shape[0]), entries, provenance)
 
 
@@ -253,15 +250,14 @@ def build_fractional(grid: Grid, beta: float) -> OperatorMatrix:
     Toeplitz; for ``beta = 1`` it degenerates to cumulative sums with a half
     weight on the diagonal.
     """
-    if not beta > 0:
-        raise ValueError(f"fractional order must be positive, got {beta}")
+    spec = KernelSpec.fractional(beta)
     n, h = grid.n, grid.h
     d = np.arange(n, dtype=float)
     scale = h**beta / math.gamma(beta + 1.0)
     col = np.empty(n, dtype=complex)
     col[0] = 0.5**beta * scale
     col[1:] = ((d[1:] + 0.5) ** beta - (d[1:] - 0.5) ** beta) * scale
-    return OperatorMatrix(grid, _toeplitz_lower(col), KernelSpec.fractional(beta))
+    return OperatorMatrix(grid, _toeplitz_lower(col), spec)
 
 
 def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
@@ -506,8 +502,6 @@ def load_matrix(path) -> OperatorMatrix:
             f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {data.size}"
         )
     entries = data[0::2] + 1j * data[1::2]
-    from .grid import make_grid
-
     return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols), "loaded")
 
 

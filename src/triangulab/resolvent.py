@@ -130,12 +130,13 @@ def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> 
     return log_s, todo.size
 
 
-def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int = 3) -> tuple:
+def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     """``max_c ||B_c^k||^{1/k}`` for ``k = 1..n_max``, the chains run in lockstep.
 
     Column ``c`` of ``d`` holds the diagonal of one chain matrix
-    ``B_c = diag(d[:, c]) V``.  Every chain starts from the same seeded
-    vector and carries its power-iteration vector from ``k`` to ``k + 1``.
+    ``B_c = diag(d[:, c]) V``.  Every chain starts from one fixed vector,
+    drawn from ``default_rng(3)`` so that the roots depend on the chains
+    alone, and carries its power-iteration vector from ``k`` to ``k + 1``.
     A chain stops when it dies or after 4 consecutive steps with
     ``||B_c^k||^{1/k} < 0.4 |y|``, which cannot create false crossing counts
     at ``|y|/2`` because the roots decay past that regime.  Entry ``k - 1``
@@ -143,7 +144,7 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int, seed: int =
     ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`.
     """
     n, m = d.shape
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     vecs = np.tile((start / np.linalg.norm(start))[:, None], (1, m))
     below_streak = np.zeros(m, dtype=int)
@@ -279,7 +280,6 @@ def profile(
     n_max: Optional[int] = None,
     x_samples: int = 64,
     power_x_samples: Optional[int] = None,
-    seed: int = 3,
 ) -> ResolventProfile:
     """Sweep the half-plane ladder and fill every resolvent-growth table.
 
@@ -340,7 +340,7 @@ def profile(
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
         d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
-        r[:, j], chain_fallbacks[j] = _chain_roots(v, d, y, n_max, seed=seed)
+        r[:, j], chain_fallbacks[j] = _chain_roots(v, d, y, n_max)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
         envelope[j], envelope_x[j], envelope_evals[j] = _envelope(

@@ -72,7 +72,7 @@ class EbetaSpec:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if isinstance(self.c, complex):
+        if np.iscomplexobj(self.c):
             raise ValueError("damping constant c must be real")
 
 

@@ -161,10 +161,7 @@ def xi_ladder_side_count(k_max: int = 14, refine_from: int = 10, per_octave: int
 
 def _window_summary(xi: np.ndarray, g: np.ndarray, side: int, window: int) -> WindowSummary:
     order = np.argsort(np.abs(xi))
-    xi_side = xi[order]
-    g_side = g[order]
-    take = np.abs(xi_side) > 0
-    g_tail = g_side[take][-window:]
+    g_tail = g[order][-window:]
     if g_tail.shape[0] < window:
         raise InsufficientDataError(
             f"need {window} trailing samples on side {side:+d}, got {g_tail.shape[0]}"

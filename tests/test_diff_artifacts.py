@@ -58,3 +58,29 @@ def test_file_in_one_tree_only_exits_one(tmp_path, diff_artifacts, capsys):
     assert code == 1
     assert f"differs: exp/extra.csv (only in {b})" in out
     assert "files compared: 3, differing: 1" in out
+
+
+def test_differing_csv_reports_how_far_its_floats_moved(tmp_path, diff_artifacts, capsys):
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b")
+    tables = {
+        "moved.csv": ("n,kind,r\n1,chain,0.5\n2,chain,1e-3\n", "n,kind,r\n1,chain,0.25\n2,chain,1e-3\n"),
+        "recounted.csv": ("n,r\n1,0.5\n", "n,r\n2,0.5\n"),
+        "longer.csv": ("n,r\n1,0.5\n", "n,r\n1,0.5\n2,0.5\n"),
+    }
+    for name, (text_a, text_b) in tables.items():
+        (a / "exp" / name).write_text(text_a, encoding="ascii")
+        (b / "exp" / name).write_text(text_b, encoding="ascii")
+    code, out = compare(diff_artifacts, capsys, a, b)
+    assert code == 1
+    assert (
+        "differs: exp/moved.csv (same header and rows; non-float fields match; "
+        "largest relative float change: 0.5)\n" in out
+    )
+    assert (
+        "differs: exp/recounted.csv (same header and rows; non-float fields differ; "
+        "largest relative float change: 0.0)\n" in out
+    )
+    assert "differs: exp/longer.csv\n" in out
+    assert "files compared: 5, differing: 3" in out
+    assert "largest relative check-value change: 0.0\n" in out

@@ -30,10 +30,16 @@ def test_make_grid_omega_two():
     np.testing.assert_allclose(g.nodes, [0.5, 1.5])
 
 
-@pytest.mark.parametrize("omega,n", [(1.0, 0), (1.0, 1), (0.0, 4), (-2.0, 4)])
+@pytest.mark.parametrize("omega,n", [(1.0, 0), (1.0, 1), (0.0, 4), (-2.0, 4), (1.0, 2.5)])
 def test_make_grid_rejects_bad_arguments(omega, n):
     with pytest.raises(ValueError):
         make_grid(omega, n)
+
+
+def test_make_grid_accepts_numpy_integers():
+    g = make_grid(1.0, np.int64(4))
+    assert g == make_grid(1.0, 4)
+    assert g.nodes.shape == (4,)
 
 
 def test_grid_invariants():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triangulab import EbetaSpec, make_grid, m_moment
 from triangulab.exceptions import ConstructionError
@@ -28,6 +30,8 @@ from triangulab.operators import (
     wrap_matrix,
 )
 from triangulab.spectral import eigenvalues_with_machine_noise
+
+from .strategies import triangular_operators
 
 
 def cubic_roots(matrix: np.ndarray) -> list:
@@ -346,6 +350,23 @@ def test_split_schur_orders_diagonal():
     assert keys == sorted(keys)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(triangular_operators(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
+    a, _ = case
+    n = a.shape[0]
+    # the triangular draw, and the same operator made dense by a random unitary
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for m in (a, q @ a @ q.conj().T):
+        pair = split_schur(wrap_matrix(m))
+        u = pair.unitary
+        recon = u @ (pair.s_part.entries + pair.n_part.entries) @ u.conj().T
+        assert np.linalg.norm(recon - m, 2) <= 1e-10 * np.linalg.norm(m, 2)
+        keys = [(z.real, z.imag) for z in pair.diagonal]
+        assert keys == sorted(keys)
+
+
 def test_split_schur_strict_part_is_strictly_triangular():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -415,20 +436,19 @@ def test_chain_invariance_rejects_non_projection():
 # ---------------------------------------------------------------- norms, io, dispatch
 
 
-def test_operator_norm_matches_dense_svd():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+@pytest.mark.parametrize(
+    "seed,draw",
+    [
+        (6, lambda rng: rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))),
+        (7, lambda rng: rng.standard_normal((1024, 1024))),
+    ],
+    ids=["complex-40", "real-1024"],
+)
+def test_operator_norm_matches_dense_svd(seed, draw):
     import scipy.linalg
 
+    a = draw(np.random.default_rng(seed))
     assert operator_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-12)
-
-
-def test_operator_norm_power_iteration_path():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((1024, 1024))
-    import scipy.linalg
-
-    assert operator_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-6)
 
 
 def test_save_load_roundtrip():
@@ -515,6 +535,24 @@ def test_build_operator_dispatch():
         build_operator(g, KernelSpec(kind="nonsense"))
     with pytest.raises(ValueError):
         KernelSpec.preset("nope")
+
+
+@pytest.mark.parametrize("alpha", [1 + 1j, np.complex64(1.0), float("nan"), float("inf")])
+def test_fractional_imaginary_rejects_non_real_alpha(alpha):
+    with pytest.raises(ValueError, match="finite real number"):
+        KernelSpec.fractional_imaginary(alpha)
+
+
+def test_kernel_parameters_are_checked_by_their_spec():
+    g = make_grid(1.0, 4)
+    for beta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="fractional order must be positive"):
+            build_fractional(g, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            KernelSpec.ebeta(beta)
+    with pytest.raises(ValueError, match="damping constant c must be real"):
+        KernelSpec.ebeta(1.0, 0.5j)
+    assert build_fractional(g, 0.5).provenance == KernelSpec.fractional(0.5)
 
 
 @pytest.mark.parametrize(

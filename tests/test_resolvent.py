@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triangulab import make_grid
 from triangulab.exceptions import InsufficientDataError, NearSingularError
@@ -541,3 +542,16 @@ def test_real_chain_product_matches_the_complex_one_on_random_operators(case):
     for k in np.flatnonzero(roots) + 1:
         dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
         assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(triangular_operators(), st.floats(min_value=0.0, max_value=1.0))
+def test_chain_series_matches_the_dense_inverse_on_random_operators(case, u):
+    a, ladder = case
+    t = wrap_matrix(a)
+    # x from the profile's search window around the diagonal
+    diag = a.diagonal().real
+    x = diag.min() - 1.0 + u * (diag.max() - diag.min() + 2.0)
+    for pair in (split_given_basis(t), split_schur(t)):
+        for y in ladder:
+            assert neumann_residual(pair, complex(x, y)) <= 1e-8
