@@ -86,8 +86,8 @@ def _y_ladder(where: str, value) -> tuple:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
     ladder = tuple(_number(where, v) for v in value)
-    if 0.0 in ladder:
-        raise ConfigError(f"{where} must avoid y = 0")
+    if not ladder or 0.0 in ladder:
+        raise ConfigError(f"{where} must be non-empty and avoid y = 0")
     return ladder
 
 
@@ -315,7 +315,7 @@ def _exp_spectral_mapping(config: ExperimentConfig, outdir: str):
     ]
     checks = []
     for label, f in functions:
-        report = spec.verify_spectral_mapping(t, f, tolerance=tol_d)
+        report = spec.verify_spectral_mapping(t, f)
         checks.append(at_most(f"distance-{label}", report.distance, tol_d))
         checks.append(at_most(f"vf-radius-{label}", report.vf_spectral_radius, config.tol("vf_radius")))
     return checks, dict(n=n, functions=[f[0] for f in functions])
@@ -479,8 +479,7 @@ def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str):
         # strictly positive: a zero constant bounds nothing
         checks.append((f"kernel-lower-bound-beta{beta:g}", m_fit, 0.0, m_fit > 0.0))
     # moment finiteness and the fitted-constant bound at orders 4, 8, 16
-    kernel = EbetaSpec(1.0, config.c)
-    moments = {k: m_moment(float(k), kernel, config.omega) for k in (4, 8, 16)}
+    moments = {k: m_moment(EbetaSpec(float(k), config.c), config.omega) for k in (4, 8, 16)}
     # the smallest M with m_k <= (M / ln k)^k at every order k
     fitted_m = max(math.log(k) * moments[k] ** (1.0 / k) for k in moments)
     checks.append(at_most("moment-log-bound-single-constant", fitted_m, 10.0))
@@ -623,7 +622,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str):
         report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, ladder)
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
         passed = report.classification == expected
-        checks.append((f"{preset}-classified-{expected}", report.trend_slope, 0.1, passed))
+        checks.append((f"{preset}-classified-{expected}", report.trend_slope, sym.GROWTH_SLOPE, passed))
     write_csv(os.path.join(outdir, "boundedness.csv"), "preset,sup_indicator,trend_slope,classification", rows)
     return checks, dict(cases=[c[0] for c in cases])
 

@@ -83,8 +83,8 @@ class KernelSpec:
 
     @classmethod
     def fractional(cls, beta: float) -> "KernelSpec":
-        if not beta > 0:
-            raise ValueError(f"fractional order must be positive, got {beta}")
+        if np.iscomplexobj(beta) or not math.isfinite(beta) or not beta > 0:
+            raise ValueError(f"fractional order must be a positive finite real number, got {beta!r}")
         return cls(kind="fractional", beta=beta)
 
     @classmethod
@@ -191,12 +191,12 @@ def as_entries(t) -> np.ndarray:
     return np.asarray(t, dtype=complex)
 
 
-def wrap_matrix(entries: np.ndarray, omega: float = 1.0, provenance: object = "custom") -> OperatorMatrix:
-    """Wrap a raw square matrix with a synthetic grid of matching size."""
+def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
+    """Wrap a raw square matrix with a synthetic unit-length grid of matching size."""
     entries = np.array(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    return OperatorMatrix(make_grid(omega, entries.shape[0]), entries, provenance)
+    return OperatorMatrix(make_grid(1.0, entries.shape[0]), entries, "custom")
 
 
 def build_multiplication(grid: Grid, phi: Callable) -> OperatorMatrix:
@@ -253,10 +253,15 @@ def build_fractional(grid: Grid, beta: float) -> OperatorMatrix:
     spec = KernelSpec.fractional(beta)
     n, h = grid.n, grid.h
     d = np.arange(n, dtype=float)
-    scale = h**beta / math.gamma(beta + 1.0)
+    try:
+        scale = h**beta / math.gamma(beta + 1.0)
+    except OverflowError as exc:
+        raise ConstructionError(f"fractional order {beta!r} overflows the cell weights") from exc
     col = np.empty(n, dtype=complex)
     col[0] = 0.5**beta * scale
     col[1:] = ((d[1:] + 0.5) ** beta - (d[1:] - 0.5) ** beta) * scale
+    if not np.all(np.isfinite(col)):
+        raise ConstructionError("fractional cell weights are not finite")
     return OperatorMatrix(grid, _toeplitz_lower(col), spec)
 
 
@@ -276,7 +281,10 @@ def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
             cum[d] = e_beta_cumulative((d - 0.5) * h, spec)
     except Exception as exc:
         raise ConstructionError(f"kernel cell quadrature failed: {exc}") from exc
-    col = np.diff(cum) / math.gamma(spec.beta)
+    try:
+        col = np.diff(cum) / math.gamma(spec.beta)
+    except OverflowError as exc:
+        raise ConstructionError(f"Gamma({spec.beta!r}) overflows a double") from exc
     if not np.all(np.isfinite(col)):
         raise ConstructionError("kernel cell integrals are not finite")
     return OperatorMatrix(

@@ -317,8 +317,8 @@ def profile(
     if n_max is None:
         n_max = dim
     y_grid = np.asarray(list(y_ladder), dtype=float)
-    if np.any(y_grid == 0.0):
-        raise ValueError("the ladder must avoid y = 0")
+    if y_grid.size == 0 or np.any(y_grid == 0.0):
+        raise ValueError("the ladder must be non-empty and avoid y = 0")
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
@@ -382,8 +382,6 @@ class LevinsonVerdict:
     verdict: str  # "INTEGRABLE", "DIVERGENT", or "INCONCLUSIVE"
     p: float
     q: float
-    margin: float
-    strongly_decomposable_evidence: bool
     points_used: int
 
 
@@ -420,8 +418,6 @@ def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -
         verdict=verdict,
         p=p,
         q=q,
-        margin=margin,
-        strongly_decomposable_evidence=(verdict == "INTEGRABLE"),
         points_used=int(mask.sum()),
     )
 

@@ -70,10 +70,10 @@ class EbetaSpec:
     c: float = 0.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if np.iscomplexobj(self.c):
-            raise ValueError("damping constant c must be real")
+        if np.iscomplexobj(self.beta) or not math.isfinite(self.beta) or not self.beta > 0:
+            raise ValueError(f"beta must be a positive finite real number, got {self.beta!r}")
+        if np.iscomplexobj(self.c) or not math.isfinite(self.c):
+            raise ValueError(f"damping constant c must be a finite real number, got {self.c!r}")
 
 
 def _log_integrand(s: float, beta: float, c: float, ln_x: float) -> float:
@@ -177,20 +177,15 @@ def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
     return _integrate_log_space(log_f, _peak_location(beta - 2.0, c - ln_a + 1.0))
 
 
-def m_moment(beta: float, spec: EbetaSpec, omega: float) -> float:
-    """Moment ``(1/Gamma(beta)) * integral_0^omega e_beta``.
+def m_moment(spec: EbetaSpec, omega: float) -> float:
+    """Moment ``(1/Gamma(beta)) * integral_0^omega e_beta`` of the kernel ``spec``.
 
-    ``beta`` is the kernel order (so powers ``m(n*beta)`` reuse one spec's
-    damping constant); ``spec.c`` supplies the damping.  Always finite for
-    ``beta > 0``; computed in log space so large orders neither overflow nor
-    underflow.
+    The integral is computed in log space, so it neither overflows nor
+    underflows.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    eff = EbetaSpec(beta=beta, c=spec.c)
-    return e_beta_cumulative(omega, eff) / math.gamma(beta)
+    return e_beta_cumulative(omega, spec) / math.gamma(spec.beta)
 
 
 def stirling_gamma_check(nbeta: float) -> float:

@@ -2,8 +2,8 @@
 
 Spectra, quasinilpotency verdicts, singular-value ideals (trace-class style
 norms and the weighted ``sum s_n / (2n-1)`` norm), spectral-set distances,
-a contour-quadrature functional calculus, and the spectral-mapping checks
-built from it.
+a contour-quadrature functional calculus, and the sigma-equality and
+spectral-mapping measurements that the experiments compare with tolerances.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def spectrum(
     )
 
 
-def eigenvalues_with_machine_noise(t, eps: float = 1e-12, seed: int = 2024) -> np.ndarray:
+def eigenvalues_with_machine_noise(t, eps: float, seed: int) -> np.ndarray:
     """Eigenvalues of ``T + E`` for a seeded perturbation of relative size ``eps``.
 
     Exactly triangular matrices deflate to their diagonal in any dense
@@ -148,13 +148,11 @@ def spectral_distance(a: Iterable[complex], b: Iterable[complex]) -> float:
 @dataclass(frozen=True)
 class SigmaEqualityReport:
     distance: float
-    tolerance: float
-    passed: bool
     split: SplitPair
 
 
-def verify_sigma_equality(t, tolerance: float = 1e-8) -> SigmaEqualityReport:
-    """Check that the spectrum survives the scalar-plus-nilpotent split.
+def verify_sigma_equality(t) -> SigmaEqualityReport:
+    """Measure how far the spectrum moves under the scalar-plus-nilpotent split.
 
     Compares the eigenvalue multiset of ``t`` with the diagonal of its
     ordered Schur form; in finite dimension the two agree exactly, so the
@@ -163,14 +161,14 @@ def verify_sigma_equality(t, tolerance: float = 1e-8) -> SigmaEqualityReport:
     split = split_schur(t)
     eigs = np.linalg.eigvals(as_entries(t))
     dist = spectral_distance(eigs, split.diagonal)
-    return SigmaEqualityReport(dist, tolerance, bool(dist <= tolerance), split)
+    return SigmaEqualityReport(dist, split)
 
 
-def default_contour(eigs: np.ndarray, radius_factor: float = 1.5) -> list:
+def default_contour(eigs: np.ndarray) -> list:
     """One circle centered at the eigenvalue centroid, radius 1.5x the spread."""
     center = complex(np.mean(eigs))
     spread = float(np.max(np.abs(eigs - center))) if eigs.size else 0.0
-    radius = radius_factor * spread if spread > 0 else max(1.0, 0.1 * (1 + abs(center)))
+    radius = 1.5 * spread if spread > 0 else max(1.0, 0.1 * (1 + abs(center)))
     return [(center, radius)]
 
 
@@ -178,15 +176,14 @@ def riesz_calculus(
     t,
     f: Callable[[complex], complex],
     contour: Optional[list] = None,
-    rtol: float = 1e-8,
     start_nodes: int = 256,
     max_nodes: int = 1 << 14,
 ) -> OperatorMatrix:
     """Contour-quadrature functional calculus ``f(T)``.
 
     Trapezoid rule over the given circles (center, radius), doubling the
-    node count from ``start_nodes`` until the result moves by less than
-    ``rtol`` in operator norm; no evaluation uses more than ``max_nodes``
+    node count from ``start_nodes`` until the result moves by at most 1e-8
+    relative in operator norm; no evaluation uses more than ``max_nodes``
     nodes per circle.  The contour must stay clear of the spectrum and ``f``
     must be analytic inside and on it; closeness to an eigenvalue raises
     early instead of silently blowing up the quadrature.
@@ -226,7 +223,7 @@ def riesz_calculus(
         delta = float(np.linalg.norm(refined - current, 2))
         scale = max(float(np.linalg.norm(refined, 2)), 1.0)
         current = refined
-        if delta <= rtol * scale:
+        if delta <= 1e-8 * scale:
             return OperatorMatrix(grid_holder.grid, current, "riesz")
     raise QuadratureError("contour quadrature did not converge within the node budget")
 
@@ -235,16 +232,9 @@ def riesz_calculus(
 class MappingReport:
     distance: float
     vf_spectral_radius: float
-    tolerance: float
-    passed: bool
 
 
-def verify_spectral_mapping(
-    t,
-    f: Callable[[complex], complex],
-    contour: Optional[list] = None,
-    tolerance: float = 1e-6,
-) -> MappingReport:
+def verify_spectral_mapping(t, f: Callable[[complex], complex]) -> MappingReport:
     """Compare ``sigma(f(T))`` with ``f(sigma(T))`` and probe ``f(T) - f(S)``.
 
     The image spectrum comes from the contour calculus; ``f(S)`` is the same
@@ -257,7 +247,7 @@ def verify_spectral_mapping(
     ``eps^(1/n)`` and report pure pseudospectral artifacts.
     """
     entries = as_entries(t)
-    ft = riesz_calculus(t, f, contour=contour)
+    ft = riesz_calculus(t, f)
     sigma_ft = np.linalg.eigvals(ft.entries)
     f_sigma = np.asarray([f(z) for z in np.linalg.eigvals(entries)], dtype=complex)
     dist = spectral_distance(sigma_ft, f_sigma)
@@ -266,12 +256,7 @@ def verify_spectral_mapping(
     f_diag = np.asarray([f(z) for z in split.diagonal], dtype=complex)
     ft_in_chain_basis = q.conj().T @ ft.entries @ q
     rho_vf = float(np.max(np.abs(np.diag(ft_in_chain_basis) - f_diag)))
-    return MappingReport(
-        distance=dist,
-        vf_spectral_radius=rho_vf,
-        tolerance=tolerance,
-        passed=bool(dist <= tolerance),
-    )
+    return MappingReport(dist, rho_vf)
 
 
 def report_to_text(report: SpectralReport) -> str:

@@ -38,6 +38,7 @@ __all__ = [
     "default_xi_ladder",
     "xi_ladder_side_count",
     "MIN_WINDOW",
+    "GROWTH_SLOPE",
     "prop54_residual",
     "boundedness_indicator",
     "non_triangular_witness",
@@ -49,6 +50,8 @@ _QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 400}
 
 # trailing samples per side the limit-set classification needs
 MIN_WINDOW = 16
+
+GROWTH_SLOPE = 0.1  # log-log slope of |xi s_tilde| above which a kernel is "growing"
 
 
 def _complex_quad(func, a: float, b: float, **kwargs) -> complex:
@@ -255,7 +258,7 @@ def boundedness_indicator(
     """Evidence for boundedness of the operator via ``sup |xi s_tilde(xi)|``.
 
     Fits the log-log slope of ``|xi s_tilde(xi)|`` over the outer half of the
-    ladder; a slope above 0.1 classifies as "growing".
+    ladder; a slope above :data:`GROWTH_SLOPE` classifies as "growing".
     """
     if xi_ladder is None:
         xi_ladder = default_xi_ladder()
@@ -267,7 +270,7 @@ def boundedness_indicator(
     half = len(xi) // 2
     logs = np.log(np.abs(xi[half:]))
     slope = float(np.polyfit(logs, np.log(np.maximum(vals[half:], 1e-300)), 1)[0])
-    label = "growing" if slope > 0.1 else "bounded"
+    label = "growing" if slope > GROWTH_SLOPE else "bounded"
     return BoundednessReport(
         sup_value=float(np.max(vals)),
         trend_slope=slope,

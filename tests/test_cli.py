@@ -59,28 +59,46 @@ def test_missing_file_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
-def test_failed_check_exits_one(tmp_path):
+@pytest.mark.parametrize(
+    "experiment,tolerance,failing",
+    [
+        ("sigma-equality", "sigma_distance", "max-sigma-distance-"),
+        # the config tolerances are the only gate on the mapping checks
+        ("spectral-mapping", "vf_radius", "vf-radius-"),
+        ("spectral-mapping", "mapping_distance", "distance-"),
+    ],
+    ids=["sigma-distance", "vf-radius", "mapping-distance"],
+)
+def test_failed_check_exits_one(tmp_path, experiment, tolerance, failing):
     cfg = write_config(
         tmp_path,
         {
-            "experiment": "sigma-equality",
-            "tolerances": {"sigma_distance": 1e-30},
+            "experiment": experiment,
+            "tolerances": {tolerance: 1e-30},
             "output_dir": str(tmp_path / "out"),
         },
     )
     assert main(["run", "--config", cfg]) == 1
+    checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    assert failed and all(name.startswith(failing) for name in failed)
 
 
-def test_numerical_error_exits_three(tmp_path):
-    # a 4-cell grid cannot resolve the fixed probe frequencies: aliasing guard
-    cfg = write_config(
-        tmp_path,
-        {
-            "experiment": "prop54",
-            "grid": {"n": 4},
-            "output_dir": str(tmp_path / "out"),
-        },
-    )
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # a 4-cell grid cannot resolve the fixed probe frequencies: aliasing guard
+        {"experiment": "prop54", "grid": {"n": 4}},
+        # Gamma(beta + 1) of the fractional build overflows a double
+        {"experiment": "resolvent-profile", "grid": {"n": 8}, "kernel": {"beta": 200.0}},
+        {"experiment": "spectral-mapping", "kernel": {"beta": 171.5}},
+        # Gamma(beta) of the log-singular build overflows a double
+        {"experiment": "levinson", "grid": {"n": 8}, "kernel": {"beta": 200.0}},
+    ],
+    ids=["prop54-aliasing", "profile-beta-200", "mapping-beta-171.5", "levinson-beta-200"],
+)
+def test_numerical_error_exits_three(tmp_path, overrides):
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 3
 
 
@@ -95,6 +113,7 @@ def test_numerical_error_exits_three(tmp_path):
         {"experiment": "spectral-mapping", "grid": {"omega": float("inf")}},
         {"experiment": "resolvent-profile", "grid": {"n": 16}, "ladder": {"y": [0.5, 0.0]}},
         {"experiment": "resolvent-profile", "grid": {"n": 16}, "ladder": {"y": [0.5, float("nan")]}},
+        {"experiment": "resolvent-profile", "grid": {"n": 16}, "ladder": {"y": []}},
         {"experiment": "resolvent-profile", "grid": {"n": 16}, "kernel": {"beta": -1.0}},
         {"experiment": "macaev-norms", "seed": True},
         {"experiment": "macaev-norms", "seed": 1.5},
@@ -109,7 +128,7 @@ def test_numerical_error_exits_three(tmp_path):
         {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 10**6}},
         {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 2000}},
     ],
-    ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan",
+    ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan", "y-empty",
          "beta-neg", "seed-true", "seed-1.5", "xi-per-octave-0", "xi-per-octave-neg",
          "experiment-list", "xi-k-max-5", "witness-tol-neg", "witness-tol-0", "xi-k-max-1024",
          "xi-k-max-1000000", "xi-per-octave-1000000", "xi-per-octave-2000"],

@@ -67,7 +67,7 @@ def test_l2_norm_linear_function():
     assert l2_norm(f) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
 )

@@ -198,7 +198,7 @@ def test_ebeta_operator_norm_below_moment():
     g = make_grid(1.0, 256)
     kernel = EbetaSpec(1.0, 0.0)
     op = build_ebeta_operator(g, kernel)
-    assert operator_norm(op) <= m_moment(1.0, kernel, 1.0)
+    assert operator_norm(op) <= m_moment(kernel, 1.0)
 
 
 def test_ebeta_zero_above_diagonal():
@@ -546,13 +546,37 @@ def test_fractional_imaginary_rejects_non_real_alpha(alpha):
 def test_kernel_parameters_are_checked_by_their_spec():
     g = make_grid(1.0, 4)
     for beta in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="fractional order must be positive"):
+        with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
             build_fractional(g, beta)
-        with pytest.raises(ValueError, match="beta must be positive"):
+        with pytest.raises(ValueError, match="beta must be a positive finite real number"):
             KernelSpec.ebeta(beta)
-    with pytest.raises(ValueError, match="damping constant c must be real"):
+    with pytest.raises(ValueError, match="damping constant c must be a finite real number"):
         KernelSpec.ebeta(1.0, 0.5j)
     assert build_fractional(g, 0.5).provenance == KernelSpec.fractional(0.5)
+
+
+@pytest.mark.parametrize("beta", [1 + 1j, np.complex64(1.0), float("inf"), float("-inf")])
+def test_fractional_order_must_be_a_finite_real_number(beta):
+    with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
+        KernelSpec.fractional(beta)
+    with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
+        build_fractional(make_grid(1.0, 4), beta)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_fractional(make_grid(1.0, 8), 200.0),  # Gamma(201) overflows
+        lambda: build_fractional(make_grid(100.0, 2), 200.0),  # h**beta overflows
+        lambda: build_fractional(make_grid(1.0, 2048), 170.0),  # inf * 0 weights
+        lambda: build_ebeta_operator(make_grid(1.0, 8), EbetaSpec(200.0)),  # Gamma(200) overflows
+    ],
+    ids=["fractional-gamma", "fractional-h-power", "fractional-nan", "ebeta-gamma"],
+)
+def test_large_orders_raise_construction_error(build):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConstructionError):
+            build()
 
 
 @pytest.mark.parametrize(

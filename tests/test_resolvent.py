@@ -37,10 +37,7 @@ from .strategies import triangular_operators
 
 def _phi_plus_fractional(n=64, beta=1.0, omega=1.0):
     g = make_grid(omega, n)
-    t = wrap_matrix(
-        build_multiplication(g, lambda x: x).entries + build_fractional(g, beta).entries,
-        omega=omega,
-    )
+    t = _phi_plus(g, build_fractional(g, beta).entries)
     return t, split_given_basis(t)
 
 
@@ -277,6 +274,8 @@ def test_profile_rejects_zero_ladder_point():
     t, pair = _phi_plus_fractional(16, 1.0)
     with pytest.raises(ValueError):
         profile(pair, [0.5, 0.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        profile(pair, [])
 
 
 def test_fitted_p_reproducible_on_disjoint_half_ladders():
@@ -346,7 +345,6 @@ def test_levinson_integrable_on_subcritical_law():
     verdict = levinson_classify(prof)
     assert verdict.verdict == "INTEGRABLE"
     assert verdict.p == pytest.approx(0.5, abs=0.1)
-    assert verdict.strongly_decomposable_evidence
 
 
 def test_levinson_divergent_on_supercritical_law():
@@ -356,7 +354,6 @@ def test_levinson_divergent_on_supercritical_law():
     verdict = levinson_classify(prof)
     assert verdict.verdict == "DIVERGENT"
     assert verdict.p == pytest.approx(2.0, abs=0.2)
-    assert not verdict.strongly_decomposable_evidence
 
 
 def test_levinson_inconclusive_near_critical():
