@@ -60,6 +60,13 @@ def _positive(where: str, value) -> float:
     return value
 
 
+def _non_negative(where: str, value) -> float:
+    value = _number(where, value)
+    if value < 0:
+        raise ConfigError(f"{where} must be non-negative, got {value!r}")
+    return value
+
+
 def _integer(where: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -126,6 +133,8 @@ _SCHEMA = {
     # replaces the entry above: the witness compares separations against
     # witness_tol, so it must be positive
     ("tolerances", "witness_tol"): ("tolerances", _positive),
+    # a negative margin turns the INCONCLUSIVE band inside out
+    ("tolerances", "levinson_margin"): ("tolerances", _non_negative),
     ("seed",): ("seed", _integer),
     ("output_dir",): ("output_dir", _path),
     ("cache_dir",): ("cache_dir", _path),

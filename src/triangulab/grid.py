@@ -72,10 +72,11 @@ class GridFunction:
 def make_grid(omega: float, n: int) -> Grid:
     """Build the uniform midpoint grid on (0, omega).
 
-    Raises ``ValueError`` unless ``omega > 0`` and ``n`` is an integer ``>= 2``.
+    Raises ``ValueError`` unless ``omega`` is positive and finite and ``n``
+    is an integer ``>= 2``.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"the cell count must be an integer, got {n!r}")
     if n < 2:

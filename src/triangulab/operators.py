@@ -167,21 +167,27 @@ class OperatorMatrix:
 class SplitPair:
     """Scalar-plus-quasinilpotent split ``T = Q (S + N) Q*``.
 
-    ``s_part`` is diagonal, ``n_part`` strictly triangular in the split
-    basis (so its n-th power vanishes exactly), and ``unitary`` is the
-    change of basis (identity when the split happened in the given basis).
+    ``triangle`` is ``R = S + N``, triangular in the split basis, and
+    ``unitary`` is the change of basis ``Q`` (identity when the split
+    happened in the given basis).  ``diagonal`` is ``S`` as a vector and
+    ``strict`` is ``N``, strictly triangular, so its n-th power vanishes
+    exactly.
     """
 
-    s_part: OperatorMatrix
-    n_part: OperatorMatrix
+    triangle: np.ndarray
     unitary: np.ndarray
 
     def __post_init__(self):
+        self.triangle.setflags(write=False)
         self.unitary.setflags(write=False)
 
     @property
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.s_part.entries)
+        return np.diag(self.triangle)
+
+    @property
+    def strict(self) -> np.ndarray:
+        return self.triangle - np.diag(self.diagonal)
 
 
 def as_entries(t) -> np.ndarray:
@@ -363,16 +369,9 @@ def split_given_basis(t: OperatorMatrix) -> SplitPair:
     exact zero patterns); anything else should go through
     :func:`split_schur`.
     """
-    entries = t.entries
-    if np.any(np.triu(entries, 1) != 0):
+    if np.any(np.triu(t.entries, 1) != 0):
         raise ValueError("matrix is not lower triangular; use split_schur")
-    s_part = np.diag(np.diag(entries))
-    n_part = entries - s_part
-    return SplitPair(
-        s_part=OperatorMatrix(t.grid, s_part, "split:diagonal"),
-        n_part=OperatorMatrix(t.grid, n_part, "split:strict"),
-        unitary=np.eye(t.n, dtype=complex),
-    )
+    return SplitPair(triangle=t.entries, unitary=np.eye(t.n, dtype=complex))
 
 
 def _swap_adjacent(r: np.ndarray, q: np.ndarray, k: int) -> None:
@@ -400,12 +399,9 @@ def split_schur(t: OperatorMatrix) -> SplitPair:
 
     Computes a complex Schur form and reorders its diagonal by ascending
     real part (ties by ascending imaginary part) with exact unitary swaps,
-    so the returned split is deterministic.  ``s_part`` is the diagonal of
-    ``R``, ``n_part`` the strictly upper part.
+    so the returned split is deterministic.  ``R`` is upper triangular.
     """
     entries = as_entries(t)
-    if not isinstance(t, OperatorMatrix):
-        t = wrap_matrix(entries)
     try:
         r, q = scipy.linalg.schur(entries, output="complex")
     except scipy.linalg.LinAlgError as exc:
@@ -423,17 +419,11 @@ def split_schur(t: OperatorMatrix) -> SplitPair:
         if not swapped:
             break
     r = np.triu(r)
-    s_part = np.diag(np.diag(r))
-    n_part = r - s_part
     scale = max(float(np.linalg.norm(entries, 2)), 1e-300)
     residual = float(np.linalg.norm(q @ r @ q.conj().T - entries, 2)) / scale
     if residual > 1e-10:
         raise NumericalError(f"Schur reconstruction residual {residual:g} exceeds 1e-10")
-    return SplitPair(
-        s_part=OperatorMatrix(t.grid, s_part, "schur:diagonal"),
-        n_part=OperatorMatrix(t.grid, n_part, "schur:strict"),
-        unitary=q,
-    )
+    return SplitPair(triangle=r, unitary=q)
 
 
 def chain_projection(grid: Grid, t_param: float) -> OperatorMatrix:

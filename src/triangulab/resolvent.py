@@ -52,11 +52,12 @@ def resolvent_norm(t, lam: complex) -> float:
     return 1.0 / smin
 
 
-def _require_real_diagonal(split: SplitPair) -> np.ndarray:
+def _real_split(split: SplitPair) -> tuple:
+    """The split's ``(real diagonal S, strict part N)``; chain norms need a real ``S``."""
     diag = split.diagonal
     if np.max(np.abs(diag.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(diag)))):
         raise ValueError("scalar part must be self-adjoint (real diagonal) for chain norms")
-    return diag.real
+    return diag.real, split.strict
 
 
 def _dense_log_norm(b: np.ndarray, k: int) -> float:
@@ -173,8 +174,8 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
         raise ValueError("chain norms require Im(lambda) != 0")
     if n < 1:
         raise ValueError("power must be a positive integer")
-    diag = _require_real_diagonal(split)
-    b = (-lam.imag / (diag - lam))[:, None] * split.n_part.entries
+    diag, v = _real_split(split)
+    b = (-lam.imag / (diag - lam))[:, None] * v
     return math.exp(_dense_log_norm(b, n))
 
 
@@ -288,7 +289,7 @@ def profile(
     ``x_samples`` points (``power_x_samples`` trims the expensive chain sweep
     independently of the resolvent envelope sweep), the crossing count is
     ``N(y) = #{n <= n_max : r_n(y) > |y|/2}``, and the envelope is
-    ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T = S + N`` in the split's basis,
+    ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T`` the split's triangle,
     the same for every split of one operator (unlike ``r_n`` and ``N``).
     Chains stop early once ``r_n`` sits well below the counting threshold
     for several consecutive steps, which cannot create false counts because
@@ -308,17 +309,16 @@ def profile(
     ``chain_fallbacks`` counts those.  When ``V`` has no imaginary part, as
     for every real kernel, the chain sweep applies ``V`` by real GEMM.
     """
-    entries = split.s_part.entries + split.n_part.entries
-    diag = _require_real_diagonal(split)
-    v = split.n_part.entries
+    entries = split.triangle
+    diag, v = _real_split(split)
     if not np.any(v.imag):
         v = np.ascontiguousarray(v.real)  # real GEMMs in the chain sweep
     dim = entries.shape[0]
     if n_max is None:
         n_max = dim
     y_grid = np.asarray(list(y_ladder), dtype=float)
-    if y_grid.size == 0 or np.any(y_grid == 0.0):
-        raise ValueError("the ladder must be non-empty and avoid y = 0")
+    if y_grid.size == 0 or np.any(y_grid == 0.0) or not np.all(np.isfinite(y_grid)):
+        raise ValueError("the ladder must be non-empty, finite and avoid y = 0")
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
@@ -397,8 +397,11 @@ def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -
     strong decomposability); ``p > 1 + margin`` is DIVERGENT, meaning only
     that this sufficient condition failed; anything in between is
     INCONCLUSIVE.  The margin absorbs the fit noise observed on geometric
-    ladders so the verdict does not flip on rounding.
+    ladders so the verdict does not flip on rounding; a negative margin
+    raises ``ValueError``.
     """
+    if not margin >= 0:
+        raise ValueError(f"margin must be non-negative, got {margin!r}")
     mask = prof.fit_mask
     if mask.sum() < 4:
         raise InsufficientDataError(
@@ -439,14 +442,13 @@ def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None
     """Relative gap between the direct resolvent and the truncated chain series.
 
     Evaluates ``(I + sum_{n<=n_max} c_n / (Im lambda)^n)(S - lambda)^{-1}``
-    against a dense solve of ``(T - lambda)^{-1}``, ``T = S + N`` in the
-    split's basis; exact (to rounding) at ``n_max = dim``.
+    against a dense solve of ``(T - lambda)^{-1}``, ``T`` the split's
+    triangle; exact (to rounding) at ``n_max = dim``.
     """
     if lam.imag == 0.0:
         raise ValueError("the expansion needs Im(lambda) != 0")
-    entries = split.s_part.entries + split.n_part.entries
-    diag = _require_real_diagonal(split)
-    v = split.n_part.entries
+    entries = split.triangle
+    diag, v = _real_split(split)
     dim = entries.shape[0]
     if n_max is None:
         n_max = dim

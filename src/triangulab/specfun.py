@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .exceptions import QuadratureError
+from .exceptions import NumericalError, QuadratureError
 
 __all__ = [
     "EbetaSpec",
@@ -111,14 +111,20 @@ def _integrate_log_space(log_f, s_peak: float) -> float:
         s = q * q
         return 2.0 * q * math.exp(log_f(s) - shift)
 
-    head, head_err = integrate.quad(f_head, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
-    tail, tail_err = integrate.quad(f_tail, 1.0, s_max, epsabs=0.0, epsrel=1e-11, limit=200)
-    total = head + tail
-    if total <= 0.0 or not math.isfinite(total):
-        raise QuadratureError("kernel quadrature returned a non-positive value")
-    if head_err + tail_err > 1e-8 * total:
-        raise QuadratureError("kernel quadrature did not reach the accuracy contract")
-    return math.exp(shift) * total
+    try:
+        head, head_err = integrate.quad(f_head, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
+        tail, tail_err = integrate.quad(f_tail, 1.0, s_max, epsabs=0.0, epsrel=1e-11, limit=200)
+        total = head + tail
+        if total <= 0.0 or not math.isfinite(total):
+            raise QuadratureError("kernel quadrature returned a non-positive value")
+        if head_err + tail_err > 1e-8 * total:
+            raise QuadratureError("kernel quadrature did not reach the accuracy contract")
+        value = math.exp(shift) * total
+    except OverflowError as exc:
+        raise QuadratureError("kernel quadrature overflows a double") from exc
+    if not math.isfinite(value):
+        raise QuadratureError("kernel quadrature overflows a double")
+    return value
 
 
 # Coarse scan grid of _peak_location, with its parameter-free terms.
@@ -180,12 +186,17 @@ def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
 def m_moment(spec: EbetaSpec, omega: float) -> float:
     """Moment ``(1/Gamma(beta)) * integral_0^omega e_beta`` of the kernel ``spec``.
 
-    The integral is computed in log space, so it neither overflows nor
-    underflows.
+    The integral is computed in log space; a result that overflows a double
+    raises :class:`QuadratureError`, and an order whose ``Gamma(beta)``
+    overflows raises :class:`NumericalError`.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return e_beta_cumulative(omega, spec) / math.gamma(spec.beta)
+    try:
+        gamma_beta = math.gamma(spec.beta)
+    except OverflowError as exc:
+        raise NumericalError(f"Gamma({spec.beta!r}) overflows a double") from exc
+    return e_beta_cumulative(omega, spec) / gamma_beta
 
 
 def stirling_gamma_check(nbeta: float) -> float:

@@ -79,9 +79,9 @@ def _oscillatory_integral(w: Callable, omega: float, xi: float) -> complex:
     if xi == 0.0 or abs(xi) * omega <= 8.0:
         return _complex_quad(w_wave, 0.0, omega)
     head = min(0.5 * omega, 1.0 / (4.0 * abs(xi)))
-    cos_part = _complex_quad(w, head, omega, weight="cos", wvar=xi)
-    sin_part = _complex_quad(w, head, omega, weight="sin", wvar=xi)
-    return _complex_quad(w_wave, 0.0, head) + (cos_part + 1j * sin_part)
+    cos_term = _complex_quad(w, head, omega, weight="cos", wvar=xi)
+    sin_term = _complex_quad(w, head, omega, weight="sin", wvar=xi)
+    return _complex_quad(w_wave, 0.0, head) + (cos_term + 1j * sin_term)
 
 
 def weighted_transform(s: Callable, omega: float, xi: float) -> complex:

@@ -94,8 +94,11 @@ def test_failed_check_exits_one(tmp_path, experiment, tolerance, failing):
         {"experiment": "spectral-mapping", "kernel": {"beta": 171.5}},
         # Gamma(beta) of the log-singular build overflows a double
         {"experiment": "levinson", "grid": {"n": 8}, "kernel": {"beta": 200.0}},
+        # the kernel moments on (0, 1e6) overflow a double
+        {"experiment": "ebeta-asymptotics", "grid": {"omega": 1e6}},
     ],
-    ids=["prop54-aliasing", "profile-beta-200", "mapping-beta-171.5", "levinson-beta-200"],
+    ids=["prop54-aliasing", "profile-beta-200", "mapping-beta-171.5", "levinson-beta-200",
+         "asymptotics-omega-1e6"],
 )
 def test_numerical_error_exits_three(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})
@@ -127,11 +130,13 @@ def test_numerical_error_exits_three(tmp_path, overrides):
         {"experiment": "macaev-norms", "ladder": {"xi_k_max": 10**6}},
         {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 10**6}},
         {"experiment": "macaev-norms", "ladder": {"xi_per_octave": 2000}},
+        {"experiment": "levinson", "tolerances": {"levinson_margin": -0.5}},
     ],
     ids=["n-1", "n-2.9", "n-true", "omega-0", "omega-neg", "omega-inf", "y-0", "y-nan", "y-empty",
          "beta-neg", "seed-true", "seed-1.5", "xi-per-octave-0", "xi-per-octave-neg",
          "experiment-list", "xi-k-max-5", "witness-tol-neg", "witness-tol-0", "xi-k-max-1024",
-         "xi-k-max-1000000", "xi-per-octave-1000000", "xi-per-octave-2000"],
+         "xi-k-max-1000000", "xi-per-octave-1000000", "xi-per-octave-2000",
+         "levinson-margin-negative"],
 )
 def test_bad_config_values_exit_two(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})

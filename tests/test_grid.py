@@ -30,7 +30,10 @@ def test_make_grid_omega_two():
     np.testing.assert_allclose(g.nodes, [0.5, 1.5])
 
 
-@pytest.mark.parametrize("omega,n", [(1.0, 0), (1.0, 1), (0.0, 4), (-2.0, 4), (1.0, 2.5)])
+@pytest.mark.parametrize(
+    "omega,n",
+    [(1.0, 0), (1.0, 1), (0.0, 4), (-2.0, 4), (1.0, 2.5), (math.inf, 4), (math.nan, 4)],
+)
 def test_make_grid_rejects_bad_arguments(omega, n):
     with pytest.raises(ValueError):
         make_grid(omega, n)

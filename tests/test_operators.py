@@ -285,9 +285,9 @@ def test_imaginary_fractional_radius_lower_bound_at_512():
 def test_split_given_basis_two_by_two():
     t = wrap_matrix(np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex))
     pair = split_given_basis(t)
-    np.testing.assert_allclose(pair.s_part.entries, np.diag([1.0, 2.0]))
-    np.testing.assert_allclose(pair.n_part.entries, [[0.0, 0.0], [1.0, 0.0]])
-    assert np.all(np.linalg.matrix_power(pair.n_part.entries, 2) == 0)
+    np.testing.assert_allclose(pair.diagonal, [1.0, 2.0])
+    np.testing.assert_allclose(pair.strict, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.all(np.linalg.matrix_power(pair.strict, 2) == 0)
     eigs = sorted(np.linalg.eigvals(t.entries).real)
     np.testing.assert_allclose(eigs, [1.0, 2.0], atol=1e-14)
 
@@ -303,14 +303,15 @@ def test_split_given_basis_roundtrip_exact():
     entries = np.tril(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     t = wrap_matrix(entries)
     pair = split_given_basis(t)
-    assert np.all(pair.s_part.entries + pair.n_part.entries == entries)
+    assert pair.triangle.tobytes() == entries.tobytes()
+    assert np.all(np.diag(pair.diagonal) + pair.strict == entries)
     assert np.all(pair.unitary == np.eye(8))
 
 
 def test_split_schur_diagonal_input_has_zero_nilpotent_part():
     t = wrap_matrix(np.diag([3.0, 1.0, 2.0]).astype(complex))
     pair = split_schur(t)
-    assert np.max(np.abs(pair.n_part.entries)) <= 1e-12
+    assert np.max(np.abs(pair.strict)) <= 1e-12
 
 
 def test_split_schur_eigenvalues_match_cardano_oracle():
@@ -329,7 +330,7 @@ def test_split_schur_random_matrix_preserves_spectrum():
 
 def test_split_schur_nilpotent_input():
     pair = split_schur(wrap_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
-    assert np.max(np.abs(pair.s_part.entries)) <= 1e-14
+    assert np.max(np.abs(pair.diagonal)) <= 1e-14
 
 
 def test_split_schur_unitary_and_reconstruction():
@@ -338,7 +339,7 @@ def test_split_schur_unitary_and_reconstruction():
     pair = split_schur(wrap_matrix(a))
     q = pair.unitary
     assert np.linalg.norm(q.conj().T @ q - np.eye(12), 2) <= 1e-12
-    recon = q @ (pair.s_part.entries + pair.n_part.entries) @ q.conj().T
+    recon = q @ pair.triangle @ q.conj().T
     assert np.linalg.norm(recon - a, 2) <= 1e-10 * np.linalg.norm(a, 2)
 
 
@@ -361,7 +362,7 @@ def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
     for m in (a, q @ a @ q.conj().T):
         pair = split_schur(wrap_matrix(m))
         u = pair.unitary
-        recon = u @ (pair.s_part.entries + pair.n_part.entries) @ u.conj().T
+        recon = u @ pair.triangle @ u.conj().T
         assert np.linalg.norm(recon - m, 2) <= 1e-10 * np.linalg.norm(m, 2)
         keys = [(z.real, z.imag) for z in pair.diagonal]
         assert keys == sorted(keys)
@@ -371,9 +372,10 @@ def test_split_schur_strict_part_is_strictly_triangular():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     pair = split_schur(wrap_matrix(a))
-    n_part = pair.n_part.entries
-    assert np.all(np.tril(n_part) == 0)
-    assert np.all(np.linalg.matrix_power(n_part, 6) == 0)
+    strict = pair.strict
+    assert np.all(np.tril(strict) == 0)
+    assert np.all(np.linalg.matrix_power(strict, 6) == 0)
+    assert np.all(np.diag(pair.diagonal) + strict == pair.triangle)
 
 
 # ---------------------------------------------------------------- chains

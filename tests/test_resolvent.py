@@ -81,7 +81,7 @@ def test_c_norm_zero_nilpotent_part():
 def test_c_norm_bounded_by_nilpotent_norm_power():
     # each chain factor has norm at most ||V|| since dist(lambda, sigma(S)) >= |Im lambda|
     t, pair = _phi_plus_fractional(48, 1.0)
-    v_norm = np.linalg.norm(pair.n_part.entries, 2)
+    v_norm = np.linalg.norm(pair.strict, 2)
     for n in (1, 2, 5, 9):
         assert c_norm(pair, 0.3 + 0.25j, n) <= v_norm**n * (1 + 1e-12)
 
@@ -118,7 +118,7 @@ def _assert_sweep_matches_c_norm(pair, powers):
 def test_profile_estimator_matches_exact_chain_norms():
     # a real V: the sweep applies it by real GEMM
     t, pair = _phi_plus_fractional(48, 1.0)
-    assert not np.any(pair.n_part.entries.imag)
+    assert not np.any(pair.strict.imag)
     _assert_sweep_matches_c_norm(pair, (1, 3, 8, 15))
 
 
@@ -128,7 +128,7 @@ def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
     t, _ = _phi_plus_fractional(48, 1.0)
     phase = np.exp(1j * np.linspace(0.0, 3.0, 48))
     schur = split_schur(wrap_matrix(phase[:, None] * t.entries * phase.conj()[None, :]))
-    assert np.any(schur.n_part.entries.imag)
+    assert np.any(schur.strict.imag)
     # its chains stop one power earlier (r_15 reads 0.0): compare up to r_14
     _assert_sweep_matches_c_norm(schur, (1, 3, 8, 14))
 
@@ -276,6 +276,9 @@ def test_profile_rejects_zero_ladder_point():
         profile(pair, [0.5, 0.0])
     with pytest.raises(ValueError, match="non-empty"):
         profile(pair, [])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            profile(pair, [0.5, bad])
 
 
 def test_fitted_p_reproducible_on_disjoint_half_ladders():
@@ -364,6 +367,17 @@ def test_levinson_inconclusive_near_critical():
     assert verdict.verdict == "INCONCLUSIVE"
 
 
+def test_levinson_rejects_a_negative_margin():
+    # a margin of -0.5 would read this near-critical law (p close to 1) as INTEGRABLE
+    ys = np.geomspace(1.0, 0.1, 8)
+    counts = np.rint(np.exp(3.0 * ys ** (-1.0))).astype(np.int64)
+    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0), n_max=10**18)
+    for margin in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            levinson_classify(prof, margin=margin)
+    levinson_classify(prof, margin=0.0)  # a zero-width band is allowed
+
+
 def test_levinson_requires_enough_points():
     ys = np.geomspace(1.0, 0.1, 5)
     counts = np.array([1, 1, 0, 3, 4])  # only two usable points
@@ -416,7 +430,7 @@ def test_neumann_series_exact_for_nilpotent_part():
 
 
 def test_neumann_series_exact_in_the_schur_basis():
-    # the series and the dense inverse both use T = S + N in the split's basis
+    # the series and the dense inverse both use T, the split's triangle
     t, _ = _phi_plus_fractional(64, 1.0)
     pair = split_schur(t)
     for x in (-0.5, 0.3, 1.2):
@@ -479,7 +493,7 @@ def test_lockstep_chains_match_single_chain_runs():
     # batching the x samples couples no columns: the block result is the
     # maximum of one-column runs, including where chains stop or die
     t, pair = _phi_plus_fractional(48, 1.0)
-    v = pair.n_part.entries
+    v = pair.strict
     xs = np.linspace(-1.0, 2.0, 9)
     for y in (0.5, 0.125):
         d = -y / (pair.diagonal.real[:, None] - (xs + 1j * y)[None, :])

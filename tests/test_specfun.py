@@ -14,6 +14,7 @@ from triangulab import (
     m_moment,
     stirling_gamma_check,
 )
+from triangulab.exceptions import NumericalError, QuadratureError
 
 mp.mp.dps = 40
 
@@ -161,6 +162,14 @@ def test_moment_finite_across_orders():
     for beta in (0.25, 0.5, 1.0, 4.0, 16.0):
         value = m_moment(EbetaSpec(beta, 0.0), 1.0)
         assert math.isfinite(value) and value > 0
+
+
+def test_moment_overflow_raises_package_errors():
+    # Gamma(172) and the moment on (0, 1e6) both exceed a double
+    with pytest.raises(NumericalError, match="Gamma"):
+        m_moment(EbetaSpec(172.0, 0.0), 1.0)
+    with pytest.raises(QuadratureError, match="overflows"):
+        m_moment(EbetaSpec(4.0, 0.0), 1e6)
 
 
 def test_moment_omega_dependence():
