@@ -22,15 +22,16 @@ import numpy as np
 from . import resolvent as res
 from . import spectral as spec
 from . import symbol as sym
+from .exceptions import NumericalError
 from .grid import Grid, make_grid
 from .operators import (
     KERNEL_PRESETS,
     KernelSpec,
     OperatorMatrix,
+    build_difference_operator,
     build_ebeta_operator,
     build_fractional,
     build_imaginary_fractional,
-    build_operator,
     load_matrix,
     operator_norm,
     save_matrix,
@@ -255,7 +256,7 @@ class Summary:
 
 def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
     """``phi + V`` with ``phi(x) = x`` on ``grid`` and ``V`` given by its entries."""
-    return OperatorMatrix(grid, np.diag(grid.nodes) + v, "custom")
+    return OperatorMatrix(grid, np.diag(grid.nodes) + v)
 
 
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
@@ -280,7 +281,7 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
             and abs(cached.grid.omega - grid.omega) < 1e-12
             and abs(cached.entries[0, 0] - first) <= 1e-12 * abs(first)
         ):
-            return OperatorMatrix(grid, cached.entries, KernelSpec.ebeta(beta, config.c))
+            return OperatorMatrix(grid, cached.entries)
     op = build_ebeta_operator(grid, kernel)
     os.makedirs(config.cache_dir, exist_ok=True)
     # write under a name no reader looks for, then rename it into place
@@ -544,13 +545,13 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str):
             config, prof, f"verdict-beta{beta:g}-{expected.lower()}", expected
         )
         checks.append(check)
-        # the smallest M with ln N(y) <= (2M / |y|)^(1/beta) at every fitted point
+        # the smallest M that bounds the crossing count at every fitted point
         mask = prof.fit_mask
         if mask.sum():
             y = prof.y_grid[mask]
             ln_n = np.log(prof.count_n[mask].astype(float))
             m_fit = max(
-                0.5 * float(yv) * float(lv) ** beta for yv, lv in zip(y, ln_n)
+                res.count_bound_constant(beta, float(lv), float(yv)) for yv, lv in zip(y, ln_n)
             )
             checks.append(at_most(f"count-bound-beta{beta:g}", m_fit, 10.0))
     # kernel-bound variant: e_beta dominates the simpler log-singular envelope
@@ -567,7 +568,10 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str):
 def _ring_radii(alpha: float) -> tuple:
     """``(exp(-alpha pi/2), exp(alpha pi/2))``: the modulus of the symbol of
     ``J^{i alpha}`` as ``xi -> +inf`` and as ``xi -> -inf``."""
-    return math.exp(-alpha * math.pi / 2.0), math.exp(alpha * math.pi / 2.0)
+    try:
+        return math.exp(-alpha * math.pi / 2.0), math.exp(alpha * math.pi / 2.0)
+    except OverflowError as exc:
+        raise NumericalError(f"ring radius exp(|alpha| pi/2) overflows at alpha = {alpha!r}") from exc
 
 
 def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
@@ -610,7 +614,8 @@ def _exp_prop54(config: ExperimentConfig, outdir: str):
     decreasing = residuals[0] > residuals[1] > residuals[2]
     checks = [("residual-strictly-decreasing", residuals[-1], residuals[0], decreasing)]
     # the identity-kernel case collapses to quadrature noise at full periods
-    ident = build_operator(grid, KernelSpec.preset("one"))
+    one = KernelSpec.preset("one")
+    ident = build_difference_operator(grid, one.s, one.s_antiderivative)
     xi0 = 2.0 * math.pi * round(64.0 * config.omega / (2.0 * math.pi)) / config.omega
     r_ident = sym.prop54_residual(ident, xi0)
     checks.append(at_most("identity-kernel-residual", r_ident, 1e-8))

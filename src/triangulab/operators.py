@@ -35,7 +35,6 @@ __all__ = [
     "build_ebeta_operator",
     "build_difference_operator",
     "build_imaginary_fractional",
-    "build_operator",
     "split_given_basis",
     "split_schur",
     "chain_projection",
@@ -53,48 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Descriptor of a closed-form kernel family.
+    """Difference kernel ``s`` on ``(0, omega)`` and, when known, its
+    antiderivative ``s_antiderivative`` vanishing at 0."""
 
-    Exactly one kind is populated; the classmethods are the only supported
-    constructors.  ``phi`` is the bounded real multiplication symbol, ``v``
-    a Volterra kernel on ``0 <= t <= x <= omega``, ``s`` a difference kernel
-    on ``(0, omega)`` with its antiderivative ``s_antiderivative`` (vanishing
-    at 0); ``beta``, ``c`` and ``alpha`` parametrize the fractional,
-    log-singular and imaginary-order families.  The imaginary-order kind
-    carries its difference-kernel handles too.
-    """
-
-    kind: str
-    phi: Optional[Callable] = None
-    v: Optional[Callable] = None
-    s: Optional[Callable] = None
+    s: Callable
     s_antiderivative: Optional[Callable] = None
-    beta: Optional[float] = None
-    c: Optional[float] = None
-    alpha: Optional[float] = None
-
-    @classmethod
-    def multiplication(cls, phi: Callable) -> "KernelSpec":
-        return cls(kind="multiplication", phi=phi)
-
-    @classmethod
-    def volterra(cls, v: Callable) -> "KernelSpec":
-        return cls(kind="volterra", v=v)
-
-    @classmethod
-    def fractional(cls, beta: float) -> "KernelSpec":
-        if np.iscomplexobj(beta) or not math.isfinite(beta) or not beta > 0:
-            raise ValueError(f"fractional order must be a positive finite real number, got {beta!r}")
-        return cls(kind="fractional", beta=beta)
-
-    @classmethod
-    def ebeta(cls, beta: float, c: float = 0.0) -> "KernelSpec":
-        EbetaSpec(beta, c)  # validates both parameters
-        return cls(kind="ebeta", beta=beta, c=c)
-
-    @classmethod
-    def difference(cls, s: Callable, s_antiderivative: Optional[Callable] = None) -> "KernelSpec":
-        return cls(kind="difference", s=s, s_antiderivative=s_antiderivative)
 
     @classmethod
     def fractional_imaginary(cls, alpha: float) -> "KernelSpec":
@@ -104,20 +66,22 @@ class KernelSpec:
         if np.iscomplexobj(alpha) or not math.isfinite(alpha):
             raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
         if alpha == 0.0:
-            s, s_anti = _DIFFERENCE_PRESETS["one"]
-        else:
-            g1 = gamma_complex(1.0 + 1j * alpha)
-            g2 = gamma_complex(2.0 + 1j * alpha)
+            return cls(*_DIFFERENCE_PRESETS["one"])
+        g1 = gamma_complex(1.0 + 1j * alpha)
+        g2 = gamma_complex(2.0 + 1j * alpha)
+        # |Gamma(1 + i alpha)| decays like exp(-pi |alpha| / 2)
+        if not all(g != 0 and cmath.isfinite(1.0 / g) for g in (g1, g2)):
+            raise NumericalError(f"1/Gamma(1 + i alpha) overflows a double at alpha = {alpha!r}")
 
-            def s(t: float) -> complex:
-                return cmath.exp(1j * alpha * math.log(t)) / g1
+        def s(t: float) -> complex:
+            return cmath.exp(1j * alpha * math.log(t)) / g1
 
-            def s_anti(u: float) -> complex:
-                if u == 0.0:
-                    return 0.0 + 0.0j
-                return u * cmath.exp(1j * alpha * math.log(u)) / g2
+        def s_anti(u: float) -> complex:
+            if u == 0.0:
+                return 0.0 + 0.0j
+            return u * cmath.exp(1j * alpha * math.log(u)) / g2
 
-        return cls(kind="fractional_imaginary", alpha=alpha, s=s, s_antiderivative=s_anti)
+        return cls(s, s_anti)
 
     @classmethod
     def preset(cls, name: str, alpha: float = 1.0) -> "KernelSpec":
@@ -130,7 +94,7 @@ class KernelSpec:
             return cls.fractional_imaginary(alpha)
         if name not in _DIFFERENCE_PRESETS:
             raise ValueError(f"unknown kernel preset {name!r}; known: {list(KERNEL_PRESETS)}")
-        return cls.difference(*_DIFFERENCE_PRESETS[name])
+        return cls(*_DIFFERENCE_PRESETS[name])
 
 
 # name -> (s, antiderivative of s vanishing at 0)
@@ -144,11 +108,11 @@ KERNEL_PRESETS = tuple(_DIFFERENCE_PRESETS) + ("imaginary_power",)
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix tagged with its grid and provenance."""
+    """Dense complex matrix on its grid; ``kernel`` is set by difference-kernel builds."""
 
     grid: Grid
     entries: np.ndarray
-    provenance: object
+    kernel: Optional[KernelSpec] = None
 
     def __post_init__(self):
         n = self.grid.n
@@ -202,16 +166,21 @@ def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
     entries = np.array(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    return OperatorMatrix(make_grid(1.0, entries.shape[0]), entries, "custom")
+    return OperatorMatrix(make_grid(1.0, entries.shape[0]), entries)
 
 
 def build_multiplication(grid: Grid, phi: Callable) -> OperatorMatrix:
     """Diagonal matrix with entries ``phi(x_k)``; ``phi`` must be real valued."""
-    values = np.asarray([phi(x) for x in grid.nodes])
+    try:
+        values = np.asarray([phi(x) for x in grid.nodes])
+    except Exception as exc:  # symbol handle failed at some node
+        raise ConstructionError(f"multiplication symbol evaluation failed: {exc}") from exc
     if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0:
         raise ValueError("multiplication symbol must be real valued")
     entries = np.diag(values.real.astype(float)).astype(complex)
-    return OperatorMatrix(grid, entries, KernelSpec.multiplication(phi))
+    if not np.all(np.isfinite(entries)):
+        raise ConstructionError("multiplication symbol produced non-finite entries")
+    return OperatorMatrix(grid, entries)
 
 
 def build_volterra(grid: Grid, v: Callable, diagonal: str = "half_cell") -> OperatorMatrix:
@@ -239,7 +208,7 @@ def build_volterra(grid: Grid, v: Callable, diagonal: str = "half_cell") -> Oper
         raise ConstructionError(f"Volterra kernel evaluation failed: {exc}") from exc
     if not np.all(np.isfinite(entries)):
         raise ConstructionError("Volterra kernel produced non-finite entries")
-    return OperatorMatrix(grid, entries, KernelSpec.volterra(v))
+    return OperatorMatrix(grid, entries)
 
 
 def _toeplitz_lower(first_column: np.ndarray) -> np.ndarray:
@@ -256,7 +225,8 @@ def build_fractional(grid: Grid, beta: float) -> OperatorMatrix:
     Toeplitz; for ``beta = 1`` it degenerates to cumulative sums with a half
     weight on the diagonal.
     """
-    spec = KernelSpec.fractional(beta)
+    if np.iscomplexobj(beta) or not math.isfinite(beta) or not beta > 0:
+        raise ValueError(f"fractional order must be a positive finite real number, got {beta!r}")
     n, h = grid.n, grid.h
     d = np.arange(n, dtype=float)
     try:
@@ -268,7 +238,7 @@ def build_fractional(grid: Grid, beta: float) -> OperatorMatrix:
     col[1:] = ((d[1:] + 0.5) ** beta - (d[1:] - 0.5) ** beta) * scale
     if not np.all(np.isfinite(col)):
         raise ConstructionError("fractional cell weights are not finite")
-    return OperatorMatrix(grid, _toeplitz_lower(col), spec)
+    return OperatorMatrix(grid, _toeplitz_lower(col))
 
 
 def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
@@ -293,9 +263,7 @@ def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
         raise ConstructionError(f"Gamma({spec.beta!r}) overflows a double") from exc
     if not np.all(np.isfinite(col)):
         raise ConstructionError("kernel cell integrals are not finite")
-    return OperatorMatrix(
-        grid, _toeplitz_lower(col.astype(complex)), KernelSpec.ebeta(spec.beta, spec.c)
-    )
+    return OperatorMatrix(grid, _toeplitz_lower(col.astype(complex)))
 
 
 def _cell_integrals(s: Callable, antiderivative: Optional[Callable], h: float, n: int) -> np.ndarray:
@@ -333,7 +301,7 @@ def build_difference_operator(
     tau[1:] = (g[1:] - g[:-1]) / h
     if not np.all(np.isfinite(tau)):
         raise ConstructionError("difference-kernel entries are not finite")
-    return OperatorMatrix(grid, _toeplitz_lower(tau), KernelSpec.difference(s, antiderivative))
+    return OperatorMatrix(grid, _toeplitz_lower(tau), KernelSpec(s, antiderivative))
 
 
 def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
@@ -343,23 +311,8 @@ def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
     :meth:`KernelSpec.fractional_imaginary`; ``alpha = 0`` reduces to the
     identity.
     """
-    return build_operator(grid, KernelSpec.fractional_imaginary(alpha))
-
-
-def build_operator(grid: Grid, spec: KernelSpec) -> OperatorMatrix:
-    """Dispatch a :class:`KernelSpec` to the matching constructor."""
-    if spec.kind == "multiplication":
-        return build_multiplication(grid, spec.phi)
-    if spec.kind == "volterra":
-        return build_volterra(grid, spec.v)
-    if spec.kind == "fractional":
-        return build_fractional(grid, spec.beta)
-    if spec.kind == "ebeta":
-        return build_ebeta_operator(grid, EbetaSpec(spec.beta, spec.c or 0.0))
-    if spec.kind in ("difference", "fractional_imaginary"):
-        op = build_difference_operator(grid, spec.s, spec.s_antiderivative)
-        return OperatorMatrix(grid, op.entries, spec)
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    kernel = KernelSpec.fractional_imaginary(alpha)
+    return build_difference_operator(grid, kernel.s, kernel.s_antiderivative)
 
 
 def split_given_basis(t: OperatorMatrix) -> SplitPair:
@@ -436,7 +389,7 @@ def chain_projection(grid: Grid, t_param: float) -> OperatorMatrix:
         raise ValueError(f"chain parameter must lie in [0, omega], got {t_param}")
     mask = grid.nodes > grid.omega - t_param
     entries = np.diag(mask.astype(float)).astype(complex)
-    return OperatorMatrix(grid, entries, f"chain:{t_param:g}")
+    return OperatorMatrix(grid, entries)
 
 
 def chain_invariance_residual(t: OperatorMatrix, e: OperatorMatrix) -> float:
@@ -470,7 +423,7 @@ def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Operator product ``a @ b`` on a common grid."""
     if a.grid != b.grid:
         raise ValueError("operator product requires a common grid")
-    return OperatorMatrix(a.grid, a.entries @ b.entries, "product")
+    return OperatorMatrix(a.grid, a.entries @ b.entries)
 
 
 def save_matrix(t: OperatorMatrix, path) -> None:
@@ -500,7 +453,7 @@ def load_matrix(path) -> OperatorMatrix:
             f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {data.size}"
         )
     entries = data[0::2] + 1j * data[1::2]
-    return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols), "loaded")
+    return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols))
 
 
 def write_csv(path, header: str, rows) -> None:

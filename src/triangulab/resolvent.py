@@ -31,7 +31,7 @@ __all__ = [
     "c_norm",
     "profile",
     "levinson_classify",
-    "cn_bound_to_N_bound",
+    "count_bound_constant",
     "neumann_residual",
     "profile_to_csv",
     "r_table_to_csv",
@@ -425,17 +425,18 @@ def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -
     )
 
 
-def cn_bound_to_N_bound(alpha: float, m_const: float, y: float) -> float:
-    """Closed-form crossing-count bound ``(2 M / |y|)^(1/alpha)`` on ``ln N(y)``.
+def count_bound_constant(alpha: float, ln_n: float, y: float) -> float:
+    """Smallest ``M`` with ``ln N(y) <= (2 M / |y|)^(1/alpha)``: ``0.5 |y| ln_n^alpha``.
 
-    Valid under the premise ``||c_n|| <= (M / ln(n+1)^alpha)^n``; pure
-    arithmetic, monotone decreasing in ``|y|``.
+    The crossing-count bound holds under the premise
+    ``||c_n|| <= (M / ln(n+1)^alpha)^n``; this solves it for ``M`` given a
+    count ``N(y)`` with ``ln N(y) = ln_n``.  Pure arithmetic.
     """
-    if not alpha > 0 or not m_const > 0:
-        raise ValueError("alpha and M must be positive")
+    if not alpha > 0 or not ln_n >= 0:
+        raise ValueError("alpha must be positive and ln N non-negative")
     if y == 0:
         raise ValueError("y must be nonzero")
-    return (2.0 * m_const / abs(y)) ** (1.0 / alpha)
+    return 0.5 * abs(y) * ln_n ** alpha
 
 
 def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None) -> float:

@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NumericalError, QuadratureError
-from .operators import OperatorMatrix, SplitPair, as_entries, split_schur, wrap_matrix
+from .operators import SplitPair, as_entries, split_schur
 
 __all__ = [
     "SpectralReport",
@@ -178,8 +178,8 @@ def riesz_calculus(
     contour: Optional[list] = None,
     start_nodes: int = 256,
     max_nodes: int = 1 << 14,
-) -> OperatorMatrix:
-    """Contour-quadrature functional calculus ``f(T)``.
+) -> np.ndarray:
+    """Contour-quadrature functional calculus: the entries of ``f(T)``.
 
     Trapezoid rule over the given circles (center, radius), doubling the
     node count from ``start_nodes`` until the result moves by at most 1e-8
@@ -191,7 +191,6 @@ def riesz_calculus(
     if not 1 <= start_nodes <= max_nodes:
         raise ValueError(f"need 1 <= start_nodes <= max_nodes, got {start_nodes}, {max_nodes}")
     entries = as_entries(t)
-    grid_holder = t if isinstance(t, OperatorMatrix) else wrap_matrix(entries)
     n = entries.shape[0]
     eigs = np.linalg.eigvals(entries)
     if contour is None:
@@ -224,7 +223,7 @@ def riesz_calculus(
         scale = max(float(np.linalg.norm(refined, 2)), 1.0)
         current = refined
         if delta <= 1e-8 * scale:
-            return OperatorMatrix(grid_holder.grid, current, "riesz")
+            return current
     raise QuadratureError("contour quadrature did not converge within the node budget")
 
 
@@ -248,13 +247,13 @@ def verify_spectral_mapping(t, f: Callable[[complex], complex]) -> MappingReport
     """
     entries = as_entries(t)
     ft = riesz_calculus(t, f)
-    sigma_ft = np.linalg.eigvals(ft.entries)
+    sigma_ft = np.linalg.eigvals(ft)
     f_sigma = np.asarray([f(z) for z in np.linalg.eigvals(entries)], dtype=complex)
     dist = spectral_distance(sigma_ft, f_sigma)
     split = split_schur(t)
     q = split.unitary
     f_diag = np.asarray([f(z) for z in split.diagonal], dtype=complex)
-    ft_in_chain_basis = q.conj().T @ ft.entries @ q
+    ft_in_chain_basis = q.conj().T @ ft @ q
     rho_vf = float(np.max(np.abs(np.diag(ft_in_chain_basis) - f_diag)))
     return MappingReport(dist, rho_vf)
 

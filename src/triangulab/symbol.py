@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .exceptions import InsufficientDataError, QuadratureError
 from .grid import GridFunction, check_frequency, l2_norm, sample_exponential
-from .operators import OperatorMatrix, KernelSpec, write_csv
+from .operators import OperatorMatrix, write_csv
 
 __all__ = [
     "SymbolTrace",
@@ -220,17 +220,16 @@ def trace_symbol(
 def prop54_residual(t: OperatorMatrix, xi: float) -> float:
     """Plane-wave residual ``|| T e(-i x xi) - g(xi) e(-i x xi) ||``.
 
-    ``t`` must come from a difference-kernel construction: its provenance is
-    a :class:`KernelSpec` carrying the kernel handle ``s``.  The frequency
+    ``t`` must come from a difference-kernel construction, which records the
+    kernel handle ``s`` on ``t.kernel``.  The frequency
     must respect the grid's aliasing guard.  For admissible frequencies this
     measures how far the symbol value ``g(xi) = -i xi s_tilde1(xi)`` is from
     acting as an eigenvalue on the sampled wave.
     """
-    spec = t.provenance
-    if not isinstance(spec, KernelSpec) or spec.s is None:
+    if t.kernel is None:
         raise ValueError("prop54_residual needs an operator built from a difference kernel")
     check_frequency(t.grid, xi)
-    s_tilde1 = weighted_transform(spec.s, t.grid.omega, xi)
+    s_tilde1 = weighted_transform(t.kernel.s, t.grid.omega, xi)
     wave = sample_exponential(t.grid, xi, sign=-1)
     lhs = t.entries @ wave.values
     rhs = (-1j * xi) * s_tilde1 * wave.values

@@ -96,9 +96,14 @@ def test_failed_check_exits_one(tmp_path, experiment, tolerance, failing):
         {"experiment": "levinson", "grid": {"n": 8}, "kernel": {"beta": 200.0}},
         # the kernel moments on (0, 1e6) overflow a double
         {"experiment": "ebeta-asymptotics", "grid": {"omega": 1e6}},
+        # the ring radius exp(|alpha| pi/2) overflows a double
+        {"experiment": "annulus-jialpha", "kernel": {"alpha": 460.0}},
+        # 1/Gamma(1 + i alpha) overflows a double
+        {"experiment": "symbol-trace", "kernel": {"alpha": 1000.0}},
+        {"experiment": "symbol-trace", "kernel": {"alpha": -1000.0}},
     ],
     ids=["prop54-aliasing", "profile-beta-200", "mapping-beta-171.5", "levinson-beta-200",
-         "asymptotics-omega-1e6"],
+         "asymptotics-omega-1e6", "annulus-alpha-460", "trace-alpha-1000", "trace-alpha-minus-1000"],
 )
 def test_numerical_error_exits_three(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})

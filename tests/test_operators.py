@@ -17,7 +17,6 @@ from triangulab.operators import (
     build_fractional,
     build_imaginary_fractional,
     build_multiplication,
-    build_operator,
     build_volterra,
     chain_invariance_residual,
     chain_projection,
@@ -139,6 +138,21 @@ def test_volterra_propagates_kernel_failure():
 
     with pytest.raises(ConstructionError):
         build_volterra(g, bad)
+
+
+def test_multiplication_propagates_symbol_failure():
+    g = make_grid(1.0, 4)
+
+    def bad(x):
+        raise RuntimeError("boom")
+
+    with pytest.raises(ConstructionError):
+        build_multiplication(g, bad)
+
+
+def test_multiplication_rejects_non_finite_symbol():
+    with pytest.raises(ConstructionError):
+        build_multiplication(make_grid(1.0, 4), lambda x: float("nan"))
 
 
 # ---------------------------------------------------------------- fractional
@@ -351,6 +365,17 @@ def test_split_schur_orders_diagonal():
     assert keys == sorted(keys)
 
 
+@pytest.mark.xfail(strict=True, reason="Givens swaps; mended by the ztrexc reorder")
+def test_split_schur_breaks_real_part_ties_by_imaginary_part():
+    # LAPACK returns this triangle unchanged; three diagonal entries share
+    # the real part 1, so the order among them is the imaginary part's
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = np.diag([1 + 2j, 1 - 1j, 0, 1 + 0.5j]) + np.triu(b, 1)
+    diag = split_schur(wrap_matrix(a)).diagonal
+    np.testing.assert_allclose(diag, [0, 1 - 1j, 1 + 0.5j, 1 + 2j], atol=1e-12)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(triangular_operators(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
@@ -470,7 +495,7 @@ def test_save_matrix_matches_per_entry_repr_format(tmp_path):
     entries = entries + 1j * rng.standard_normal((5, 5))
     entries[0, 0] = complex(-0.0, 0.0)
     entries[1, 2] = complex(1e-310, -5e-324)
-    op = OperatorMatrix(make_grid(0.75, 5), entries, "custom")
+    op = OperatorMatrix(make_grid(0.75, 5), entries)
     path = tmp_path / "m.txt"
     save_matrix(op, path)
     expected = "5 5 0.75\n" + "".join(
@@ -524,21 +549,6 @@ def test_equal_grids_built_apart_combine(tmp_path):
         apply(op, sample_function(make_grid(1.0, 16), lambda x: x))
 
 
-def test_build_operator_dispatch():
-    g = make_grid(1.0, 8)
-    spec = KernelSpec.fractional(1.0)
-    op = build_operator(g, spec)
-    np.testing.assert_array_equal(op.entries, build_fractional(g, 1.0).entries)
-    spec = KernelSpec.fractional_imaginary(1.0)
-    op = build_operator(g, spec)
-    np.testing.assert_array_equal(op.entries, build_imaginary_fractional(g, 1.0).entries)
-    assert op.provenance is spec
-    with pytest.raises(ValueError):
-        build_operator(g, KernelSpec(kind="nonsense"))
-    with pytest.raises(ValueError):
-        KernelSpec.preset("nope")
-
-
 @pytest.mark.parametrize("alpha", [1 + 1j, np.complex64(1.0), float("nan"), float("inf")])
 def test_fractional_imaginary_rejects_non_real_alpha(alpha):
     with pytest.raises(ValueError, match="finite real number"):
@@ -551,16 +561,13 @@ def test_kernel_parameters_are_checked_by_their_spec():
         with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
             build_fractional(g, beta)
         with pytest.raises(ValueError, match="beta must be a positive finite real number"):
-            KernelSpec.ebeta(beta)
+            EbetaSpec(beta)
     with pytest.raises(ValueError, match="damping constant c must be a finite real number"):
-        KernelSpec.ebeta(1.0, 0.5j)
-    assert build_fractional(g, 0.5).provenance == KernelSpec.fractional(0.5)
+        EbetaSpec(1.0, 0.5j)
 
 
 @pytest.mark.parametrize("beta", [1 + 1j, np.complex64(1.0), float("inf"), float("-inf")])
 def test_fractional_order_must_be_a_finite_real_number(beta):
-    with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
-        KernelSpec.fractional(beta)
     with pytest.raises(ValueError, match="fractional order must be a positive finite real number"):
         build_fractional(make_grid(1.0, 4), beta)
 
@@ -588,6 +595,8 @@ def test_large_orders_raise_construction_error(build):
 def test_preset_antiderivative_matches_quadrature(name, alpha):
     from scipy.integrate import quad
 
+    with pytest.raises(ValueError):
+        KernelSpec.preset("nope")
     spec = KernelSpec.preset(name, alpha)
     assert spec.s_antiderivative(0.0) == 0.0
     for u in (0.05, 0.4, 1.0):

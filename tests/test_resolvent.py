@@ -22,7 +22,7 @@ from triangulab.resolvent import (
     _envelope,
     _gemm,
     c_norm,
-    cn_bound_to_N_bound,
+    count_bound_constant,
     levinson_classify,
     neumann_residual,
     profile,
@@ -399,19 +399,24 @@ def test_levinson_excludes_saturated_points():
 
 
 def test_count_bound_formula():
-    assert cn_bound_to_N_bound(1.0, 1.0, 2.0) == pytest.approx(1.0)
+    assert count_bound_constant(1.0, 1.0, 2.0) == pytest.approx(1.0)
+    # round trip through the forward bound ln N <= (2M / |y|)^(1/alpha)
+    m = count_bound_constant(0.5, 3.0, -1.5)
+    assert (2.0 * m / 1.5) ** (1.0 / 0.5) == pytest.approx(3.0)
 
 
 def test_count_bound_monotone_in_y():
-    values = [cn_bound_to_N_bound(0.5, 2.0, y) for y in (0.5, 1.0, 2.0, 4.0)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    values = [count_bound_constant(0.5, 2.0, y) for y in (0.5, 1.0, 2.0, 4.0)]
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_count_bound_validates():
     with pytest.raises(ValueError):
-        cn_bound_to_N_bound(0.0, 1.0, 1.0)
+        count_bound_constant(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        cn_bound_to_N_bound(1.0, 1.0, 0.0)
+        count_bound_constant(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        count_bound_constant(1.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------- chain series
