@@ -179,44 +179,115 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     return math.exp(_dense_log_norm(b, n))
 
 
-def _envelope(entries: np.ndarray, x_grid: np.ndarray, y: float, samples: list) -> tuple:
-    """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated)``.
+_LANCZOS_STEPS = 128  # inverse Lanczos step cap, min(n, _LANCZOS_STEPS)
 
-    Best-first branch and bound on ``sigma_min(lambda I - T)``, which is
-    1-Lipschitz in ``lambda`` over the whole complex plane (Weyl): a sample
-    ``(x', y', sigma')`` bounds ``sigma_min >= sigma' - |(x - x') + i(y - y')|``
-    at every ``x + iy``.  ``samples`` lists the ``(x, y, sigma_min)`` of every
-    sample evaluated so far, on this line or on earlier ones, and each
-    sample evaluated here is appended to it.  The bounds start from those
-    samples (0 when there are none); the sample with the smallest bound
-    (the lowest index on ties) goes through :func:`resolvent_norm` next,
-    until every remaining bound exceeds the smallest ``sigma_min`` found on
-    this line by ``1e-12 (||T||_inf + max|x| + |y|)``, far above LAPACK's
-    rounding in ``sigma_min``.  Skipped samples are strictly below the
-    maximum, so it is the same float the full sweep gives, first attained
-    at the same ``x``.
+
+def _triangle_resolvent_norm(triangle: np.ndarray, lower: bool, tnorm: float, lam: complex) -> tuple:
+    """``||(lambda I - R)^{-1}||`` for a triangular ``R`` by inverse Lanczos: ``(norm, dense)``.
+
+    Lanczos on ``B = (A* A)^{-1}``, ``A = lambda I - R``, whose top eigenvalue
+    is ``1 / sigma_min(A)^2``: each step applies ``B`` by two triangular
+    solves (LAPACK ``trtrs``, lower or upper as ``lower`` says) and
+    reorthogonalizes against every earlier Lanczos vector twice.  The start
+    vector is fixed, drawn from ``default_rng(3)``, so the value depends on
+    ``(R, lambda)`` alone.  The top Ritz value ``theta`` settles once its
+    residual ``beta_j |s_j|`` is at most ``1e-10 theta``, and the norm is
+    ``sqrt(theta)``.  A Ritz value never exceeds the eigenvalue it
+    approximates, so ``1 / sqrt(theta)`` never lies below ``sigma_min``.
+    The sample goes through :func:`resolvent_norm` instead (``dense`` is
+    True) when it has not settled in ``min(n, 128)`` steps, when a solve
+    meets an exactly singular ``A`` or any value is non-finite (the solves
+    overflow on the spectrum, and ``theta`` underflows to 0 far from it),
+    or when ``1 / sqrt(theta)`` is at most ``1e-12 max(tnorm + 2|lambda|, 1)``
+    with ``tnorm = ||R||_2``.  That band
+    lies above :func:`resolvent_norm`'s guard ``1e-14 max(||A||_2 + |lambda|, 1)``,
+    so each :class:`NearSingularError` is raised by the dense path.
     """
-    t_inf = float(np.abs(entries).sum(axis=1).max())
+    n = triangle.shape[0]
+    a = np.empty((n, n), dtype=complex, order="F")
+    np.negative(triangle, out=a)
+    a[np.arange(n), np.arange(n)] += lam
+    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (a,))
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    cap = min(n, _LANCZOS_STEPS)
+    basis = np.empty((cap, n), dtype=complex)  # Lanczos vectors as rows
+    alphas = np.zeros(cap)  # the Lanczos tridiagonal: diagonal
+    betas = np.zeros(cap)  # and off-diagonal
+    for j in range(cap):
+        basis[j] = q
+        z, info = trtrs(a, q, lower=lower, trans=2)
+        if info != 0:  # an exactly zero diagonal entry: lambda is an eigenvalue of R
+            break
+        w, _ = trtrs(a, z, lower=lower)
+        done = basis[: j + 1]
+        for _ in range(2):
+            h = done.conj() @ w
+            w -= h @ done
+            alphas[j] += h[j].real
+        beta = float(np.linalg.norm(w))
+        if not (math.isfinite(beta) and math.isfinite(alphas[j])):
+            break
+        ritz, vecs = scipy.linalg.eigh_tridiagonal(
+            alphas[: j + 1], betas[:j], select="i", select_range=(j, j), check_finite=False
+        )
+        theta = float(ritz[0])
+        if beta * abs(vecs[-1, 0]) <= 1e-10 * theta:
+            if not theta > 0.0 or 1.0 / math.sqrt(theta) <= 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
+                break
+            return math.sqrt(theta), False
+        betas[j] = beta
+        q = w / beta
+    return resolvent_norm(triangle, lam), True
+
+
+def _envelope(triangle: np.ndarray, tnorm: float, x_grid: np.ndarray, y: float, samples: list) -> tuple:
+    """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated, dense)``.
+
+    ``triangle`` is ``R``, lower or upper triangular, and ``tnorm`` its
+    2-norm.  Best-first branch and bound on ``sigma_min(lambda I - R)``,
+    which is 1-Lipschitz in ``lambda`` over the whole complex plane (Weyl):
+    a sample ``(x', y', sigma')`` bounds
+    ``sigma_min >= sigma' - |(x - x') + i(y - y')|`` at every ``x + iy``.
+    ``samples`` lists the ``(x, y, sigma_min)`` of every sample evaluated so
+    far, on this line or on earlier ones, and each sample evaluated here is
+    appended to it.  The bounds start from those samples (0 when there are
+    none); the sample with the smallest bound (the lowest index on ties)
+    goes through :func:`_triangle_resolvent_norm` next, until every
+    remaining bound exceeds the smallest ``sigma_min`` found on this line by
+    ``1e-12 (||R||_inf + max|x| + |y|)``.  That margin sits far above the
+    error of an evaluated ``sigma_min`` (inverse Lanczos agrees with dense
+    singular values to ``1.5e-15`` relative on the default profiles), so
+    the skipped samples are strictly below the maximum: it is the same
+    float a full sweep of the evaluator gives, first attained at the same
+    ``x``.  ``dense`` counts
+    the samples that took the evaluator's dense fallback.
+    """
+    lower = not np.any(np.triu(triangle, 1))
+    t_inf = float(np.abs(triangle).sum(axis=1).max())
     margin = 1e-12 * (t_inf + float(np.abs(x_grid).max()) + abs(y))
     norms = np.zeros(x_grid.size)  # 0.0 marks a sample not evaluated
-    lower = np.zeros(x_grid.size)  # lower bounds on sigma_min; inf once evaluated
+    bound = np.zeros(x_grid.size)  # lower bounds on sigma_min; inf once evaluated
     if samples:
         xs, ys, smins = np.array(samples).T
         dist = np.abs((x_grid[:, None] - xs) + 1j * (y - ys))
-        lower = np.maximum(lower, (smins - dist).max(axis=1))
+        bound = np.maximum(bound, (smins - dist).max(axis=1))
     floor = math.inf  # smallest sigma_min found on this line
+    dense = 0
     while True:
-        i = int(np.argmin(lower))
-        if lower[i] > floor + margin:
+        i = int(np.argmin(bound))
+        if bound[i] > floor + margin:
             break
-        norms[i] = resolvent_norm(entries, x_grid[i] + 1j * y)
+        norms[i], fell_back = _triangle_resolvent_norm(triangle, lower, tnorm, x_grid[i] + 1j * y)
+        dense += fell_back
         smin = 1.0 / norms[i]
         samples.append((x_grid[i], y, smin))
         floor = min(floor, smin)
-        lower = np.maximum(lower, smin - np.abs(x_grid - x_grid[i]))
-        lower[i] = np.inf
+        bound = np.maximum(bound, smin - np.abs(x_grid - x_grid[i]))
+        bound[i] = np.inf
     top = int(np.argmax(norms))
-    return float(norms[top]), float(x_grid[top]), int(np.count_nonzero(norms))
+    return float(norms[top]), float(x_grid[top]), int(np.count_nonzero(norms)), dense
 
 
 @dataclass(frozen=True)
@@ -227,8 +298,10 @@ class ResolventProfile:
     indices whose ``r_n`` exceeds ``|y_j| / 2``; ``envelope_m[j]`` the largest
     resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
-    ``x_grid`` samples the envelope evaluated.  ``chain_fallbacks[j]`` counts
-    the chain norms at ``y_j`` that the power iteration left unsettled and
+    ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
+    counts the envelope samples at ``y_j`` that inverse Lanczos handed to the
+    dense SVD (see :func:`_triangle_resolvent_norm`).  ``chain_fallbacks[j]``
+    counts the chain norms at ``y_j`` that the power iteration left unsettled and
     dense singular values finished (see :func:`_log_power_norms`).
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
     exponent in ``ln M(y) ~ |y|^{-q}``.  ``envelope_violation`` is the largest factor by
@@ -245,6 +318,7 @@ class ResolventProfile:
     envelope_m: np.ndarray
     envelope_x: np.ndarray
     envelope_evals: np.ndarray
+    envelope_fallbacks: np.ndarray
     chain_fallbacks: np.ndarray
     fitted_p: float
     fitted_q: float
@@ -254,7 +328,7 @@ class ResolventProfile:
     def __post_init__(self):
         for arr in (self.y_grid, self.x_grid, self.power_x_grid, self.r,
                     self.count_n, self.envelope_m, self.envelope_x, self.envelope_evals,
-                    self.chain_fallbacks, self.saturated):
+                    self.envelope_fallbacks, self.chain_fallbacks, self.saturated):
             arr.setflags(write=False)
 
     @property
@@ -296,13 +370,21 @@ def profile(
     ``r_n`` decays past that regime.
     The envelope evaluates only the ``x`` samples that can attain ``M(y)``
     (see :func:`_envelope`), using the ``sigma_min`` of every sample
-    evaluated at this and earlier ladder points to rule samples out; each
-    evaluated sample goes through :func:`resolvent_norm`, so an
-    evaluated sample numerically inside the spectrum raises
-    :class:`NearSingularError`.  A sample is skipped only when its
+    evaluated at this and earlier ladder points to rule samples out.  Each
+    evaluated sample gets ``sigma_min(lambda I - R)`` by inverse Lanczos on
+    the triangle ``R`` (two triangular solves per step; see
+    :func:`_triangle_resolvent_norm`).  A sample that has not settled at the
+    step cap, meets a non-finite value or has an estimated ``sigma_min`` at
+    most ``1e-12 max(||R||_2 + 2|lambda|, 1)`` goes through
+    :func:`resolvent_norm` instead, so an evaluated sample numerically inside the spectrum raises
+    :class:`NearSingularError` from the dense path, and
+    ``envelope_fallbacks`` counts those samples.  ``||R||_2`` comes from the
+    one dense ``svdvals`` of the profile.  A sample is skipped only when its
     ``sigma_min`` provably exceeds the smallest one found by a margin far
     above the ``1e-14 ||lambda I - T||`` guard, so a sample that would trip
     the guard is always evaluated and the error is raised as before.
+    ``n_max``, ``x_samples`` and ``power_x_samples`` below 1 raise
+    ``ValueError``.
     A chain whose power iteration has not settled in 60 steps, as when the
     top singular values of some ``B^k`` nearly coincide, gets its norm from
     dense singular values instead (see :func:`_log_power_norms`), and
@@ -319,6 +401,10 @@ def profile(
     y_grid = np.asarray(list(y_ladder), dtype=float)
     if y_grid.size == 0 or np.any(y_grid == 0.0) or not np.all(np.isfinite(y_grid)):
         raise ValueError("the ladder must be non-empty, finite and avoid y = 0")
+    for name, count in (("n_max", n_max), ("x_samples", x_samples), ("power_x_samples", power_x_samples)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    tnorm = float(scipy.linalg.svdvals(entries)[0])
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
@@ -333,6 +419,7 @@ def profile(
     envelope = np.zeros(n_y)
     envelope_x = np.zeros(n_y)
     envelope_evals = np.zeros(n_y, dtype=int)
+    envelope_fallbacks = np.zeros(n_y, dtype=int)
     envelope_samples = []  # (x, y, sigma_min) of every envelope sample evaluated
     chain_fallbacks = np.zeros(n_y, dtype=int)
     saturated = np.zeros(n_y, dtype=bool)
@@ -343,8 +430,8 @@ def profile(
         r[:, j], chain_fallbacks[j] = _chain_roots(v, d, y, n_max)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
-        envelope[j], envelope_x[j], envelope_evals[j] = _envelope(
-            entries, x_grid, y, envelope_samples
+        envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
+            entries, tnorm, x_grid, y, envelope_samples
         )
 
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
@@ -369,6 +456,7 @@ def profile(
         envelope_m=envelope,
         envelope_x=envelope_x,
         envelope_evals=envelope_evals,
+        envelope_fallbacks=envelope_fallbacks,
         chain_fallbacks=chain_fallbacks,
         fitted_p=fitted_p,
         fitted_q=fitted_q,

@@ -1,14 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triangulab import make_grid
+from triangulab import make_grid, resolvent
 from triangulab.exceptions import InsufficientDataError, NearSingularError
 from triangulab.experiments import _default_ladder, _phi_plus
 from triangulab.operators import (
+    as_entries,
     build_ebeta_operator,
     build_fractional,
     build_multiplication,
@@ -21,6 +24,7 @@ from triangulab.resolvent import (
     _chain_roots,
     _envelope,
     _gemm,
+    _triangle_resolvent_norm,
     c_norm,
     count_bound_constant,
     levinson_classify,
@@ -33,6 +37,9 @@ from triangulab.resolvent import (
 from triangulab.specfun import EbetaSpec
 
 from .strategies import triangular_operators
+
+
+EPS = np.finfo(float).eps
 
 
 def _phi_plus_fractional(n=64, beta=1.0, omega=1.0):
@@ -148,12 +155,36 @@ def test_profile_zero_nilpotent_part():
     _assert_envelope_is_dense_max(t, prof)
 
 
+def _lanczos_sweep(triangle, x_grid, y):
+    # the envelope's per-sample evaluator at every x sample, set up as profile sets it up
+    lower = not np.any(np.triu(triangle, 1))
+    tnorm = float(scipy.linalg.svdvals(triangle)[0])
+    return [_triangle_resolvent_norm(triangle, lower, tnorm, x + 1j * y)[0] for x in x_grid]
+
+
+def _close_to_dense(norm, dense, tnorm, lam):
+    # 1e-12 relative, plus the dense oracle's own rounding: svdvals has
+    # sigma_min(lambda I - T) only to a few eps ||lambda I - T|| absolute, more
+    # than 1e-12 relative past resolvent norms of about 1e3 (against mpmath,
+    # 5e-13 at 1e4 and 9e-7 at 2e10, where inverse Lanczos stays within 1e-15)
+    return abs(1.0 / norm - 1.0 / dense) <= 1e-12 / dense + 16 * EPS * (tnorm + abs(lam))
+
+
+def _assert_matches_resolvent_norm(norms, t, lams):
+    tnorm = float(scipy.linalg.svdvals(as_entries(t))[0])
+    for norm, lam in zip(norms, lams):
+        assert _close_to_dense(norm, resolvent_norm(t, lam), tnorm, lam)
+
+
 def _assert_envelope_is_dense_max(t, prof):
-    # the pruned envelope against the full sweep through resolvent_norm
+    # exact pruning: the envelope is the maximum of the full sweep of its own
+    # evaluator, first attained at the same x; oracle: that evaluator agrees
+    # with the dense resolvent_norm at every sample
     for j, y in enumerate(prof.y_grid):
-        dense = [resolvent_norm(t, x + 1j * y) for x in prof.x_grid]
-        assert prof.envelope_m[j] == max(dense)
-        assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(dense))]
+        swept = _lanczos_sweep(as_entries(t), prof.x_grid, y)
+        assert prof.envelope_m[j] == max(swept)
+        assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(swept))]
+        _assert_matches_resolvent_norm(swept, t, prof.x_grid + 1j * y)
 
 
 @pytest.mark.parametrize(
@@ -172,18 +203,23 @@ def test_envelope_equals_dense_sweep(kind, beta):
 
 def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
     # the Lipschitz bound holds for any matrix; the triangle makes this one
-    # far from normal (resolvent norms ~100 at distance >= 0.1 from the spectrum)
+    # far from normal (resolvent norms ~100 at distance >= 0.1 from the spectrum);
+    # the envelope runs on its complex Schur triangle, the oracle on a itself
     rng = np.random.default_rng(17)
     a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / np.sqrt(40.0)
     a += 2.0 * np.triu(rng.standard_normal((40, 40)), 1) / np.sqrt(40.0)
+    r = scipy.linalg.schur(a, output="complex")[0]
+    tnorm = float(scipy.linalg.svdvals(r)[0])
     x_grid = np.linspace(-3.0, 3.0, 64)
     samples = []  # shared across the three lines, as profile shares it across its ladder
     for y in (1.0, 0.3, -0.1):
-        dense = [resolvent_norm(a, x + 1j * y) for x in x_grid]
-        top, x_top, evals = _envelope(a, x_grid, y, samples)
-        assert top == max(dense)
-        assert x_top == x_grid[int(np.argmax(dense))]
+        swept = _lanczos_sweep(r, x_grid, y)
+        top, x_top, evals, dense_evals = _envelope(r, tnorm, x_grid, y, samples)
+        assert top == max(swept)
+        assert x_top == x_grid[int(np.argmax(swept))]
         assert 1 <= evals < x_grid.size
+        assert dense_evals == 0
+        _assert_matches_resolvent_norm(swept, a, x_grid + 1j * y)
 
 
 def test_envelope_skips_samples_on_the_default_fractional_ladder():
@@ -203,7 +239,8 @@ def test_envelope_carries_bounds_across_the_ladder():
     t, pair = _phi_plus_fractional(64, 1.0)
     ladder = _default_ladder("fractional", 1.0)
     prof = profile(pair, ladder, n_max=4, power_x_samples=5)
-    per_line = sum(_envelope(t.entries, prof.x_grid, y, [])[2] for y in ladder)
+    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
+    per_line = sum(_envelope(t.entries, tnorm, prof.x_grid, y, [])[2] for y in ladder)
     assert prof.envelope_evals.sum() < per_line
     _assert_envelope_is_dense_max(t, prof)
 
@@ -213,6 +250,84 @@ def test_envelope_raises_on_a_sample_inside_the_spectrum():
     t = wrap_matrix(np.diag([0.0, 2.0]).astype(complex))
     with pytest.raises(NearSingularError):
         profile(split_given_basis(t), [1e-300], x_samples=5)
+
+
+def _mp_resolvent_norm(a, lam):
+    # ||(lambda I - a)^{-1}|| from 40-digit singular values
+    n = a.shape[0]
+    shifted = lam * np.eye(n) - a
+    with mp.workdps(40):
+        m = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in shifted])
+        s = mp.svd_c(m, compute_uv=False)
+        return float(1 / min(s[i] for i in range(n)))
+
+
+def test_triangle_resolvent_norm_on_a_double_sigma_min():
+    # sigma_min(lambda I - diag(0, 2)) = |1 + 0.5j| twice at lambda = 1 + 0.5j
+    a = np.diag([0.0, 2.0]).astype(complex)
+    for lower in (True, False):
+        norm, dense = _triangle_resolvent_norm(a, lower, 2.0, 1.0 + 0.5j)
+        assert not dense
+        assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
+        assert norm == pytest.approx(resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
+
+
+def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
+    # a resolvent norm of 2e6 at distance 0.5 from the spectrum: against
+    # mpmath the dense SVD is off by 1.2e-10 relative here, inverse Lanczos by 2.4e-16
+    n = 12
+    a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
+    tnorm = float(scipy.linalg.svdvals(a)[0])
+    for tri, lower in ((a, True), (a.T.copy(), False)):
+        norm, dense = _triangle_resolvent_norm(tri, lower, tnorm, 0.5 + 0.5j)
+        assert not dense
+        assert norm > 1e6
+        assert norm == pytest.approx(_mp_resolvent_norm(a, 0.5 + 0.5j), rel=1e-14)
+        _assert_matches_resolvent_norm([norm], tri, [0.5 + 0.5j])
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-20], ids=["overflow", "inside-the-band"])
+def test_triangle_resolvent_norm_raises_on_the_spectrum(y):
+    # at 1e-300 the solves overflow; at 1e-20 they stay finite but the estimate
+    # sits inside the 1e-12 band: either way the dense path raises
+    a = np.diag([0.0, 2.0]).astype(complex)
+    with pytest.raises(NearSingularError):
+        _triangle_resolvent_norm(a, True, 2.0, 1j * y)
+
+
+def test_triangle_resolvent_norm_falls_back_when_unsettled(monkeypatch):
+    t, pair = _phi_plus_fractional(32, 1.0)
+    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
+    lam = 0.5 + 0.25j
+    assert not _triangle_resolvent_norm(t.entries, True, tnorm, lam)[1]
+    monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", 2)
+    norm, dense = _triangle_resolvent_norm(t.entries, True, tnorm, lam)
+    assert dense
+    assert norm == resolvent_norm(t, lam)
+
+
+@pytest.mark.parametrize(
+    "kind, beta",
+    [("fractional", 1.0), ("fractional", 0.5), ("ebeta", 2.0), ("ebeta", 0.5)],
+    ids=["frac-1", "frac-0.5", "ebeta-2", "ebeta-0.5"],
+)
+def test_envelope_fallbacks_vanish_on_the_default_profiles(kind, beta):
+    # the criterion-6 profiles at n=256; the envelope does not read the chain sweep
+    g = make_grid(1.0, 256)
+    v = build_fractional(g, beta) if kind == "fractional" else build_ebeta_operator(g, EbetaSpec(beta))
+    pair = split_given_basis(_phi_plus(g, v.entries))
+    prof = profile(pair, _default_ladder(kind, beta), n_max=2, power_x_samples=3)
+    assert prof.envelope_fallbacks.dtype.kind == "i"
+    np.testing.assert_array_equal(prof.envelope_fallbacks, np.zeros(prof.y_grid.size))
+    with pytest.raises(ValueError):
+        prof.envelope_fallbacks[0] = 1
+
+
+@pytest.mark.parametrize("name", ["n_max", "x_samples", "power_x_samples"])
+def test_profile_rejects_empty_sample_counts(name):
+    t, pair = _phi_plus_fractional(16, 1.0)
+    with pytest.raises(ValueError, match=name):
+        profile(pair, [0.5, 0.25], **{name: 0})
 
 
 def test_profile_counts_are_bounded_integers():
@@ -333,6 +448,7 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         envelope_m=envelopes,
         envelope_x=np.zeros(ys.size),
         envelope_evals=np.ones(ys.size, dtype=int),
+        envelope_fallbacks=np.zeros(ys.size, dtype=int),
         chain_fallbacks=np.zeros(ys.size, dtype=int),
         fitted_p=float("nan"),
         fitted_q=float("nan"),
@@ -533,6 +649,26 @@ def test_profile_envelope_is_the_dense_maximum_on_random_operators(case):
     # the envelope does not read the chain sweep, so keep that short
     prof = profile(split_given_basis(t), ladder, n_max=1, power_x_samples=2)
     _assert_envelope_is_dense_max(t, prof)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(triangular_operators())
+def test_triangle_resolvent_norm_matches_the_dense_oracle_on_random_triangles(case):
+    # lower and upper triangles, with complex and with real strict parts
+    a, ladder = case
+    lams = (np.linspace(-2.0, 2.0, 5)[:, None] + 1j * ladder[None, :]).ravel()
+    for tri in (a, a.real.astype(complex)):
+        tnorm = float(scipy.linalg.svdvals(tri)[0])
+        for r, lower in ((tri, True), (tri.T.copy(), False)):
+            for lam in lams:
+                try:
+                    dense = resolvent_norm(r, lam)
+                except NearSingularError:
+                    with pytest.raises(NearSingularError):
+                        _triangle_resolvent_norm(r, lower, tnorm, lam)
+                    continue
+                norm = _triangle_resolvent_norm(r, lower, tnorm, lam)[0]
+                assert _close_to_dense(norm, dense, tnorm, lam)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
