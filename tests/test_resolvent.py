@@ -22,6 +22,7 @@ from triangulab.operators import (
 from triangulab.resolvent import (
     ResolventProfile,
     _chain_roots,
+    _dense_log_norm,
     _envelope,
     _gemm,
     _triangle_resolvent_norm,
@@ -284,6 +285,20 @@ def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
         assert norm > 1e6
         assert norm == pytest.approx(_mp_resolvent_norm(a, 0.5 + 0.5j), rel=1e-14)
         _assert_matches_resolvent_norm([norm], tri, [0.5 + 0.5j])
+
+
+@pytest.mark.parametrize("lam", [0.5 + 0.5j, 0.5 + 0.1j])
+def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
+    # resolvent norms 2e6 and 1.9e10: the dense SVD is off by 1.2e-10 and
+    # 9.0e-7 relative here (its error is absolute on sigma_min)
+    n = 12
+    a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
+    tnorm = float(scipy.linalg.svdvals(a)[0])
+    exact = _mp_resolvent_norm(a, lam)
+    for tri, lower in ((a, True), (a.T.copy(), False)):
+        norm, dense = _triangle_resolvent_norm(tri, lower, tnorm, lam)
+        assert not dense
+        assert norm == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("y", [1e-300, 1e-20], ids=["overflow", "inside-the-band"])
@@ -636,6 +651,74 @@ def test_dead_chain_stops_without_raising():
     np.testing.assert_allclose(roots[:3], exact, rtol=1e-8)
     np.testing.assert_array_equal(roots, _chain_roots(v, d[:, [0]], 1e-3, 6)[0])
     np.testing.assert_array_equal(_chain_roots(v, d[:, [1]], 1e-3, 6)[0], np.zeros(6))
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-75, 1e-90, 1e-170])
+def test_chain_that_underflows_within_a_group_is_not_dead(scale):
+    # B = scale * shift: four products scale a column norm by 1e-160 (its
+    # square subnormal), 1e-300 (its square 0), 1e-360 (0 itself) or 1e-680,
+    # so the sweep must redo those groups one product at a time; at 1e-170
+    # even one product's square underflows, so that path needs a scaled norm
+    n = 8
+    v = np.diag(np.ones(n - 1), -1)
+    pair = split_given_basis(wrap_matrix(v.astype(complex)))
+    lam = complex(-1.0, scale)
+    d = np.full((n, 1), -scale / (0.0 - lam))
+    roots = _chain_roots(v, d, scale, n)[0]
+    # ||B^k|| = |d|^k for k < n and V^n = 0: only the last power is dead
+    assert np.all(roots[: n - 1] > 0.0) and roots[n - 1] == 0.0
+    for k in range(1, n):
+        dense = math.exp(_dense_log_norm(d * v, k) / k)  # c_norm's dense route, in logs
+        assert roots[k - 1] == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert roots[k - 1] == pytest.approx(abs(d[0, 0]), rel=1e-12, abs=0.0)
+        if c_norm(pair, lam, k) > 0.0:  # c_norm itself underflows once |d|^k does
+            assert roots[k - 1] == pytest.approx(c_norm(pair, lam, k) ** (1.0 / k), rel=1e-12, abs=0.0)
+
+
+def _count_power_steps(monkeypatch):
+    """Spy on the chain sweep: a list of ``(k, block width of each product)``, one per call."""
+    calls = []
+    power, gemm = resolvent._log_power_norms, resolvent._gemm
+
+    def spy_power(v, d, vecs, k):
+        calls.append((k, []))
+        return power(v, d, vecs, k)
+
+    def spy_gemm(a, w):
+        calls[-1][1].append(w.shape[1])
+        return gemm(a, w)
+
+    monkeypatch.setattr(resolvent, "_log_power_norms", spy_power)
+    monkeypatch.setattr(resolvent, "_gemm", spy_gemm)
+    return calls
+
+
+def test_certificate_settles_a_column_after_one_power_step(monkeypatch):
+    # the start vector is the top singular vector of B^3 = diag(1, 0.125):
+    # one step certifies it, where two successive estimates need two steps
+    calls = _count_power_steps(monkeypatch)
+    vecs = np.array([[1.0], [0.0]], dtype=complex)
+    log_s, dense = resolvent._log_power_norms(np.diag([1.0, 0.5]), np.ones((2, 1), complex), vecs, 3)
+    assert calls == [(3, [1] * 6)]
+    assert log_s[0] == 0.0 and dense == 0
+
+
+def test_certificate_settles_columns_early_on_the_default_fractional_ladder(monkeypatch):
+    # the step after which each (k, column) leaves the block, read off the
+    # block widths; with the certificate most leave after 3 steps (1,654
+    # against 507 after 4), without it most need a 4th (652 against 1,404)
+    calls = _count_power_steps(monkeypatch)
+    t, pair = _phi_plus_fractional(64, 1.0)
+    profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+    exits = np.zeros(61, dtype=int)
+    for k, widths in calls:
+        # no group was redone: every step is 2k products on one block
+        steps = widths[:: 2 * k]
+        assert len(widths) == 2 * k * len(steps)
+        assert widths == [w for w in steps for _ in range(2 * k)]
+        for j, (before, after) in enumerate(zip(steps, steps[1:] + [0]), start=1):
+            exits[j] += before - after
+    assert np.argmax(exits) == 3
 
 
 # ---------------------------------------------------------------- randomized oracles
