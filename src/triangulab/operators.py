@@ -135,13 +135,18 @@ class SplitPair:
     ``unitary`` is the change of basis ``Q`` (identity when the split
     happened in the given basis).  ``diagonal`` is ``S`` as a vector and
     ``strict`` is ``N``, strictly triangular, so its n-th power vanishes
-    exactly.
+    exactly.  Anything but a square, exactly lower or exactly upper
+    ``triangle`` with a ``unitary`` of its shape raises ``ValueError``.
     """
 
     triangle: np.ndarray
     unitary: np.ndarray
 
     def __post_init__(self):
+        r, q = self.triangle, self.unitary
+        square = r.ndim == 2 and r.shape[0] == r.shape[1] and q.shape == r.shape
+        if not square or min(scipy.linalg.bandwidth(r)) > 0:
+            raise ValueError(f"need a square exact triangle and a unitary of its shape, got {r.shape}, {q.shape}")
         self.triangle.setflags(write=False)
         self.unitary.setflags(write=False)
 

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .exceptions import InsufficientDataError, NearSingularError
 from .operators import SplitPair, as_entries, write_csv
@@ -45,9 +46,9 @@ def resolvent_norm(t, lam: complex) -> float:
     about ``eps ||lambda I - T||``, so the relative error of the norm grows
     with the norm itself: on ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)``
     it is 1.2e-10 at ``lambda = 0.5 + 0.5j`` (norm 2e6) and 9.0e-7 at
-    ``0.5 + 0.1j`` (norm 1.9e10), against 40-digit mpmath, where inverse
-    Lanczos on the triangle (:func:`_triangle_resolvent_norm`) stays within
-    4.5e-16.  Raises :class:`NearSingularError` when ``sigma_min`` is below
+    ``0.5 + 0.1j`` (norm 1.9e10), against 40-digit mpmath.  For a triangular
+    ``T``, :func:`_triangle_resolvent_norm` is accurate there.  Raises
+    :class:`NearSingularError` when ``sigma_min`` is below
     ``1e-14 max(||T||_2 + |lambda|, 1)``.
     """
     entries = as_entries(t)
@@ -83,7 +84,9 @@ def _dense_log_norm(b: np.ndarray, k: int) -> float:
             return -math.inf
         log_acc += math.log(nrm)
         if i < k - 1:
-            m = (m / nrm) @ b
+            # a real division: numpy's complex one takes 1 / nrm, which
+            # overflows for a subnormal norm
+            m = (m.view(np.float64) / nrm).view(m.dtype) @ b
     return log_acc
 
 
@@ -243,66 +246,69 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     return math.exp(_dense_log_norm(b, n))
 
 
-_LANCZOS_STEPS = 128  # inverse Lanczos step cap, min(n, _LANCZOS_STEPS)
+_LANCZOS_STEPS = 128  # applications of (A* A)^{-1} per envelope sample before the dense fallback
+
+
+class _Unsettled(Exception):
+    """A triangular solve failed or overflowed, or the step cap was met."""
 
 
 def _triangle_resolvent_norm(triangle: np.ndarray, lower: bool, tnorm: float, lam: complex) -> tuple:
-    """``||(lambda I - R)^{-1}||`` for a triangular ``R`` by inverse Lanczos: ``(norm, dense)``.
+    """``||(lambda I - R)^{-1}||`` for a triangular ``R``: ``(norm, dense)``; the envelope's evaluator.
 
-    Lanczos on ``B = (A* A)^{-1}``, ``A = lambda I - R``, whose top eigenvalue
-    is ``1 / sigma_min(A)^2``: each step applies ``B`` by two triangular
-    solves (LAPACK ``trtrs``, lower or upper as ``lower`` says) and
-    reorthogonalizes against every earlier Lanczos vector twice.  The start
-    vector is fixed, drawn from ``default_rng(3)``, so the value depends on
-    ``(R, lambda)`` alone.  The top Ritz value ``theta`` settles once its
-    residual ``beta_j |s_j|`` is at most ``1e-10 theta``, and the norm is
-    ``sqrt(theta)``.  A Ritz value never exceeds the eigenvalue it
-    approximates, so ``1 / sqrt(theta)`` never lies below ``sigma_min``.
-    The sample goes through :func:`resolvent_norm` instead (``dense`` is
-    True) when it has not settled in ``min(n, 128)`` steps, when a solve
-    meets an exactly singular ``A`` or any value is non-finite (the solves
-    overflow on the spectrum, and ``theta`` underflows to 0 far from it),
-    or when ``1 / sqrt(theta)`` is at most ``1e-12 max(tnorm + 2|lambda|, 1)``
-    with ``tnorm = ||R||_2``.  That band
-    lies above :func:`resolvent_norm`'s guard ``1e-14 max(||A||_2 + |lambda|, 1)``,
-    so each :class:`NearSingularError` is raised by the dense path.
+    ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) finds the top
+    eigenvalue ``theta = 1 / sigma_min(A)^2`` of ``(A* A)^{-1}``,
+    ``A = lambda I - R``, applied by two triangular solves (LAPACK
+    ``trtrs``, lower or upper as ``lower`` says), to a residual of
+    ``1e-10 theta``; the norm is ``sqrt(theta)``.  The start vector and the
+    generator of any restart vector come from ``default_rng(3)``, so the
+    value depends on ``(R, lambda)`` alone.  It agrees with the dense SVD of
+    :func:`resolvent_norm` to ``2.3e-15`` relative on the default operators
+    at n=256, far below the envelope's pruning margin; against 40-digit
+    mpmath it stays within ``2.3e-16`` where that SVD drifts by up to 9.0e-7
+    (its error is absolute on ``sigma_min``).  The sample goes through
+    :func:`resolvent_norm` instead (``dense`` is True) when ``n < 3``
+    (ARPACK's complex driver needs 3 basis vectors), when ARPACK has not
+    converged in 128 applications of ``(A* A)^{-1}``, when a solve meets an
+    exactly singular ``A`` or a non-finite value (the solves overflow on the
+    spectrum), when ``theta`` underflows to 0 (far from it), or when
+    ``1 / sqrt(theta)`` is at most ``1e-12 max(tnorm + 2|lambda|, 1)`` with
+    ``tnorm = ||R||_2``.  That band lies above :func:`resolvent_norm`'s
+    guard ``1e-14 max(||A||_2 + |lambda|, 1)``, so each
+    :class:`NearSingularError` is raised by the dense path.
     """
     n = triangle.shape[0]
-    a = np.empty((n, n), dtype=complex, order="F")
-    np.negative(triangle, out=a)
-    a[np.arange(n), np.arange(n)] += lam
-    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (a,))
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    cap = min(n, _LANCZOS_STEPS)
-    basis = np.empty((cap, n), dtype=complex)  # Lanczos vectors as rows
-    alphas = np.zeros(cap)  # the Lanczos tridiagonal: diagonal
-    betas = np.zeros(cap)  # and off-diagonal
-    for j in range(cap):
-        basis[j] = q
-        z, info = trtrs(a, q, lower=lower, trans=2)
-        if info != 0:  # an exactly zero diagonal entry: lambda is an eigenvalue of R
-            break
-        w, _ = trtrs(a, z, lower=lower)
-        done = basis[: j + 1]
-        for _ in range(2):
-            h = done.conj() @ w
-            w -= h @ done
-            alphas[j] += h[j].real
-        beta = float(np.linalg.norm(w))
-        if not (math.isfinite(beta) and math.isfinite(alphas[j])):
-            break
-        ritz, vecs = scipy.linalg.eigh_tridiagonal(
-            alphas[: j + 1], betas[:j], select="i", select_range=(j, j), check_finite=False
-        )
-        theta = float(ritz[0])
-        if beta * abs(vecs[-1, 0]) <= 1e-10 * theta:
-            if not theta > 0.0 or 1.0 / math.sqrt(theta) <= 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
-                break
-            return math.sqrt(theta), False
-        betas[j] = beta
-        q = w / beta
+    theta = 0.0
+    if n >= 3:
+        a = np.empty((n, n), dtype=complex, order="F")
+        np.negative(triangle, out=a)
+        a[np.arange(n), np.arange(n)] += lam
+        (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (a,))
+        applied = 0
+
+        def apply(q):
+            nonlocal applied
+            applied += 1
+            z, _ = trtrs(a, q, lower=lower, trans=2)  # both solves check the one diagonal of a:
+            z, info = trtrs(a, z, lower=lower)  # info > 0 when lambda is a diagonal entry of R
+            if applied > _LANCZOS_STEPS or info != 0 or not np.all(np.isfinite(z)):
+                raise _Unsettled
+            return z
+
+        rng = np.random.default_rng(3)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        try:
+            # a basis of 12: ARPACK's default of 20 makes every sample take 20
+            # applications, where the median sample of the default profiles
+            # needs 13; with 12 they need at most 91 of the 128, with 8 up to 121
+            (theta,) = scipy.sparse.linalg.eigsh(
+                scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=complex),
+                k=1, which="LA", v0=v0, ncv=min(n, 12), tol=1e-10, return_eigenvectors=False, rng=rng,
+            )
+        except (_Unsettled, scipy.sparse.linalg.ArpackError):
+            pass
+    if theta > 0.0 and 1.0 / math.sqrt(theta) > 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
+        return math.sqrt(theta), False
     return resolvent_norm(triangle, lam), True
 
 
@@ -321,12 +327,10 @@ def _envelope(triangle: np.ndarray, tnorm: float, x_grid: np.ndarray, y: float, 
     goes through :func:`_triangle_resolvent_norm` next, until every
     remaining bound exceeds the smallest ``sigma_min`` found on this line by
     ``1e-12 (||R||_inf + max|x| + |y|)``.  That margin sits far above the
-    error of an evaluated ``sigma_min`` (inverse Lanczos agrees with dense
-    singular values to ``1.5e-15`` relative on the default profiles), so
-    the skipped samples are strictly below the maximum: it is the same
-    float a full sweep of the evaluator gives, first attained at the same
-    ``x``.  ``dense`` counts
-    the samples that took the evaluator's dense fallback.
+    error of an evaluated ``sigma_min``, so the skipped samples are strictly
+    below the maximum: it is the same float a full sweep of the evaluator
+    gives, first attained at the same ``x``.  ``dense`` counts the samples
+    that took the evaluator's dense fallback.
     """
     lower = not np.any(np.triu(triangle, 1))
     t_inf = float(np.abs(triangle).sum(axis=1).max())
@@ -363,8 +367,8 @@ class ResolventProfile:
     resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
-    counts the envelope samples at ``y_j`` that inverse Lanczos handed to the
-    dense SVD (see :func:`_triangle_resolvent_norm`).  ``chain_fallbacks[j]``
+    counts the envelope samples at ``y_j`` that went to the dense SVD (see
+    :func:`_triangle_resolvent_norm`).  ``chain_fallbacks[j]``
     counts the chain norms at ``y_j`` that the power iteration left unsettled and
     dense singular values finished (see :func:`_log_power_norms`).
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
@@ -432,35 +436,20 @@ def profile(
     Chains stop early once ``r_n`` sits well below the counting threshold
     for several consecutive steps, which cannot create false counts because
     ``r_n`` decays past that regime.
-    The envelope evaluates only the ``x`` samples that can attain ``M(y)``
-    (see :func:`_envelope`), using the ``sigma_min`` of every sample
-    evaluated at this and earlier ladder points to rule samples out.  Each
-    evaluated sample gets ``sigma_min(lambda I - R)`` by inverse Lanczos on
-    the triangle ``R`` (two triangular solves per step; see
-    :func:`_triangle_resolvent_norm`).  A sample that has not settled at the
-    step cap, meets a non-finite value or has an estimated ``sigma_min`` at
-    most ``1e-12 max(||R||_2 + 2|lambda|, 1)`` goes through
-    :func:`resolvent_norm` instead, so an evaluated sample numerically inside the spectrum raises
-    :class:`NearSingularError` from the dense path, and
-    ``envelope_fallbacks`` counts those samples.  ``||R||_2`` comes from the
-    one dense ``svdvals`` of the profile.  A sample is skipped only when its
-    ``sigma_min`` provably exceeds the smallest one found by a margin far
-    above the ``1e-14 ||lambda I - T||`` guard, so a sample that would trip
-    the guard is always evaluated and the error is raised as before.
+    The envelope evaluates only the ``x`` samples that can attain ``M(y)``,
+    ruling samples out by the ``sigma_min`` of every sample evaluated at this
+    and earlier ladder points (see :func:`_envelope`); a sample numerically
+    inside the spectrum is always evaluated and raises
+    :class:`NearSingularError`.  :func:`_triangle_resolvent_norm` evaluates
+    each sample, and its docstring states its accuracy and its dense
+    fallback, which ``envelope_fallbacks`` counts.  ``||R||_2`` comes from
+    the one dense ``svdvals`` of the profile.
     ``n_max``, ``x_samples`` and ``power_x_samples`` below 1 raise
     ``ValueError``.
-    The chain sweep renormalizes once per group of four block products and
-    redoes a group one product at a time where a column norm falls below
-    ``1e-150``, so only an exactly zero product kills a chain.  A chain
-    settles when two successive power-iteration estimates agree to ``1e-8``
-    relative, or when one step certifies itself: its Rayleigh quotient
-    ``||B^k x||^2`` and ``||A x||``, ``A = (B^k)* B^k``, agree to ``1e-10``
-    in logs (see :func:`_log_power_norms`).
-    A chain whose power iteration has not settled in 60 steps, as when the
-    top singular values of some ``B^k`` nearly coincide, gets its norm from
-    dense singular values instead, and ``chain_fallbacks`` counts those.
-    When ``V`` has no imaginary part, as for every real kernel, the chain
-    sweep applies ``V`` by real GEMM.
+    :func:`_log_power_norms` states when a chain norm settles and when it
+    comes from dense singular values instead, which ``chain_fallbacks``
+    counts.  When ``V`` has no imaginary part, as for every real kernel, the
+    chain sweep applies ``V`` by real GEMM.
     """
     entries = split.triangle
     diag, v = _real_split(split)

@@ -12,6 +12,7 @@ from triangulab.operators import (
     KERNEL_PRESETS,
     KernelSpec,
     OperatorMatrix,
+    SplitPair,
     build_difference_operator,
     build_ebeta_operator,
     build_fractional,
@@ -310,6 +311,24 @@ def test_split_given_basis_rejects_non_triangular():
     t = wrap_matrix(np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)).entries.T
     with pytest.raises(ValueError):
         split_given_basis(wrap_matrix(t.T))
+
+
+def test_split_pair_takes_only_an_exact_triangle_and_a_unitary_of_its_shape():
+    # the envelope's triangular solves read one triangle, so a full matrix
+    # would give the envelope of another operator
+    full = np.random.default_rng(0).standard_normal((12, 12)).astype(complex)
+    eye = np.eye(12, dtype=complex)
+    lower = np.tril(full)
+    for triangle, unitary in (
+        (full, eye),
+        (lower, eye[:11, :11]),
+        (lower[:, :11], eye[:, :11]),
+        (np.diag(lower), np.diag(eye)),
+    ):
+        with pytest.raises(ValueError):
+            SplitPair(triangle, unitary)
+    for triangle in (lower, np.triu(full), np.diag(np.diag(full)), full[:1, :1]):
+        assert SplitPair(triangle, np.eye(len(triangle), dtype=complex)).triangle is triangle
 
 
 def test_split_given_basis_roundtrip_exact():

@@ -7,6 +7,8 @@ import inspect
 import runpy
 from pathlib import Path
 
+import scipy.linalg
+
 from triangulab import experiments
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -26,3 +28,16 @@ def test_every_traced_span_names_a_package_function():
 def test_cached_ebeta_keeps_the_signature_the_benchmark_calls():
     params = list(inspect.signature(experiments._cached_ebeta).parameters)
     assert params == ["config", "grid", "beta"]
+
+
+def test_a_default_resolvent_profile_takes_one_svdvals(monkeypatch, tmp_path):
+    # the benchmark expects a lapack.svdvals span on its profile workloads,
+    # and the one ||T||_2 of the profile is the only call left to enter it
+    calls = []
+    svdvals = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", lambda *args, **kwargs: calls.append(1) or svdvals(*args, **kwargs))
+    config = experiments.ExperimentConfig.from_dict(
+        {"experiment": "resolvent-profile", "output_dir": str(tmp_path)}
+    )
+    assert experiments.run_experiment(config).passed
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +157,7 @@ def test_profile_zero_nilpotent_part():
     _assert_envelope_is_dense_max(t, prof)
 
 
-def _lanczos_sweep(triangle, x_grid, y):
+def _evaluator_sweep(triangle, x_grid, y):
     # the envelope's per-sample evaluator at every x sample, set up as profile sets it up
     lower = not np.any(np.triu(triangle, 1))
     tnorm = float(scipy.linalg.svdvals(triangle)[0])
@@ -167,7 +168,7 @@ def _close_to_dense(norm, dense, tnorm, lam):
     # 1e-12 relative, plus the dense oracle's own rounding: svdvals has
     # sigma_min(lambda I - T) only to a few eps ||lambda I - T|| absolute, more
     # than 1e-12 relative past resolvent norms of about 1e3 (against mpmath,
-    # 5e-13 at 1e4 and 9e-7 at 2e10, where inverse Lanczos stays within 1e-15)
+    # 5e-13 at 1e4 and 9e-7 at 2e10, where the evaluator stays within 1e-15)
     return abs(1.0 / norm - 1.0 / dense) <= 1e-12 / dense + 16 * EPS * (tnorm + abs(lam))
 
 
@@ -182,7 +183,7 @@ def _assert_envelope_is_dense_max(t, prof):
     # evaluator, first attained at the same x; oracle: that evaluator agrees
     # with the dense resolvent_norm at every sample
     for j, y in enumerate(prof.y_grid):
-        swept = _lanczos_sweep(as_entries(t), prof.x_grid, y)
+        swept = _evaluator_sweep(as_entries(t), prof.x_grid, y)
         assert prof.envelope_m[j] == max(swept)
         assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(swept))]
         _assert_matches_resolvent_norm(swept, t, prof.x_grid + 1j * y)
@@ -214,7 +215,7 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
     x_grid = np.linspace(-3.0, 3.0, 64)
     samples = []  # shared across the three lines, as profile shares it across its ladder
     for y in (1.0, 0.3, -0.1):
-        swept = _lanczos_sweep(r, x_grid, y)
+        swept = _evaluator_sweep(r, x_grid, y)
         top, x_top, evals, dense_evals = _envelope(r, tnorm, x_grid, y, samples)
         assert top == max(swept)
         assert x_top == x_grid[int(np.argmax(swept))]
@@ -264,18 +265,26 @@ def _mp_resolvent_norm(a, lam):
 
 
 def test_triangle_resolvent_norm_on_a_double_sigma_min():
-    # sigma_min(lambda I - diag(0, 2)) = |1 + 0.5j| twice at lambda = 1 + 0.5j
-    a = np.diag([0.0, 2.0]).astype(complex)
+    # sigma_min(lambda I - diag(0, 2, 5)) = |1 + 0.5j| twice at lambda = 1 + 0.5j
+    a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     for lower in (True, False):
-        norm, dense = _triangle_resolvent_norm(a, lower, 2.0, 1.0 + 0.5j)
+        norm, dense = _triangle_resolvent_norm(a, lower, 5.0, 1.0 + 0.5j)
         assert not dense
         assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
         assert norm == pytest.approx(resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
 
 
+def test_triangle_resolvent_norm_is_dense_below_three_dimensions():
+    # ARPACK's complex driver needs a basis of 3 vectors
+    for a in (np.diag([0.0, 2.0]).astype(complex), np.array([[1.0 + 0.0j]])):
+        norm, dense = _triangle_resolvent_norm(a, True, 2.0, 1.0 + 0.5j)
+        assert dense
+        assert norm == resolvent_norm(a, 1.0 + 0.5j)
+
+
 def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
     # a resolvent norm of 2e6 at distance 0.5 from the spectrum: against
-    # mpmath the dense SVD is off by 1.2e-10 relative here, inverse Lanczos by 2.4e-16
+    # mpmath the dense SVD is off by 1.2e-10 relative here, the evaluator by 1.1e-16
     n = 12
     a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
     tnorm = float(scipy.linalg.svdvals(a)[0])
@@ -305,20 +314,61 @@ def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
 def test_triangle_resolvent_norm_raises_on_the_spectrum(y):
     # at 1e-300 the solves overflow; at 1e-20 they stay finite but the estimate
     # sits inside the 1e-12 band: either way the dense path raises
-    a = np.diag([0.0, 2.0]).astype(complex)
+    a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     with pytest.raises(NearSingularError):
-        _triangle_resolvent_norm(a, True, 2.0, 1j * y)
+        _triangle_resolvent_norm(a, True, 5.0, 1j * y)
+
+
+def _counting_trtrs(monkeypatch):
+    # counts the triangular solves of _triangle_resolvent_norm, two per step
+    calls = []
+    get = scipy.linalg.get_lapack_funcs
+
+    def counting(names, arrays):
+        (trtrs,) = get(names, arrays)
+        return (lambda *args, **kwargs: calls.append(1) or trtrs(*args, **kwargs),)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    return calls
 
 
 def test_triangle_resolvent_norm_falls_back_when_unsettled(monkeypatch):
-    t, pair = _phi_plus_fractional(32, 1.0)
+    # the cap counts applications of (A* A)^{-1}: a sample that converges in
+    # k of them settles under a cap of k and takes the dense path under k - 1
+    t, _ = _phi_plus_fractional(32, 1.0)
     tnorm = float(scipy.linalg.svdvals(t.entries)[0])
     lam = 0.5 + 0.25j
-    assert not _triangle_resolvent_norm(t.entries, True, tnorm, lam)[1]
-    monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", 2)
+    calls = _counting_trtrs(monkeypatch)
+    norm, dense = _triangle_resolvent_norm(t.entries, True, tnorm, lam)
+    steps = len(calls) // 2
+    assert not dense and 12 <= steps < resolvent._LANCZOS_STEPS
+    monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps)
+    assert _triangle_resolvent_norm(t.entries, True, tnorm, lam) == (norm, False)
+    monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps - 1)
     norm, dense = _triangle_resolvent_norm(t.entries, True, tnorm, lam)
     assert dense
     assert norm == resolvent_norm(t, lam)
+
+
+def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
+    # the start vector and ARPACK's restart generator are fixed, so the same
+    # bits come back after unrelated calls; on diag(0, 0, 5) the Krylov space
+    # of the start vector is exhausted after two steps
+    t, _ = _phi_plus_fractional(32, 1.0)
+    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
+    cases = [
+        (np.diag([0.0, 0.0, 5.0]).astype(complex), True, 5.0, 1.0 + 0.5j),
+        (t.entries.T.copy(), False, tnorm, 0.5 + 0.25j),
+        (t.entries, True, tnorm, -0.25 + 0.125j),
+    ]
+    first = [_triangle_resolvent_norm(*case) for case in cases]
+    assert first[0] == (pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15), False)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    scipy.sparse.linalg.eigsh(b @ b.conj().T, k=2)  # an unrelated ARPACK run from an unseeded start
+    for case in reversed(cases):
+        _triangle_resolvent_norm(case[0], case[1], case[2], case[3] + 0.1)
+    assert [_triangle_resolvent_norm(*case) for case in cases] == first
 
 
 @pytest.mark.parametrize(
@@ -673,6 +723,15 @@ def test_chain_that_underflows_within_a_group_is_not_dead(scale):
         assert roots[k - 1] == pytest.approx(abs(d[0, 0]), rel=1e-12, abs=0.0)
         if c_norm(pair, lam, k) > 0.0:  # c_norm itself underflows once |d|^k does
             assert roots[k - 1] == pytest.approx(c_norm(pair, lam, k) ** (1.0 / k), rel=1e-12, abs=0.0)
+
+
+def test_dense_log_norm_survives_a_subnormal_power_norm():
+    # ||b|| = 1e-310 is subnormal: numpy's complex division by it takes
+    # 1 / 1e-310, which overflows, and the next svdvals met infinities
+    for shift in (np.eye(8, k=-1), np.eye(8, k=-1).astype(complex)):
+        for k in (2, 7):
+            assert _dense_log_norm(1e-310 * shift, k) == pytest.approx(k * math.log(1e-310), rel=1e-14)
+        assert _dense_log_norm(1e-310 * shift, 8) == -math.inf
 
 
 def _count_power_steps(monkeypatch):
