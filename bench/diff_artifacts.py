@@ -12,8 +12,11 @@ differing CSV with the same header and row count in both trees it also
 says whether every non-float field matches and how far the float fields
 moved (the largest relative change).
 
-BLAS rounding depends on the thread count, so set ``OPENBLAS_NUM_THREADS=1``
-for both runs when comparing two checkouts bit for bit.
+BLAS rounding depends on the thread count, so ``run`` sets
+``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1`` in its own environment
+before it imports triangulab (and with it numpy, whose BLAS reads them once,
+when it loads).  Two runs on the same machine then compare bit for bit with
+no setting made by hand.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +32,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_all(out: Path, seed: int) -> None:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
     sys.path.insert(0, str(SRC))
     from triangulab.experiments import REGISTRY, ExperimentConfig, run_experiment
 

@@ -1,7 +1,8 @@
 """Command-line entry point: ``triangulab run --config <file>`` and ``triangulab list``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
-error, 3 numerical failure.
+error (an unusable ``output_dir`` or ``cache_dir`` included), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def _cmd_run(config_path: str) -> int:
     except (TriangulabError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # output_dir or cache_dir cannot hold files
+        print(f"config error: cannot use {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for check in summary.checks:
         state = "PASS" if check.passed else "FAIL"
         print(f"[{state}] {summary.experiment}/{check.name}: value={check.value:g} threshold={check.threshold:g}")

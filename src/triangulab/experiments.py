@@ -3,7 +3,9 @@
 Every numerically checkable claim the package implements is exposed as a
 named experiment that builds its operators, runs the relevant diagnostics,
 writes CSV artifacts plus a ``summary.json``, and reports each check as
-pass/fail.  The CLI wraps this registry; tests call it directly.
+pass/fail.  The lower layers return data only: this module writes every
+artifact, and :func:`_write_csv` is the one CSV format.  The CLI wraps this
+registry; tests call it directly.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .operators import (
     operator_norm,
     save_matrix,
     split_given_basis,
-    write_csv,
 )
 from .specfun import EbetaSpec, e_beta, e_beta_cumulative, m_moment
 
@@ -254,6 +255,37 @@ class Summary:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write a CSV artifact: the header line, then one line per row.
+
+    Strings and integers are written as they are, every other value as the
+    ``repr`` of a float, which round-trips exactly.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row) + "\n")
+
+
+def _write_profile(prof: res.ResolventProfile, path) -> None:
+    """``y, N(y), M(y), ln M(y)``, one row per ladder point."""
+    rows = ((y, int(n), m, math.log(m)) for y, n, m in zip(prof.y_grid, prof.count_n, prof.envelope_m))
+    _write_csv(path, "y,count_n,envelope_m,ln_envelope_m", rows)
+
+
+def _write_r_table(prof: res.ResolventProfile, path) -> None:
+    """``n, y, r_n(y)`` for every nonzero chain root."""
+    rows = ((k + 1, y, r) for j, y in enumerate(prof.y_grid) for k, r in enumerate(prof.r[:, j]) if r > 0.0)
+    _write_csv(path, "n,y,r_n", rows)
+
+
+def _write_trace(trace: sym.SymbolTrace, path) -> None:
+    """``xi``, Re/Im of both transforms and Re/Im/``|.|`` of the symbol ``g``."""
+    rows = ((x, st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g))
+            for x, st, s1, g in zip(trace.xi_samples, trace.s_tilde, trace.s_tilde1, trace.g))
+    _write_csv(path, "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g", rows)
+
+
 def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
     """``phi + V`` with ``phi(x) = x`` on ``grid`` and ``V`` given by its entries."""
     return OperatorMatrix(grid, np.diag(grid.nodes) + v)
@@ -264,8 +296,9 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
 
     The per-cell quadratures make these the most expensive constructions, so
     the CLI can cache them in the documented text format.  A cached file is
-    trusted only if its first cell matches the kernel's; otherwise the
-    matrix is rebuilt and the file overwritten.
+    trusted only if it reads back as a matrix whose first cell matches the
+    kernel's; otherwise (a truncated or non-numeric file too) the matrix is
+    rebuilt and the file overwritten.
     """
     kernel = EbetaSpec(beta, config.c)
     if not config.cache_dir:
@@ -273,8 +306,11 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
     # repr is exact, so parameters that differ in any digit never share a file
     tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
     path = os.path.join(config.cache_dir, tag)
-    if os.path.exists(path):
-        cached = load_matrix(path)
+    try:
+        cached = load_matrix(path) if os.path.exists(path) else None
+    except ValueError:  # truncated or not numbers: rebuilt like a stale file
+        cached = None
+    if cached is not None:
         first = e_beta_cumulative(0.5 * grid.h, kernel) / math.gamma(beta)
         if (
             cached.grid.n == grid.n
@@ -414,8 +450,8 @@ def _exp_resolvent_profile(config: ExperimentConfig, outdir: str):
     beta = config.beta if config.beta is not None else 1.0
     ladder = config.y_ladder or _default_ladder("fractional", beta)
     prof = _phi_plus_profile(config, n, "fractional", beta, ladder)
-    res.profile_to_csv(prof, os.path.join(outdir, "profile.csv"))
-    res.r_table_to_csv(prof, os.path.join(outdir, "r_table.csv"))
+    _write_profile(prof, os.path.join(outdir, "profile.csv"))
+    _write_r_table(prof, os.path.join(outdir, "r_table.csv"))
 
     # chain-series identity against the dense inverse on a small companion build
     small = make_grid(config.omega, 32)
@@ -443,8 +479,8 @@ def _exp_levinson(config: ExperimentConfig, outdir: str):
     beta = config.beta if config.beta is not None else 2.0
     ladder = config.y_ladder or _default_ladder("ebeta", beta)
     prof = _phi_plus_profile(config, n, "ebeta", beta, ladder)
-    res.profile_to_csv(prof, os.path.join(outdir, "profile.csv"))
-    res.r_table_to_csv(prof, os.path.join(outdir, "r_table.csv"))
+    _write_profile(prof, os.path.join(outdir, "profile.csv"))
+    _write_r_table(prof, os.path.join(outdir, "r_table.csv"))
     expected = "INTEGRABLE" if 1.0 / beta < 1.0 else "DIVERGENT"
     verdict, check = _verdict_check(config, prof, f"verdict-is-{expected.lower()}", expected)
     echo = dict(n=n, beta=beta, ladder=list(ladder), verdict=verdict.verdict, p=verdict.p, q=verdict.q)
@@ -461,7 +497,7 @@ def _exp_fractional_powers(config: ExperimentConfig, outdir: str):
         errs[size] = operator_norm(jh.entries @ jh.entries - j1.entries)
     worst_ratio = min(errs[a] / errs[2 * a] for a in (64, 128, 256))
     checks = [at_least("square-root-law-halving-ratio", worst_ratio, 1.5)]
-    write_csv(os.path.join(outdir, "power_law.csv"), "n,defect", errs.items())
+    _write_csv(os.path.join(outdir, "power_law.csv"), "n,defect", errs.items())
     for beta, m in ((0.5, 2), (1.0, 3)):
         grid = make_grid(omega, 256)
         jb = build_fractional(grid, beta)
@@ -495,7 +531,7 @@ def _exp_ebeta_asymptotics(config: ExperimentConfig, outdir: str):
     checks.append(at_most("moment-log-bound-single-constant", fitted_m, 10.0))
     decreasing = moments[4] > moments[8] > moments[16]
     checks.append(("moments-decreasing", moments[16], moments[8], decreasing))
-    write_csv(os.path.join(outdir, "asymptotics.csv"), "beta,x,ratio", rows)
+    _write_csv(os.path.join(outdir, "asymptotics.csv"), "beta,x,ratio", rows)
     return checks, dict(moments={str(k): v for k, v in moments.items()})
 
 
@@ -518,7 +554,7 @@ def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str):
         at_most("semigroup-defect-at-256", worst[256], config.tol("semigroup_rel")),
         ("semigroup-defect-decreasing", worst[256], worst[64], worst[64] > worst[128] > worst[256]),
     ]
-    write_csv(os.path.join(outdir, "semigroup.csv"), "n,worst_rel_defect", worst.items())
+    _write_csv(os.path.join(outdir, "semigroup.csv"), "n,worst_rel_defect", worst.items())
     return checks, dict(sizes=list(sizes), pairs=len(pairs))
 
 
@@ -528,7 +564,7 @@ def _exp_growth_frac(config: ExperimentConfig, outdir: str):
     fitted = {}
     for beta in (0.5, 1.0):
         prof = _phi_plus_profile(config, n, "fractional", beta, _default_ladder("fractional", beta))
-        res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
+        _write_profile(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
         fitted[beta] = prof.fitted_p
         checks += _exponent_checks(f"exponent-beta{beta:g}", prof.fitted_p, 1.0 / beta)
     return checks, dict(n=n, fitted={str(k): v for k, v in fitted.items()})
@@ -540,7 +576,7 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str):
     verdicts = {}
     for beta, expected in ((2.0, "INTEGRABLE"), (0.5, "DIVERGENT")):
         prof = _phi_plus_profile(config, n, "ebeta", beta, _default_ladder("ebeta", beta))
-        res.profile_to_csv(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
+        _write_profile(prof, os.path.join(outdir, f"profile_beta{beta:g}.csv"))
         verdicts[beta], check = _verdict_check(
             config, prof, f"verdict-beta{beta:g}-{expected.lower()}", expected
         )
@@ -579,7 +615,7 @@ def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
     s = KernelSpec.preset(preset, config.alpha).s
     ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     trace = sym.trace_symbol(s, config.omega, ladder)
-    sym.trace_to_csv(trace, os.path.join(outdir, "trace.csv"))
+    _write_trace(trace, os.path.join(outdir, "trace.csv"))
     checks = []
     if preset != "imaginary_power":
         sym_err = max(
@@ -619,7 +655,7 @@ def _exp_prop54(config: ExperimentConfig, outdir: str):
     xi0 = 2.0 * math.pi * round(64.0 * config.omega / (2.0 * math.pi)) / config.omega
     r_ident = sym.prop54_residual(ident, xi0)
     checks.append(at_most("identity-kernel-residual", r_ident, 1e-8))
-    write_csv(os.path.join(outdir, "residuals.csv"), "xi,residual", zip(frequencies, residuals))
+    _write_csv(os.path.join(outdir, "residuals.csv"), "xi,residual", zip(frequencies, residuals))
     return checks, dict(n=n, alpha=config.alpha, residuals=residuals)
 
 
@@ -637,7 +673,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str):
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
         passed = report.classification == expected
         checks.append((f"{preset}-classified-{expected}", report.trend_slope, sym.GROWTH_SLOPE, passed))
-    write_csv(os.path.join(outdir, "boundedness.csv"), "preset,sup_indicator,trend_slope,classification", rows)
+    _write_csv(os.path.join(outdir, "boundedness.csv"), "preset,sup_indicator,trend_slope,classification", rows)
     return checks, dict(cases=[c[0] for c in cases])
 
 
@@ -671,7 +707,7 @@ def _exp_annulus(config: ExperimentConfig, outdir: str):
         rel = abs(gval - target) / target
         checks.append(at_most(f"symbol-modulus-at-xi-{xi:+.0f}", rel, 0.02))
     rows = [(size, moduli_by_size[size].max(), moduli_by_size[size].min()) for size in sizes]
-    write_csv(os.path.join(outdir, "eigen_moduli.csv"), "n,max_modulus,min_modulus", rows)
+    _write_csv(os.path.join(outdir, "eigen_moduli.csv"), "n,max_modulus,min_modulus", rows)
     return checks, dict(n=n, alpha=alpha, eps=eps)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "wrap_matrix",
     "save_matrix",
     "load_matrix",
-    "write_csv",
 ]
 
 
@@ -135,8 +134,9 @@ class SplitPair:
     ``unitary`` is the change of basis ``Q`` (identity when the split
     happened in the given basis).  ``diagonal`` is ``S`` as a vector and
     ``strict`` is ``N``, strictly triangular, so its n-th power vanishes
-    exactly.  Anything but a square, exactly lower or exactly upper
-    ``triangle`` with a ``unitary`` of its shape raises ``ValueError``.
+    exactly; ``lower`` says which triangle holds ``R``.  Anything but a
+    square, exactly lower or exactly upper ``triangle`` with a ``unitary`` of
+    its shape raises ``ValueError``.
     """
 
     triangle: np.ndarray
@@ -149,6 +149,11 @@ class SplitPair:
             raise ValueError(f"need a square exact triangle and a unitary of its shape, got {r.shape}, {q.shape}")
         self.triangle.setflags(write=False)
         self.unitary.setflags(write=False)
+
+    @property
+    def lower(self) -> bool:
+        """Whether ``triangle`` is lower triangular; a diagonal one is both."""
+        return scipy.linalg.bandwidth(self.triangle)[1] == 0
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -324,12 +329,13 @@ def split_given_basis(t: OperatorMatrix) -> SplitPair:
     """Split a triangular matrix into diagonal plus strict triangle in place.
 
     Requires an exactly lower-triangular input (the constructors guarantee
-    exact zero patterns); anything else should go through
-    :func:`split_schur`.
+    exact zero patterns); anything else raises ``ValueError`` and should go
+    through :func:`split_schur`.
     """
-    if np.any(np.triu(t.entries, 1) != 0):
+    split = SplitPair(triangle=t.entries, unitary=np.eye(t.n, dtype=complex))
+    if not split.lower:
         raise ValueError("matrix is not lower triangular; use split_schur")
-    return SplitPair(triangle=t.entries, unitary=np.eye(t.n, dtype=complex))
+    return split
 
 
 def _swap_adjacent(r: np.ndarray, q: np.ndarray, k: int) -> None:
@@ -459,15 +465,3 @@ def load_matrix(path) -> OperatorMatrix:
         )
     entries = data[0::2] + 1j * data[1::2]
     return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols))
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write the CSV artifact format: the header line, then one line per row.
-
-    Strings and integers are written as they are, every other value as the
-    ``repr`` of a float, which round-trips exactly.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row) + "\n")

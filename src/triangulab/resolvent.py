@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .exceptions import InsufficientDataError, NearSingularError
-from .operators import SplitPair, as_entries, write_csv
+from .operators import SplitPair, as_entries
 
 __all__ = [
     "ResolventProfile",
@@ -34,8 +34,6 @@ __all__ = [
     "levinson_classify",
     "count_bound_constant",
     "neumann_residual",
-    "profile_to_csv",
-    "r_table_to_csv",
 ]
 
 
@@ -47,7 +45,7 @@ def resolvent_norm(t, lam: complex) -> float:
     with the norm itself: on ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)``
     it is 1.2e-10 at ``lambda = 0.5 + 0.5j`` (norm 2e6) and 9.0e-7 at
     ``0.5 + 0.1j`` (norm 1.9e10), against 40-digit mpmath.  For a triangular
-    ``T``, :func:`_triangle_resolvent_norm` is accurate there.  Raises
+    ``T``, :func:`_triangle_evaluator` is accurate there.  Raises
     :class:`NearSingularError` when ``sigma_min`` is below
     ``1e-14 max(||T||_2 + |lambda|, 1)``.
     """
@@ -253,37 +251,43 @@ class _Unsettled(Exception):
     """A triangular solve failed or overflowed, or the step cap was met."""
 
 
-def _triangle_resolvent_norm(triangle: np.ndarray, lower: bool, tnorm: float, lam: complex) -> tuple:
-    """``||(lambda I - R)^{-1}||`` for a triangular ``R``: ``(norm, dense)``; the envelope's evaluator.
+def _triangle_evaluator(triangle: np.ndarray, lower: bool, tnorm: float):
+    """The envelope's evaluator: ``lam -> (||(lambda I - R)^{-1}||, dense)`` for a triangular ``R``.
 
     ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) finds the top
     eigenvalue ``theta = 1 / sigma_min(A)^2`` of ``(A* A)^{-1}``,
     ``A = lambda I - R``, applied by two triangular solves (LAPACK
     ``trtrs``, lower or upper as ``lower`` says), to a residual of
-    ``1e-10 theta``; the norm is ``sqrt(theta)``.  The start vector and the
-    generator of any restart vector come from ``default_rng(3)``, so the
-    value depends on ``(R, lambda)`` alone.  It agrees with the dense SVD of
-    :func:`resolvent_norm` to ``2.3e-15`` relative on the default operators
-    at n=256, far below the envelope's pruning margin; against 40-digit
-    mpmath it stays within ``2.3e-16`` where that SVD drifts by up to 9.0e-7
-    (its error is absolute on ``sigma_min``).  The sample goes through
-    :func:`resolvent_norm` instead (``dense`` is True) when ``n < 3``
-    (ARPACK's complex driver needs 3 basis vectors), when ARPACK has not
-    converged in 128 applications of ``(A* A)^{-1}``, when a solve meets an
-    exactly singular ``A`` or a non-finite value (the solves overflow on the
-    spectrum), when ``theta`` underflows to 0 (far from it), or when
-    ``1 / sqrt(theta)`` is at most ``1e-12 max(tnorm + 2|lambda|, 1)`` with
-    ``tnorm = ||R||_2``.  That band lies above :func:`resolvent_norm`'s
-    guard ``1e-14 max(||A||_2 + |lambda|, 1)``, so each
+    ``1e-10 theta``; the norm is ``sqrt(theta)``.  ``-R`` is copied into
+    Fortran order once, and each ``lambda`` only rewrites the diagonal of
+    that copy to ``(-R_ii) + lambda``.  The start vector and the generator
+    of any restart vector come from ``default_rng(3)``, so the value
+    depends on ``(R, lambda)`` alone, not on the earlier calls.  It agrees
+    with the dense SVD of :func:`resolvent_norm` to ``2.3e-15`` relative on
+    the default operators at n=256, far below the envelope's pruning
+    margin; against 40-digit mpmath it stays within ``2.3e-16`` where that
+    SVD drifts by up to 9.0e-7 (its error is absolute on ``sigma_min``).
+    The sample goes through :func:`resolvent_norm` instead (``dense`` is
+    True) when ``n < 3`` (ARPACK's complex driver needs 3 basis vectors),
+    when ARPACK has not converged in 128 applications of ``(A* A)^{-1}``,
+    when a solve meets an exactly singular ``A`` or a non-finite value (the
+    solves overflow on the spectrum), when ``theta`` underflows to 0 (far
+    from it), or when ``1 / sqrt(theta)`` is at most
+    ``1e-12 max(tnorm + 2|lambda|, 1)`` with ``tnorm = ||R||_2``.  That band
+    lies above :func:`resolvent_norm`'s guard
+    ``1e-14 max(||A||_2 + |lambda|, 1)``, so each
     :class:`NearSingularError` is raised by the dense path.
     """
     n = triangle.shape[0]
-    theta = 0.0
-    if n >= 3:
-        a = np.empty((n, n), dtype=complex, order="F")
-        np.negative(triangle, out=a)
-        a[np.arange(n), np.arange(n)] += lam
-        (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (a,))
+    if n < 3:
+        return lambda lam: (resolvent_norm(triangle, lam), True)
+    a = np.empty((n, n), dtype=complex, order="F")
+    np.negative(triangle, out=a)
+    neg_diag = np.diag(a).copy()
+    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (a,))
+
+    def evaluate(lam: complex) -> tuple:
+        np.fill_diagonal(a, neg_diag + lam)
         applied = 0
 
         def apply(q):
@@ -297,6 +301,7 @@ def _triangle_resolvent_norm(triangle: np.ndarray, lower: bool, tnorm: float, la
 
         rng = np.random.default_rng(3)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        theta = 0.0
         try:
             # a basis of 12: ARPACK's default of 20 makes every sample take 20
             # applications, where the median sample of the default profiles
@@ -307,24 +312,27 @@ def _triangle_resolvent_norm(triangle: np.ndarray, lower: bool, tnorm: float, la
             )
         except (_Unsettled, scipy.sparse.linalg.ArpackError):
             pass
-    if theta > 0.0 and 1.0 / math.sqrt(theta) > 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
-        return math.sqrt(theta), False
-    return resolvent_norm(triangle, lam), True
+        if theta > 0.0 and 1.0 / math.sqrt(theta) > 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
+            return math.sqrt(theta), False
+        return resolvent_norm(triangle, lam), True
+
+    return evaluate
 
 
-def _envelope(triangle: np.ndarray, tnorm: float, x_grid: np.ndarray, y: float, samples: list) -> tuple:
+def _envelope(triangle: np.ndarray, lower: bool, tnorm: float, x_grid: np.ndarray, y: float,
+              samples: list) -> tuple:
     """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated, dense)``.
 
-    ``triangle`` is ``R``, lower or upper triangular, and ``tnorm`` its
-    2-norm.  Best-first branch and bound on ``sigma_min(lambda I - R)``,
-    which is 1-Lipschitz in ``lambda`` over the whole complex plane (Weyl):
-    a sample ``(x', y', sigma')`` bounds
+    ``triangle`` is ``R``, lower triangular if ``lower`` and upper if not,
+    and ``tnorm`` its 2-norm.  Best-first branch and bound on
+    ``sigma_min(lambda I - R)``, which is 1-Lipschitz in ``lambda`` over the
+    whole complex plane (Weyl): a sample ``(x', y', sigma')`` bounds
     ``sigma_min >= sigma' - |(x - x') + i(y - y')|`` at every ``x + iy``.
     ``samples`` lists the ``(x, y, sigma_min)`` of every sample evaluated so
     far, on this line or on earlier ones, and each sample evaluated here is
     appended to it.  The bounds start from those samples (0 when there are
     none); the sample with the smallest bound (the lowest index on ties)
-    goes through :func:`_triangle_resolvent_norm` next, until every
+    goes through the :func:`_triangle_evaluator` of ``R`` next, until every
     remaining bound exceeds the smallest ``sigma_min`` found on this line by
     ``1e-12 (||R||_inf + max|x| + |y|)``.  That margin sits far above the
     error of an evaluated ``sigma_min``, so the skipped samples are strictly
@@ -332,7 +340,7 @@ def _envelope(triangle: np.ndarray, tnorm: float, x_grid: np.ndarray, y: float, 
     gives, first attained at the same ``x``.  ``dense`` counts the samples
     that took the evaluator's dense fallback.
     """
-    lower = not np.any(np.triu(triangle, 1))
+    evaluate = _triangle_evaluator(triangle, lower, tnorm)
     t_inf = float(np.abs(triangle).sum(axis=1).max())
     margin = 1e-12 * (t_inf + float(np.abs(x_grid).max()) + abs(y))
     norms = np.zeros(x_grid.size)  # 0.0 marks a sample not evaluated
@@ -347,7 +355,7 @@ def _envelope(triangle: np.ndarray, tnorm: float, x_grid: np.ndarray, y: float, 
         i = int(np.argmin(bound))
         if bound[i] > floor + margin:
             break
-        norms[i], fell_back = _triangle_resolvent_norm(triangle, lower, tnorm, x_grid[i] + 1j * y)
+        norms[i], fell_back = evaluate(x_grid[i] + 1j * y)
         dense += fell_back
         smin = 1.0 / norms[i]
         samples.append((x_grid[i], y, smin))
@@ -368,7 +376,7 @@ class ResolventProfile:
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
-    :func:`_triangle_resolvent_norm`).  ``chain_fallbacks[j]``
+    :func:`_triangle_evaluator`).  ``chain_fallbacks[j]``
     counts the chain norms at ``y_j`` that the power iteration left unsettled and
     dense singular values finished (see :func:`_log_power_norms`).
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
@@ -440,7 +448,7 @@ def profile(
     ruling samples out by the ``sigma_min`` of every sample evaluated at this
     and earlier ladder points (see :func:`_envelope`); a sample numerically
     inside the spectrum is always evaluated and raises
-    :class:`NearSingularError`.  :func:`_triangle_resolvent_norm` evaluates
+    :class:`NearSingularError`.  :func:`_triangle_evaluator` evaluates
     each sample, and its docstring states its accuracy and its dense
     fallback, which ``envelope_fallbacks`` counts.  ``||R||_2`` comes from
     the one dense ``svdvals`` of the profile.
@@ -465,6 +473,7 @@ def profile(
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count!r}")
     tnorm = float(scipy.linalg.svdvals(entries)[0])
+    lower = split.lower
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
@@ -491,7 +500,7 @@ def profile(
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
         envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
-            entries, tnorm, x_grid, y, envelope_samples
+            entries, lower, tnorm, x_grid, y, envelope_samples
         )
 
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
@@ -539,8 +548,10 @@ LEVINSON_MARGIN = 0.15  # half-width of the INCONCLUSIVE band around p = 1
 def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -> LevinsonVerdict:
     """Integrability classification of ``ln N(y)`` near ``y = 0``.
 
-    Fits ``ln N(y) ~ c y^{-p}`` and ``ln ln M(y) ~ c' y^{-q}`` on the
-    unsaturated ladder points with ``N >= 2``.  ``p < 1 - margin`` makes the
+    Fits ``ln N(y) ~ c |y|^{-p}`` on the unsaturated ladder points with
+    ``N >= 2``, and ``ln M(y) ~ c' |y|^{-q}`` on those of them with
+    ``ln M(y) > 1`` (``q`` is NaN with fewer than 4 such points); both are
+    least-squares lines in log-log space.  ``p < 1 - margin`` makes the
     integral of ``ln N`` finite (INTEGRABLE, which is the evidence for
     strong decomposability); ``p > 1 + margin`` is DIVERGENT, meaning only
     that this sufficient condition failed; anything in between is
@@ -614,23 +625,3 @@ def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None
     direct = scipy.linalg.solve(entries - lam * np.eye(dim), np.eye(dim, dtype=complex))
     scale = max(float(np.linalg.norm(direct, 2)), 1e-300)
     return float(np.linalg.norm(approx - direct, 2)) / scale
-
-
-def profile_to_csv(prof: ResolventProfile, path) -> None:
-    """CSV columns: y, N(y), M(y), ln M(y)."""
-    rows = (
-        (y, int(n), m, math.log(m))
-        for y, n, m in zip(prof.y_grid, prof.count_n, prof.envelope_m)
-    )
-    write_csv(path, "y,count_n,envelope_m,ln_envelope_m", rows)
-
-
-def r_table_to_csv(prof: ResolventProfile, path) -> None:
-    """CSV columns: n, y, r_n(y); zero rows are skipped."""
-    rows = (
-        (k + 1, y, prof.r[k, j])
-        for j, y in enumerate(prof.y_grid)
-        for k in range(prof.n_max)
-        if prof.r[k, j] > 0.0
-    )
-    write_csv(path, "n,y,r_n", rows)

@@ -32,7 +32,6 @@ __all__ = [
     "riesz_calculus",
     "verify_spectral_mapping",
     "default_contour",
-    "report_to_text",
 ]
 
 
@@ -256,25 +255,3 @@ def verify_spectral_mapping(t, f: Callable[[complex], complex]) -> MappingReport
     ft_in_chain_basis = q.conj().T @ ft @ q
     rho_vf = float(np.max(np.abs(np.diag(ft_in_chain_basis) - f_diag)))
     return MappingReport(dist, rho_vf)
-
-
-def report_to_text(report: SpectralReport) -> str:
-    """Flat key/value serialization of a spectral report.
-
-    One ``key value`` pair per line: scalar fields first, then ``schatten_p<p>``
-    entries, then indexed ``s_number_<k>`` and ``eigenvalue_<k>_re/im`` lines.
-    """
-    lines = [
-        f"spectral_radius {float(report.spectral_radius)!r}",
-        f"macaev_omega {float(report.macaev_omega)!r}",
-        f"quasinilpotent {int(report.quasinilpotent)}",
-        f"tol_q {float(report.tol_q)!r}",
-    ]
-    for p in sorted(report.schatten):
-        lines.append(f"schatten_p{p:g} {float(report.schatten[p])!r}")
-    for k, s in enumerate(report.s_numbers):
-        lines.append(f"s_number_{k} {float(s)!r}")
-    for k, z in enumerate(report.eigenvalues):
-        lines.append(f"eigenvalue_{k}_re {float(z.real)!r}")
-        lines.append(f"eigenvalue_{k}_im {float(z.imag)!r}")
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 
 from .exceptions import InsufficientDataError, QuadratureError
 from .grid import GridFunction, check_frequency, l2_norm, sample_exponential
-from .operators import OperatorMatrix, write_csv
+from .operators import OperatorMatrix
 
 __all__ = [
     "SymbolTrace",
@@ -42,7 +42,6 @@ __all__ = [
     "prop54_residual",
     "boundedness_indicator",
     "non_triangular_witness",
-    "trace_to_csv",
 ]
 
 # accuracy contract of every transform quadrature
@@ -327,12 +326,3 @@ def non_triangular_witness(trace: SymbolTrace, tol: Optional[float] = None) -> W
                     f"side {side.side:+d} is a circle-like continuum",
                 )
     return WitnessVerdict("INCONCLUSIVE", separation, tol, "no separation found")
-
-
-def trace_to_csv(trace: SymbolTrace, path) -> None:
-    """CSV columns: xi, Re/Im of both transforms, Re/Im/|.| of the symbol."""
-    rows = (
-        (x, st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g))
-        for x, st, s1, g in zip(trace.xi_samples, trace.s_tilde, trace.s_tilde1, trace.g)
-    )
-    write_csv(path, "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g", rows)

@@ -158,6 +158,20 @@ def test_path_keys_must_be_nonempty_strings(tmp_path, monkeypatch, key, value):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize(
+    "key,experiment", [("output_dir", "macaev-norms"), ("cache_dir", "semigroup-ebeta")]
+)
+def test_path_key_naming_a_regular_file_exits_two(tmp_path, capsys, key, experiment):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    payload = {"experiment": experiment, "output_dir": str(tmp_path / "out"), key: str(blocker)}
+    assert main(["run", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and str(blocker) in err[0]
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_config_strictness_at_dataclass_level():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "macaev-norms", "kernel": {"zeta": 1}})

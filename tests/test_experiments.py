@@ -2,9 +2,11 @@
 exercise at reduced size (the heavy defaults run there)."""
 
 import json
+import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from triangulab.experiments import ExperimentConfig, run_experiment
@@ -119,3 +121,100 @@ def test_ebeta_cache_rebuilds_a_file_saved_under_another_beta(tmp_path):
     assert (load_matrix(wrong).entries == expected).all()  # the bad file was overwritten
     loaded = _cached_ebeta(config, grid, 0.5)
     assert (loaded.entries == expected).all()
+
+
+def test_ebeta_cache_rebuilds_an_unreadable_file(tmp_path):
+    from triangulab.experiments import _cached_ebeta
+    from triangulab.grid import make_grid
+    from triangulab.operators import build_ebeta_operator, load_matrix
+    from triangulab.specfun import EbetaSpec
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(cache)})
+    grid = make_grid(config.omega, 16)
+    path = cache / "ebeta_b2.0_c0.0_om1.0_n16.txt"
+    expected = build_ebeta_operator(grid, EbetaSpec(2.0)).entries
+    # truncated, header only, non-numeric, empty
+    for planted in ("1.0 2.0\n", "16 16 1.0\n", "16 16 1.0\nabc def\n", ""):
+        path.write_text(planted)
+        rebuilt = _cached_ebeta(config, grid, 2.0)
+        assert (rebuilt.entries == expected).all()
+        assert (load_matrix(path).entries == expected).all()  # overwritten with the fresh build
+        assert os.listdir(cache) == [path.name]  # no temporary file left behind
+
+
+def test_levinson_run_rebuilds_an_unreadable_cache_file(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "ebeta_b2.0_c0.0_om1.0_n32.txt").write_text("1.0 2.0\n")
+    from triangulab.operators import load_matrix
+
+    planted = cache / "ebeta_b2.0_c0.0_om1.0_n32.txt"
+    run(tmp_path, "levinson", grid={"n": 32}, cache_dir=str(cache))
+    assert (tmp_path / "levinson" / "profile.csv").exists()
+    assert load_matrix(planted).entries.shape == (32, 32)
+
+
+# ---------------------------------------------------------------- CSV artifact format
+
+
+def test_csv_writes_strings_and_integers_as_given_and_floats_as_repr(tmp_path):
+    from triangulab.experiments import _write_csv
+
+    path = tmp_path / "table.csv"
+    _write_csv(path, "name,count,value", [("a", 3, 0.1), ("b", -7, np.float64(1e-300)), ("c", 0, np.int64(2))])
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    assert header == "name,count,value"
+    assert rows == ["a,3,0.1", "b,-7,1e-300", "c,0,2.0"]
+    assert [float(row.split(",")[2]) for row in rows] == [0.1, 1e-300, 2.0]
+
+
+def test_profile_csv_headers(tmp_path):
+    from triangulab.experiments import _phi_plus, _write_profile, _write_r_table
+    from triangulab.grid import make_grid
+    from triangulab.operators import build_fractional, split_given_basis
+    from triangulab.resolvent import profile
+
+    grid = make_grid(1.0, 24)
+    pair = split_given_basis(_phi_plus(grid, build_fractional(grid, 1.0).entries))
+    prof = profile(pair, [0.5, 0.25], x_samples=5, power_x_samples=5)
+    p1 = tmp_path / "profile.csv"
+    p2 = tmp_path / "r.csv"
+    _write_profile(prof, p1)
+    _write_r_table(prof, p2)
+    header, *rows = p1.read_text().splitlines()
+    assert header == "y,count_n,envelope_m,ln_envelope_m"
+    # every float field parses back to its value; counts are written as integers
+    assert len(rows) == prof.y_grid.size
+    for j, row in enumerate(rows):
+        y, count, m, ln_m = row.split(",")
+        assert float(y) == prof.y_grid[j]
+        assert count == str(int(prof.count_n[j]))
+        assert float(m) == prof.envelope_m[j]
+        assert float(ln_m) == math.log(prof.envelope_m[j])
+    header, *rows = p2.read_text().splitlines()
+    assert header == "n,y,r_n"
+    assert len(rows) == np.count_nonzero(prof.r)
+    for row in rows:
+        k, y, r = row.split(",")
+        assert k == str(int(k))
+        j = int(np.flatnonzero(prof.y_grid == float(y))[0])
+        assert float(r) == prof.r[int(k) - 1, j]
+
+
+def test_trace_csv_header(tmp_path):
+    from triangulab.experiments import _write_trace
+    from triangulab.symbol import trace_symbol
+
+    trace = trace_symbol(lambda t: 1.0, 1.0)
+    path = tmp_path / "trace.csv"
+    _write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g"
+    assert len(lines) == len(trace.xi_samples) + 1
+    # every field parses back to the float it was written from
+    for i, line in enumerate(lines[1:]):
+        st, s1, g = trace.s_tilde[i], trace.s_tilde1[i], trace.g[i]
+        expected = [trace.xi_samples[i], st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g)]
+        assert [float(field) for field in line.split(",")] == expected

@@ -331,6 +331,16 @@ def test_split_pair_takes_only_an_exact_triangle_and_a_unitary_of_its_shape():
         assert SplitPair(triangle, np.eye(len(triangle), dtype=complex)).triangle is triangle
 
 
+def test_split_pair_lower_reads_which_triangle_holds_the_entries():
+    full = np.random.default_rng(1).standard_normal((6, 6)).astype(complex)
+    eye = np.eye(6, dtype=complex)
+    assert SplitPair(np.tril(full), eye).lower
+    assert not SplitPair(np.triu(full), eye).lower
+    assert SplitPair(np.diag(np.diag(full)), eye).lower  # diagonal: both triangles
+    assert split_given_basis(wrap_matrix(np.tril(full))).lower
+    assert not split_schur(wrap_matrix(full)).lower
+
+
 def test_split_given_basis_roundtrip_exact():
     rng = np.random.default_rng(0)
     entries = np.tril(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))

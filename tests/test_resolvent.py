@@ -26,14 +26,12 @@ from triangulab.resolvent import (
     _dense_log_norm,
     _envelope,
     _gemm,
-    _triangle_resolvent_norm,
+    _triangle_evaluator,
     c_norm,
     count_bound_constant,
     levinson_classify,
     neumann_residual,
     profile,
-    profile_to_csv,
-    r_table_to_csv,
     resolvent_norm,
 )
 from triangulab.specfun import EbetaSpec
@@ -158,10 +156,10 @@ def test_profile_zero_nilpotent_part():
 
 
 def _evaluator_sweep(triangle, x_grid, y):
-    # the envelope's per-sample evaluator at every x sample, set up as profile sets it up
-    lower = not np.any(np.triu(triangle, 1))
-    tnorm = float(scipy.linalg.svdvals(triangle)[0])
-    return [_triangle_resolvent_norm(triangle, lower, tnorm, x + 1j * y)[0] for x in x_grid]
+    # the envelope's evaluator at every x sample of one line, set up as _envelope sets it up
+    lower = scipy.linalg.bandwidth(triangle)[1] == 0
+    evaluate = _triangle_evaluator(triangle, lower, float(scipy.linalg.svdvals(triangle)[0]))
+    return [evaluate(x + 1j * y)[0] for x in x_grid]
 
 
 def _close_to_dense(norm, dense, tnorm, lam):
@@ -216,7 +214,7 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
     samples = []  # shared across the three lines, as profile shares it across its ladder
     for y in (1.0, 0.3, -0.1):
         swept = _evaluator_sweep(r, x_grid, y)
-        top, x_top, evals, dense_evals = _envelope(r, tnorm, x_grid, y, samples)
+        top, x_top, evals, dense_evals = _envelope(r, False, tnorm, x_grid, y, samples)
         assert top == max(swept)
         assert x_top == x_grid[int(np.argmax(swept))]
         assert 1 <= evals < x_grid.size
@@ -242,7 +240,7 @@ def test_envelope_carries_bounds_across_the_ladder():
     ladder = _default_ladder("fractional", 1.0)
     prof = profile(pair, ladder, n_max=4, power_x_samples=5)
     tnorm = float(scipy.linalg.svdvals(t.entries)[0])
-    per_line = sum(_envelope(t.entries, tnorm, prof.x_grid, y, [])[2] for y in ladder)
+    per_line = sum(_envelope(t.entries, True, tnorm, prof.x_grid, y, [])[2] for y in ladder)
     assert prof.envelope_evals.sum() < per_line
     _assert_envelope_is_dense_max(t, prof)
 
@@ -268,7 +266,7 @@ def test_triangle_resolvent_norm_on_a_double_sigma_min():
     # sigma_min(lambda I - diag(0, 2, 5)) = |1 + 0.5j| twice at lambda = 1 + 0.5j
     a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     for lower in (True, False):
-        norm, dense = _triangle_resolvent_norm(a, lower, 5.0, 1.0 + 0.5j)
+        norm, dense = _triangle_evaluator(a, lower, 5.0)(1.0 + 0.5j)
         assert not dense
         assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
         assert norm == pytest.approx(resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
@@ -277,7 +275,7 @@ def test_triangle_resolvent_norm_on_a_double_sigma_min():
 def test_triangle_resolvent_norm_is_dense_below_three_dimensions():
     # ARPACK's complex driver needs a basis of 3 vectors
     for a in (np.diag([0.0, 2.0]).astype(complex), np.array([[1.0 + 0.0j]])):
-        norm, dense = _triangle_resolvent_norm(a, True, 2.0, 1.0 + 0.5j)
+        norm, dense = _triangle_evaluator(a, True, 2.0)(1.0 + 0.5j)
         assert dense
         assert norm == resolvent_norm(a, 1.0 + 0.5j)
 
@@ -289,7 +287,7 @@ def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
     a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
     tnorm = float(scipy.linalg.svdvals(a)[0])
     for tri, lower in ((a, True), (a.T.copy(), False)):
-        norm, dense = _triangle_resolvent_norm(tri, lower, tnorm, 0.5 + 0.5j)
+        norm, dense = _triangle_evaluator(tri, lower, tnorm)(0.5 + 0.5j)
         assert not dense
         assert norm > 1e6
         assert norm == pytest.approx(_mp_resolvent_norm(a, 0.5 + 0.5j), rel=1e-14)
@@ -305,7 +303,7 @@ def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
     tnorm = float(scipy.linalg.svdvals(a)[0])
     exact = _mp_resolvent_norm(a, lam)
     for tri, lower in ((a, True), (a.T.copy(), False)):
-        norm, dense = _triangle_resolvent_norm(tri, lower, tnorm, lam)
+        norm, dense = _triangle_evaluator(tri, lower, tnorm)(lam)
         assert not dense
         assert norm == pytest.approx(exact, rel=1e-12)
 
@@ -316,11 +314,11 @@ def test_triangle_resolvent_norm_raises_on_the_spectrum(y):
     # sits inside the 1e-12 band: either way the dense path raises
     a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     with pytest.raises(NearSingularError):
-        _triangle_resolvent_norm(a, True, 5.0, 1j * y)
+        _triangle_evaluator(a, True, 5.0)(1j * y)
 
 
 def _counting_trtrs(monkeypatch):
-    # counts the triangular solves of _triangle_resolvent_norm, two per step
+    # counts the triangular solves of an evaluator of _triangle_evaluator, two per step
     calls = []
     get = scipy.linalg.get_lapack_funcs
 
@@ -339,21 +337,23 @@ def test_triangle_resolvent_norm_falls_back_when_unsettled(monkeypatch):
     tnorm = float(scipy.linalg.svdvals(t.entries)[0])
     lam = 0.5 + 0.25j
     calls = _counting_trtrs(monkeypatch)
-    norm, dense = _triangle_resolvent_norm(t.entries, True, tnorm, lam)
+    norm, dense = _triangle_evaluator(t.entries, True, tnorm)(lam)
     steps = len(calls) // 2
     assert not dense and 12 <= steps < resolvent._LANCZOS_STEPS
     monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps)
-    assert _triangle_resolvent_norm(t.entries, True, tnorm, lam) == (norm, False)
+    assert _triangle_evaluator(t.entries, True, tnorm)(lam) == (norm, False)
     monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps - 1)
-    norm, dense = _triangle_resolvent_norm(t.entries, True, tnorm, lam)
+    norm, dense = _triangle_evaluator(t.entries, True, tnorm)(lam)
     assert dense
     assert norm == resolvent_norm(t, lam)
 
 
 def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
-    # the start vector and ARPACK's restart generator are fixed, so the same
-    # bits come back after unrelated calls; on diag(0, 0, 5) the Krylov space
-    # of the start vector is exhausted after two steps
+    # the start vector and ARPACK's restart generator are fixed, and each
+    # lambda rewrites the whole diagonal of the evaluator's copy of -R, so the
+    # same bits come back after unrelated calls and from an evaluator reused
+    # at another lambda; on diag(0, 0, 5) the Krylov space of the start vector
+    # is exhausted after two steps
     t, _ = _phi_plus_fractional(32, 1.0)
     tnorm = float(scipy.linalg.svdvals(t.entries)[0])
     cases = [
@@ -361,14 +361,16 @@ def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
         (t.entries.T.copy(), False, tnorm, 0.5 + 0.25j),
         (t.entries, True, tnorm, -0.25 + 0.125j),
     ]
-    first = [_triangle_resolvent_norm(*case) for case in cases]
+    first = [_triangle_evaluator(*case[:3])(case[3]) for case in cases]
     assert first[0] == (pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15), False)
     rng = np.random.default_rng(5)
     b = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     scipy.sparse.linalg.eigsh(b @ b.conj().T, k=2)  # an unrelated ARPACK run from an unseeded start
-    for case in reversed(cases):
-        _triangle_resolvent_norm(case[0], case[1], case[2], case[3] + 0.1)
-    assert [_triangle_resolvent_norm(*case) for case in cases] == first
+    evaluators = [_triangle_evaluator(*case[:3]) for case in cases]
+    for evaluate, case in zip(evaluators, cases):
+        evaluate(case[3] + 0.1)
+    assert [evaluate(case[3]) for evaluate, case in zip(evaluators, cases)] == first
+    assert [_triangle_evaluator(*case[:3])(case[3]) for case in cases] == first
 
 
 @pytest.mark.parametrize(
@@ -467,33 +469,6 @@ def test_fitted_p_reproducible_on_disjoint_half_ladders():
     prof_a = profile(pair, full[0::2], x_samples=33, power_x_samples=17)
     prof_b = profile(pair, full[1::2], x_samples=33, power_x_samples=17)
     assert abs(prof_a.fitted_p - prof_b.fitted_p) <= 0.3
-
-
-def test_profile_csv_headers(tmp_path):
-    t, pair = _phi_plus_fractional(24, 1.0)
-    prof = profile(pair, [0.5, 0.25], x_samples=5, power_x_samples=5)
-    p1 = tmp_path / "profile.csv"
-    p2 = tmp_path / "r.csv"
-    profile_to_csv(prof, p1)
-    r_table_to_csv(prof, p2)
-    header, *rows = p1.read_text().splitlines()
-    assert header == "y,count_n,envelope_m,ln_envelope_m"
-    # every float field parses back to its value; counts are written as integers
-    assert len(rows) == prof.y_grid.size
-    for j, row in enumerate(rows):
-        y, count, m, ln_m = row.split(",")
-        assert float(y) == prof.y_grid[j]
-        assert count == str(int(prof.count_n[j]))
-        assert float(m) == prof.envelope_m[j]
-        assert float(ln_m) == math.log(prof.envelope_m[j])
-    header, *rows = p2.read_text().splitlines()
-    assert header == "n,y,r_n"
-    assert len(rows) == np.count_nonzero(prof.r)
-    for row in rows:
-        k, y, r = row.split(",")
-        assert k == str(int(k))
-        j = int(np.flatnonzero(prof.y_grid == float(y))[0])
-        assert float(r) == prof.r[int(k) - 1, j]
 
 
 # ---------------------------------------------------------------- classification
@@ -807,9 +782,9 @@ def test_triangle_resolvent_norm_matches_the_dense_oracle_on_random_triangles(ca
                     dense = resolvent_norm(r, lam)
                 except NearSingularError:
                     with pytest.raises(NearSingularError):
-                        _triangle_resolvent_norm(r, lower, tnorm, lam)
+                        _triangle_evaluator(r, lower, tnorm)(lam)
                     continue
-                norm = _triangle_resolvent_norm(r, lower, tnorm, lam)[0]
+                norm = _triangle_evaluator(r, lower, tnorm)(lam)[0]
                 assert _close_to_dense(norm, dense, tnorm, lam)
 
 

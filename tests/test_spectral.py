@@ -19,7 +19,6 @@ from triangulab.spectral import (
     default_contour,
     eigenvalues_with_machine_noise,
     macaev_norm,
-    report_to_text,
     riesz_calculus,
     schatten_norm,
     spectral_distance,
@@ -274,13 +273,11 @@ def test_machine_noise_probe_is_deterministic():
     np.testing.assert_array_equal(e1, e2)
 
 
-def test_report_serialization_round_trips_fields():
+def test_spectrum_report_fields():
     report = spectrum(np.diag([2.0, 1.0]).astype(complex), tol_q=0.5, schatten_p=(1.0, 2.0))
-    text = report_to_text(report)
-    lines = dict(line.split(" ", 1) for line in text.strip().splitlines())
-    assert float(lines["spectral_radius"]) == pytest.approx(2.0)
-    assert float(lines["macaev_omega"]) == pytest.approx(2.0 + 1.0 / 3.0)
-    assert lines["quasinilpotent"] == "0"
-    assert float(lines["schatten_p1"]) == pytest.approx(3.0)
-    assert float(lines["s_number_0"]) == pytest.approx(2.0)
-    assert "eigenvalue_1_im" in lines
+    assert report.spectral_radius == pytest.approx(2.0)
+    assert report.macaev_omega == pytest.approx(2.0 + 1.0 / 3.0)
+    assert not report.quasinilpotent
+    assert report.schatten[1.0] == pytest.approx(3.0)
+    assert report.s_numbers[0] == pytest.approx(2.0)
+    assert len(report.eigenvalues) == 2
