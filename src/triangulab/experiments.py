@@ -306,6 +306,7 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
     # repr is exact, so parameters that differ in any digit never share a file
     tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
     path = os.path.join(config.cache_dir, tag)
+    os.makedirs(config.cache_dir, exist_ok=True)  # before any lookup or build, so a bad path fails at once
     try:
         cached = load_matrix(path) if os.path.exists(path) else None
     except ValueError:  # truncated or not numbers: rebuilt like a stale file
@@ -319,7 +320,6 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
         ):
             return OperatorMatrix(grid, cached.entries)
     op = build_ebeta_operator(grid, kernel)
-    os.makedirs(config.cache_dir, exist_ok=True)
     # write under a name no reader looks for, then rename it into place
     # atomically, so a concurrent run never loads a half-written matrix
     tmp = os.path.join(config.cache_dir, f".{tag}.{os.getpid()}.tmp")
@@ -545,9 +545,9 @@ def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str):
     for size in sizes:
         grid = make_grid(omega, size)
         ops = {b: _cached_ebeta(config, grid, b) for b in needed}
+        norms = {s: operator_norm(ops[s]) for s in {a + b for a, b in pairs}}
         worst[size] = max(
-            operator_norm(ops[a].entries @ ops[b].entries - ops[a + b].entries)
-            / operator_norm(ops[a + b])
+            operator_norm(ops[a].entries @ ops[b].entries - ops[a + b].entries) / norms[a + b]
             for a, b in pairs
         )
     checks = [

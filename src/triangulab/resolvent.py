@@ -38,18 +38,34 @@ __all__ = [
 
 
 def resolvent_norm(t, lam: complex) -> float:
-    """``|| (lambda I - T)^{-1} ||`` as the reciprocal smallest singular value.
+    """``|| (lambda I - T)^{-1} || = 1 / sigma_min(lambda I - T)``.
 
-    A dense SVD fixes ``sigma_min(lambda I - T)`` to an absolute error of
-    about ``eps ||lambda I - T||``, so the relative error of the norm grows
-    with the norm itself: on ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)``
-    it is 1.2e-10 at ``lambda = 0.5 + 0.5j`` (norm 2e6) and 9.0e-7 at
-    ``0.5 + 0.1j`` (norm 1.9e10), against 40-digit mpmath.  For a triangular
-    ``T``, :func:`_triangle_evaluator` is accurate there.  Raises
-    :class:`NearSingularError` when ``sigma_min`` is below
-    ``1e-14 max(||T||_2 + |lambda|, 1)``.
+    An exact triangle ``T`` (lower or upper, ``n >= 3``) goes through
+    ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) on ``(A* A)^{-1}``,
+    ``A = lambda I - T``, applied by two triangular solves (LAPACK
+    ``trtrs``): its top eigenvalue ``theta = sigma_min(A)^-2``, to a
+    residual of ``1e-10 theta``, from a start vector and a restart generator
+    seeded by ``default_rng(3)``, so the value depends on ``(T, lambda)``
+    alone.  A triangular solve is componentwise accurate: on
+    ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)`` at ``lambda = 0.5 + 0.5j``
+    (norm 2e6) and ``0.5 + 0.1j`` (norm 1.9e10) this is within 2.3e-16 of
+    40-digit mpmath, where a dense SVD, whose error is absolute on
+    ``sigma_min`` (about ``eps ||A||``), is off by 1.2e-10 and 9.0e-7.  On
+    the default operators at n=256 the two agree to 2.3e-15.
+
+    The dense SVD of ``A`` takes over for any other matrix, for ``n < 3``
+    (ARPACK's complex driver needs 3 basis vectors), and when ARPACK needs
+    more than 128 applications, a solve meets a zero pivot or a non-finite
+    value (the solves overflow on the spectrum), ``theta`` underflows to 0,
+    or ``1 / sqrt(theta) <= 1e-12 max(||T||_2 + 2|lambda|, 1)``.  That band
+    lies above the dense guard, so every :class:`NearSingularError` comes
+    from the SVD, raised when ``sigma_min < 1e-14 max(||A||_2 + |lambda|, 1)``.
     """
-    entries = as_entries(t)
+    return _triangle_evaluator(as_entries(t))(lam)[0]
+
+
+def _dense_resolvent_norm(entries: np.ndarray, lam: complex) -> float:
+    """:func:`resolvent_norm` by a dense SVD: its fallback, and the tests' oracle."""
     n = entries.shape[0]
     s = scipy.linalg.svdvals(lam * np.eye(n) - entries)
     smin = float(s[-1])
@@ -204,8 +220,11 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     drawn from ``default_rng(3)`` so that the roots depend on the chains
     alone, and carries its power-iteration vector from ``k`` to ``k + 1``.
     A chain stops when it dies or after 4 consecutive steps with
-    ``||B_c^k||^{1/k} < 0.4 |y|``, which cannot create false crossing counts
-    at ``|y|/2`` because the roots decay past that regime.  Entry ``k - 1``
+    ``||B_c^k||^{1/k} < 0.4 |y|``: a heuristic, not a proof that no later
+    power crosses ``|y|/2``.  On the four default ``growth-frac`` and
+    ``growth-ebeta`` profiles (n=256) the min-plus closure of the computed
+    log norms, a submultiplicative bound on every later power, certified
+    all 297 ``(y, x)`` stops of each.  Entry ``k - 1``
     is 0.0 once every chain has stopped.  Returns the roots and how many
     ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`.
     """
@@ -251,36 +270,21 @@ class _Unsettled(Exception):
     """A triangular solve failed or overflowed, or the step cap was met."""
 
 
-def _triangle_evaluator(triangle: np.ndarray, lower: bool, tnorm: float):
-    """The envelope's evaluator: ``lam -> (||(lambda I - R)^{-1}||, dense)`` for a triangular ``R``.
+def _triangle_evaluator(triangle: np.ndarray):
+    """``lam -> (resolvent_norm(triangle, lam), dense)``, set up once per matrix.
 
-    ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) finds the top
-    eigenvalue ``theta = 1 / sigma_min(A)^2`` of ``(A* A)^{-1}``,
-    ``A = lambda I - R``, applied by two triangular solves (LAPACK
-    ``trtrs``, lower or upper as ``lower`` says), to a residual of
-    ``1e-10 theta``; the norm is ``sqrt(theta)``.  ``-R`` is copied into
-    Fortran order once, and each ``lambda`` only rewrites the diagonal of
-    that copy to ``(-R_ii) + lambda``.  The start vector and the generator
-    of any restart vector come from ``default_rng(3)``, so the value
-    depends on ``(R, lambda)`` alone, not on the earlier calls.  It agrees
-    with the dense SVD of :func:`resolvent_norm` to ``2.3e-15`` relative on
-    the default operators at n=256, far below the envelope's pruning
-    margin; against 40-digit mpmath it stays within ``2.3e-16`` where that
-    SVD drifts by up to 9.0e-7 (its error is absolute on ``sigma_min``).
-    The sample goes through :func:`resolvent_norm` instead (``dense`` is
-    True) when ``n < 3`` (ARPACK's complex driver needs 3 basis vectors),
-    when ARPACK has not converged in 128 applications of ``(A* A)^{-1}``,
-    when a solve meets an exactly singular ``A`` or a non-finite value (the
-    solves overflow on the spectrum), when ``theta`` underflows to 0 (far
-    from it), or when ``1 / sqrt(theta)`` is at most
-    ``1e-12 max(tnorm + 2|lambda|, 1)`` with ``tnorm = ||R||_2``.  That band
-    lies above :func:`resolvent_norm`'s guard
-    ``1e-14 max(||A||_2 + |lambda|, 1)``, so each
-    :class:`NearSingularError` is raised by the dense path.
+    :func:`resolvent_norm` states the method, its accuracy and when the
+    dense SVD takes over; ``dense`` says whether it did.  For an exact
+    triangle, ``||R||_2`` (one ``svdvals``) and the Fortran-ordered copy of
+    ``-R`` are made here, once, and each ``lambda`` only rewrites the
+    diagonal of that copy to ``(-R_ii) + lambda``.
     """
     n = triangle.shape[0]
-    if n < 3:
-        return lambda lam: (resolvent_norm(triangle, lam), True)
+    below, above = scipy.linalg.bandwidth(triangle)
+    if n < 3 or min(below, above) > 0:
+        return lambda lam: (_dense_resolvent_norm(triangle, lam), True)
+    lower = above == 0
+    tnorm = float(scipy.linalg.svdvals(triangle)[0])
     a = np.empty((n, n), dtype=complex, order="F")
     np.negative(triangle, out=a)
     neg_diag = np.diag(a).copy()
@@ -314,17 +318,16 @@ def _triangle_evaluator(triangle: np.ndarray, lower: bool, tnorm: float):
             pass
         if theta > 0.0 and 1.0 / math.sqrt(theta) > 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
             return math.sqrt(theta), False
-        return resolvent_norm(triangle, lam), True
+        return _dense_resolvent_norm(triangle, lam), True
 
     return evaluate
 
 
-def _envelope(triangle: np.ndarray, lower: bool, tnorm: float, x_grid: np.ndarray, y: float,
-              samples: list) -> tuple:
+def _envelope(evaluate, t_inf: float, x_grid: np.ndarray, y: float, samples: list) -> tuple:
     """``max_x ||R_{x+iy}(T)||`` over ``x_grid``: ``(maximum, its x, samples evaluated, dense)``.
 
-    ``triangle`` is ``R``, lower triangular if ``lower`` and upper if not,
-    and ``tnorm`` its 2-norm.  Best-first branch and bound on
+    ``evaluate`` is the :func:`_triangle_evaluator` of the triangle ``R``
+    and ``t_inf`` is ``||R||_inf``.  Best-first branch and bound on
     ``sigma_min(lambda I - R)``, which is 1-Lipschitz in ``lambda`` over the
     whole complex plane (Weyl): a sample ``(x', y', sigma')`` bounds
     ``sigma_min >= sigma' - |(x - x') + i(y - y')|`` at every ``x + iy``.
@@ -332,16 +335,14 @@ def _envelope(triangle: np.ndarray, lower: bool, tnorm: float, x_grid: np.ndarra
     far, on this line or on earlier ones, and each sample evaluated here is
     appended to it.  The bounds start from those samples (0 when there are
     none); the sample with the smallest bound (the lowest index on ties)
-    goes through the :func:`_triangle_evaluator` of ``R`` next, until every
-    remaining bound exceeds the smallest ``sigma_min`` found on this line by
+    goes through ``evaluate`` next, until every remaining bound exceeds the
+    smallest ``sigma_min`` found on this line by
     ``1e-12 (||R||_inf + max|x| + |y|)``.  That margin sits far above the
-    error of an evaluated ``sigma_min``, so the skipped samples are strictly
-    below the maximum: it is the same float a full sweep of the evaluator
-    gives, first attained at the same ``x``.  ``dense`` counts the samples
-    that took the evaluator's dense fallback.
+    error of an evaluated ``sigma_min`` (see :func:`resolvent_norm`), so the
+    skipped samples are strictly below the maximum: it is the same float a
+    full sweep of the evaluator gives, first attained at the same ``x``.
+    ``dense`` counts the samples that took the dense fallback.
     """
-    evaluate = _triangle_evaluator(triangle, lower, tnorm)
-    t_inf = float(np.abs(triangle).sum(axis=1).max())
     margin = 1e-12 * (t_inf + float(np.abs(x_grid).max()) + abs(y))
     norms = np.zeros(x_grid.size)  # 0.0 marks a sample not evaluated
     bound = np.zeros(x_grid.size)  # lower bounds on sigma_min; inf once evaluated
@@ -376,7 +377,7 @@ class ResolventProfile:
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
-    :func:`_triangle_evaluator`).  ``chain_fallbacks[j]``
+    :func:`resolvent_norm`).  ``chain_fallbacks[j]``
     counts the chain norms at ``y_j`` that the power iteration left unsettled and
     dense singular values finished (see :func:`_log_power_norms`).
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
@@ -442,16 +443,16 @@ def profile(
     ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T`` the split's triangle,
     the same for every split of one operator (unlike ``r_n`` and ``N``).
     Chains stop early once ``r_n`` sits well below the counting threshold
-    for several consecutive steps, which cannot create false counts because
-    ``r_n`` decays past that regime.
+    for several consecutive steps: a heuristic stop, measured but not
+    proved sound (see :func:`_chain_roots`).
     The envelope evaluates only the ``x`` samples that can attain ``M(y)``,
     ruling samples out by the ``sigma_min`` of every sample evaluated at this
     and earlier ladder points (see :func:`_envelope`); a sample numerically
     inside the spectrum is always evaluated and raises
-    :class:`NearSingularError`.  :func:`_triangle_evaluator` evaluates
-    each sample, and its docstring states its accuracy and its dense
-    fallback, which ``envelope_fallbacks`` counts.  ``||R||_2`` comes from
-    the one dense ``svdvals`` of the profile.
+    :class:`NearSingularError`.  One :func:`_triangle_evaluator` of ``R``,
+    built once per profile, evaluates every sample; :func:`resolvent_norm`
+    states its accuracy and its dense fallback, which
+    ``envelope_fallbacks`` counts.
     ``n_max``, ``x_samples`` and ``power_x_samples`` below 1 raise
     ``ValueError``.
     :func:`_log_power_norms` states when a chain norm settles and when it
@@ -472,8 +473,8 @@ def profile(
     for name, count in (("n_max", n_max), ("x_samples", x_samples), ("power_x_samples", power_x_samples)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count!r}")
-    tnorm = float(scipy.linalg.svdvals(entries)[0])
-    lower = split.lower
+    evaluate = _triangle_evaluator(entries)
+    t_inf = float(np.linalg.norm(entries, np.inf))
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
     x_grid = np.linspace(x_window[0], x_window[1], x_samples)
     power_x_grid = (
@@ -500,7 +501,7 @@ def profile(
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
         envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
-            entries, lower, tnorm, x_grid, y, envelope_samples
+            evaluate, t_inf, x_grid, y, envelope_samples
         )
 
     fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))

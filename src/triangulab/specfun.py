@@ -76,11 +76,6 @@ class EbetaSpec:
             raise ValueError(f"damping constant c must be a finite real number, got {self.c!r}")
 
 
-def _log_integrand(s: float, beta: float, c: float, ln_x: float) -> float:
-    """log of exp(-c s) s^(beta-1) x^(s-1) / Gamma(s) at s > 0."""
-    return -c * s + (beta - 1.0) * math.log(s) + (s - 1.0) * ln_x - math.lgamma(s)
-
-
 def _tail_cutoff(log_f, start: float) -> float:
     """Smallest power-of-two point beyond which the integrand is negligible."""
     peak = log_f(start)
@@ -92,14 +87,22 @@ def _tail_cutoff(log_f, start: float) -> float:
     raise QuadratureError("integrand tail did not decay; cannot truncate")
 
 
-def _integrate_log_space(log_f, s_peak: float) -> float:
-    """Integrate exp(log_f) over (0, inf), factoring out the peak value.
+def _kernel_integral(b: float, drift: float) -> float:
+    """``K(b, drift) = integral_0^inf s^b exp(-drift s) / Gamma(s) ds``.
 
-    The peak factorization keeps the quadrature in the representable range
-    even when the raw integrand overflows or underflows double precision.
-    The head (0, 1) is integrated in ``q`` with ``s = q**2``, which flattens
-    an ``s^(b-1)`` end for ``b < 1``.
+    The one integral behind both kernel functions:
+    ``e_beta(x) = K(beta - 1, c - ln x) / x`` and
+    ``e_beta_cumulative(a) = K(beta - 2, c - ln a)``.  Factoring out the
+    integrand's value at its coarse peak keeps the quadrature in range when
+    the raw integrand overflows or underflows a double.  The integrand
+    behaves like ``s^(b+1)`` as ``s -> 0``; the head (0, 1) is integrated
+    in ``q`` with ``s = q**2``, which flattens that end for ``b < 0``.
     """
+
+    def log_f(s):
+        return b * math.log(s) - drift * s - math.lgamma(s)
+
+    s_peak = _peak_location(b, drift)
     s_max = _tail_cutoff(log_f, max(s_peak, 1.0))
     shift = log_f(max(s_peak, 1e-12))
 
@@ -133,10 +136,10 @@ _PEAK_LN_GRID = np.log(_PEAK_GRID)
 _PEAK_LGAMMA_GRID = special.gammaln(_PEAK_GRID)
 
 
-def _peak_location(beta_eff: float, drift: float) -> float:
-    """Coarse stationary point of beta_eff*ln(s) - s*drift - lgamma(s)."""
+def _peak_location(b: float, drift: float) -> float:
+    """Coarse stationary point of b*ln(s) - s*drift - lgamma(s)."""
     with np.errstate(over="ignore"):
-        vals = beta_eff * _PEAK_LN_GRID - drift * _PEAK_GRID - _PEAK_LGAMMA_GRID
+        vals = b * _PEAK_LN_GRID - drift * _PEAK_GRID - _PEAK_LGAMMA_GRID
     return float(_PEAK_GRID[int(np.argmax(vals))])
 
 
@@ -150,13 +153,10 @@ def e_beta(x: float, spec: EbetaSpec) -> float:
     """
     if not x > 0:
         raise ValueError(f"kernel argument must be positive, got {x}")
-    ln_x = math.log(x)
-
-    def log_f(s):
-        return _log_integrand(s, spec.beta, spec.c, ln_x)
-
-    s_peak = _peak_location(spec.beta - 1.0, spec.c - ln_x + 1.0)
-    return _integrate_log_space(log_f, s_peak)
+    value = _kernel_integral(spec.beta - 1.0, spec.c - math.log(x)) / x
+    if not math.isfinite(value):
+        raise QuadratureError("kernel quadrature overflows a double")
+    return value
 
 
 def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
@@ -172,15 +172,7 @@ def e_beta_cumulative(a: float, spec: EbetaSpec) -> float:
     """
     if not a > 0:
         raise ValueError(f"upper limit must be positive, got {a}")
-    ln_a = math.log(a)
-    beta = spec.beta
-    c = spec.c
-
-    def log_f(s):
-        # exponent is a^s (not a^(s-1)): the u-integration contributes a^s / s
-        return _log_integrand(s, beta - 1.0, c, ln_a) + ln_a
-
-    return _integrate_log_space(log_f, _peak_location(beta - 2.0, c - ln_a + 1.0))
+    return _kernel_integral(spec.beta - 2.0, spec.c - math.log(a))
 
 
 def m_moment(spec: EbetaSpec, omega: float) -> float:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from triangulab import experiments
 from triangulab.cli import main
 from triangulab.experiments import REGISTRY, ConfigError, ExperimentConfig, run_experiment
 
@@ -161,7 +162,11 @@ def test_path_keys_must_be_nonempty_strings(tmp_path, monkeypatch, key, value):
 @pytest.mark.parametrize(
     "key,experiment", [("output_dir", "macaev-norms"), ("cache_dir", "semigroup-ebeta")]
 )
-def test_path_key_naming_a_regular_file_exits_two(tmp_path, capsys, key, experiment):
+def test_path_key_naming_a_regular_file_exits_two(tmp_path, capsys, monkeypatch, key, experiment):
+    # the error comes before any e_beta build, not after the first one
+    builds = []
+    build = experiments.build_ebeta_operator
+    monkeypatch.setattr(experiments, "build_ebeta_operator", lambda *args: builds.append(1) or build(*args))
     blocker = tmp_path / "a-file"
     blocker.write_text("not a directory\n")
     payload = {"experiment": experiment, "output_dir": str(tmp_path / "out"), key: str(blocker)}
@@ -170,6 +175,7 @@ def test_path_key_naming_a_regular_file_exits_two(tmp_path, capsys, key, experim
     assert len(err) == 1
     assert err[0].startswith("config error:") and str(blocker) in err[0]
     assert blocker.read_text() == "not a directory\n"
+    assert builds == []
 
 
 def test_config_strictness_at_dataclass_level():

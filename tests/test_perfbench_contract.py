@@ -7,6 +7,7 @@ import inspect
 import runpy
 from pathlib import Path
 
+import pytest
 import scipy.linalg
 
 from triangulab import experiments
@@ -30,14 +31,14 @@ def test_cached_ebeta_keeps_the_signature_the_benchmark_calls():
     assert params == ["config", "grid", "beta"]
 
 
-def test_a_default_resolvent_profile_takes_one_svdvals(monkeypatch, tmp_path):
-    # the benchmark expects a lapack.svdvals span on its profile workloads,
-    # and the one ||T||_2 of the profile is the only call left to enter it
+@pytest.mark.parametrize("experiment", ["resolvent-profile", "levinson"])
+def test_a_default_resolvent_profile_takes_one_svdvals(monkeypatch, tmp_path, experiment):
+    # the benchmark expects a lapack.svdvals span on its two profile
+    # workloads, and the ||R||_2 that the profile's one triangle evaluator
+    # takes is the only call left to enter it
     calls = []
     svdvals = scipy.linalg.svdvals
     monkeypatch.setattr(scipy.linalg, "svdvals", lambda *args, **kwargs: calls.append(1) or svdvals(*args, **kwargs))
-    config = experiments.ExperimentConfig.from_dict(
-        {"experiment": "resolvent-profile", "output_dir": str(tmp_path)}
-    )
+    config = experiments.ExperimentConfig.from_dict({"experiment": experiment, "output_dir": str(tmp_path)})
     assert experiments.run_experiment(config).passed
     assert len(calls) == 1

@@ -24,6 +24,7 @@ from triangulab.resolvent import (
     ResolventProfile,
     _chain_roots,
     _dense_log_norm,
+    _dense_resolvent_norm,
     _envelope,
     _gemm,
     _triangle_evaluator,
@@ -68,6 +69,7 @@ def test_resolvent_norm_matches_dense_inverse():
     lam = 0.7 + 1.9j
     expected = np.linalg.norm(np.linalg.inv(lam * np.eye(8) - a), 2)
     assert resolvent_norm(a, lam) == pytest.approx(expected, rel=1e-8)
+    assert resolvent_norm(a, lam) == _dense_resolvent_norm(a, lam)  # not a triangle
 
 
 def test_resolvent_norm_raises_inside_spectrum():
@@ -156,9 +158,8 @@ def test_profile_zero_nilpotent_part():
 
 
 def _evaluator_sweep(triangle, x_grid, y):
-    # the envelope's evaluator at every x sample of one line, set up as _envelope sets it up
-    lower = scipy.linalg.bandwidth(triangle)[1] == 0
-    evaluate = _triangle_evaluator(triangle, lower, float(scipy.linalg.svdvals(triangle)[0]))
+    # the envelope's evaluator at every x sample of one line
+    evaluate = _triangle_evaluator(triangle)
     return [evaluate(x + 1j * y)[0] for x in x_grid]
 
 
@@ -170,21 +171,22 @@ def _close_to_dense(norm, dense, tnorm, lam):
     return abs(1.0 / norm - 1.0 / dense) <= 1e-12 / dense + 16 * EPS * (tnorm + abs(lam))
 
 
-def _assert_matches_resolvent_norm(norms, t, lams):
-    tnorm = float(scipy.linalg.svdvals(as_entries(t))[0])
+def _assert_matches_dense(norms, t, lams):
+    entries = as_entries(t)
+    tnorm = float(scipy.linalg.svdvals(entries)[0])
     for norm, lam in zip(norms, lams):
-        assert _close_to_dense(norm, resolvent_norm(t, lam), tnorm, lam)
+        assert _close_to_dense(norm, _dense_resolvent_norm(entries, lam), tnorm, lam)
 
 
 def _assert_envelope_is_dense_max(t, prof):
     # exact pruning: the envelope is the maximum of the full sweep of its own
     # evaluator, first attained at the same x; oracle: that evaluator agrees
-    # with the dense resolvent_norm at every sample
+    # with the dense SVD at every sample
     for j, y in enumerate(prof.y_grid):
         swept = _evaluator_sweep(as_entries(t), prof.x_grid, y)
         assert prof.envelope_m[j] == max(swept)
         assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(swept))]
-        _assert_matches_resolvent_norm(swept, t, prof.x_grid + 1j * y)
+        _assert_matches_dense(swept, t, prof.x_grid + 1j * y)
 
 
 @pytest.mark.parametrize(
@@ -209,17 +211,17 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
     a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / np.sqrt(40.0)
     a += 2.0 * np.triu(rng.standard_normal((40, 40)), 1) / np.sqrt(40.0)
     r = scipy.linalg.schur(a, output="complex")[0]
-    tnorm = float(scipy.linalg.svdvals(r)[0])
+    evaluate, t_inf = _triangle_evaluator(r), float(np.linalg.norm(r, np.inf))
     x_grid = np.linspace(-3.0, 3.0, 64)
     samples = []  # shared across the three lines, as profile shares it across its ladder
     for y in (1.0, 0.3, -0.1):
         swept = _evaluator_sweep(r, x_grid, y)
-        top, x_top, evals, dense_evals = _envelope(r, False, tnorm, x_grid, y, samples)
+        top, x_top, evals, dense_evals = _envelope(evaluate, t_inf, x_grid, y, samples)
         assert top == max(swept)
         assert x_top == x_grid[int(np.argmax(swept))]
         assert 1 <= evals < x_grid.size
         assert dense_evals == 0
-        _assert_matches_resolvent_norm(swept, a, x_grid + 1j * y)
+        _assert_matches_dense(swept, a, x_grid + 1j * y)
 
 
 def test_envelope_skips_samples_on_the_default_fractional_ladder():
@@ -239,8 +241,8 @@ def test_envelope_carries_bounds_across_the_ladder():
     t, pair = _phi_plus_fractional(64, 1.0)
     ladder = _default_ladder("fractional", 1.0)
     prof = profile(pair, ladder, n_max=4, power_x_samples=5)
-    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
-    per_line = sum(_envelope(t.entries, True, tnorm, prof.x_grid, y, [])[2] for y in ladder)
+    evaluate, t_inf = _triangle_evaluator(t.entries), float(np.linalg.norm(t.entries, np.inf))
+    per_line = sum(_envelope(evaluate, t_inf, prof.x_grid, y, [])[2] for y in ladder)
     assert prof.envelope_evals.sum() < per_line
     _assert_envelope_is_dense_max(t, prof)
 
@@ -250,6 +252,11 @@ def test_envelope_raises_on_a_sample_inside_the_spectrum():
     t = wrap_matrix(np.diag([0.0, 2.0]).astype(complex))
     with pytest.raises(NearSingularError):
         profile(split_given_basis(t), [1e-300], x_samples=5)
+
+
+def _steep_triangle():
+    # strongly non-normal: resolvent norms 2e6 at 0.5 + 0.5j and 1.9e10 at 0.5 + 0.1j
+    return (np.diag(np.linspace(0.0, 1.0, 12)) + 2.0 * np.tril(np.ones((12, 12)), -1)).astype(complex)
 
 
 def _mp_resolvent_norm(a, lam):
@@ -265,56 +272,63 @@ def _mp_resolvent_norm(a, lam):
 def test_triangle_resolvent_norm_on_a_double_sigma_min():
     # sigma_min(lambda I - diag(0, 2, 5)) = |1 + 0.5j| twice at lambda = 1 + 0.5j
     a = np.diag([0.0, 2.0, 5.0]).astype(complex)
-    for lower in (True, False):
-        norm, dense = _triangle_evaluator(a, lower, 5.0)(1.0 + 0.5j)
-        assert not dense
-        assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
-        assert norm == pytest.approx(resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
+    norm, dense = _triangle_evaluator(a)(1.0 + 0.5j)
+    assert not dense
+    assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
+    assert norm == pytest.approx(_dense_resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
 
 
 def test_triangle_resolvent_norm_is_dense_below_three_dimensions():
     # ARPACK's complex driver needs a basis of 3 vectors
     for a in (np.diag([0.0, 2.0]).astype(complex), np.array([[1.0 + 0.0j]])):
-        norm, dense = _triangle_evaluator(a, True, 2.0)(1.0 + 0.5j)
+        norm, dense = _triangle_evaluator(a)(1.0 + 0.5j)
         assert dense
-        assert norm == resolvent_norm(a, 1.0 + 0.5j)
+        assert norm == _dense_resolvent_norm(a, 1.0 + 0.5j)
 
 
 def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
     # a resolvent norm of 2e6 at distance 0.5 from the spectrum: against
     # mpmath the dense SVD is off by 1.2e-10 relative here, the evaluator by 1.1e-16
-    n = 12
-    a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
-    tnorm = float(scipy.linalg.svdvals(a)[0])
-    for tri, lower in ((a, True), (a.T.copy(), False)):
-        norm, dense = _triangle_evaluator(tri, lower, tnorm)(0.5 + 0.5j)
+    a = _steep_triangle()
+    for tri in (a, a.T.copy()):
+        norm, dense = _triangle_evaluator(tri)(0.5 + 0.5j)
         assert not dense
         assert norm > 1e6
         assert norm == pytest.approx(_mp_resolvent_norm(a, 0.5 + 0.5j), rel=1e-14)
-        _assert_matches_resolvent_norm([norm], tri, [0.5 + 0.5j])
+        _assert_matches_dense([norm], tri, [0.5 + 0.5j])
 
 
 @pytest.mark.parametrize("lam", [0.5 + 0.5j, 0.5 + 0.1j])
 def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
     # resolvent norms 2e6 and 1.9e10: the dense SVD is off by 1.2e-10 and
-    # 9.0e-7 relative here (its error is absolute on sigma_min)
-    n = 12
-    a = (np.diag(np.linspace(0.0, 1.0, n)) + 2.0 * np.tril(np.ones((n, n)), -1)).astype(complex)
-    tnorm = float(scipy.linalg.svdvals(a)[0])
+    # 9.0e-7 relative here (its error is absolute on sigma_min); the public
+    # resolvent_norm answers an exact triangle by the evaluator
+    a = _steep_triangle()
     exact = _mp_resolvent_norm(a, lam)
-    for tri, lower in ((a, True), (a.T.copy(), False)):
-        norm, dense = _triangle_evaluator(tri, lower, tnorm)(lam)
+    for tri in (a, a.T.copy()):
+        norm, dense = _triangle_evaluator(tri)(lam)
         assert not dense
-        assert norm == pytest.approx(exact, rel=1e-12)
+        assert norm == pytest.approx(exact, rel=1e-14)
+        assert resolvent_norm(tri, lam) == resolvent_norm(wrap_matrix(tri), lam) == norm
 
 
-@pytest.mark.parametrize("y", [1e-300, 1e-20], ids=["overflow", "inside-the-band"])
+def test_resolvent_norm_of_an_almost_triangular_matrix_is_the_dense_value():
+    a = _steep_triangle()
+    a[2, 5] = 1e-300  # one entry above the diagonal of a lower triangle
+    assert _triangle_evaluator(a)(0.5 + 0.5j)[1]
+    assert resolvent_norm(a, 0.5 + 0.5j) == _dense_resolvent_norm(a, 0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("y", [0.0, 1e-300, 1e-20], ids=["eigenvalue", "overflow", "inside-the-band"])
 def test_triangle_resolvent_norm_raises_on_the_spectrum(y):
-    # at 1e-300 the solves overflow; at 1e-20 they stay finite but the estimate
-    # sits inside the 1e-12 band: either way the dense path raises
+    # at 0 a solve meets a zero pivot; at 1e-300 the solves overflow; at 1e-20
+    # they stay finite but the estimate sits inside the 1e-12 band: each time
+    # the dense path raises, through the evaluator and the public function
     a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     with pytest.raises(NearSingularError):
-        _triangle_evaluator(a, True, 5.0)(1j * y)
+        _triangle_evaluator(a)(1j * y)
+    with pytest.raises(NearSingularError):
+        resolvent_norm(a, 1j * y)
 
 
 def _counting_trtrs(monkeypatch):
@@ -334,18 +348,17 @@ def test_triangle_resolvent_norm_falls_back_when_unsettled(monkeypatch):
     # the cap counts applications of (A* A)^{-1}: a sample that converges in
     # k of them settles under a cap of k and takes the dense path under k - 1
     t, _ = _phi_plus_fractional(32, 1.0)
-    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
     lam = 0.5 + 0.25j
     calls = _counting_trtrs(monkeypatch)
-    norm, dense = _triangle_evaluator(t.entries, True, tnorm)(lam)
+    norm, dense = _triangle_evaluator(t.entries)(lam)
     steps = len(calls) // 2
     assert not dense and 12 <= steps < resolvent._LANCZOS_STEPS
     monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps)
-    assert _triangle_evaluator(t.entries, True, tnorm)(lam) == (norm, False)
+    assert _triangle_evaluator(t.entries)(lam) == (norm, False)
     monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps - 1)
-    norm, dense = _triangle_evaluator(t.entries, True, tnorm)(lam)
+    norm, dense = _triangle_evaluator(t.entries)(lam)
     assert dense
-    assert norm == resolvent_norm(t, lam)
+    assert norm == _dense_resolvent_norm(t.entries, lam)
 
 
 def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
@@ -355,22 +368,21 @@ def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
     # at another lambda; on diag(0, 0, 5) the Krylov space of the start vector
     # is exhausted after two steps
     t, _ = _phi_plus_fractional(32, 1.0)
-    tnorm = float(scipy.linalg.svdvals(t.entries)[0])
     cases = [
-        (np.diag([0.0, 0.0, 5.0]).astype(complex), True, 5.0, 1.0 + 0.5j),
-        (t.entries.T.copy(), False, tnorm, 0.5 + 0.25j),
-        (t.entries, True, tnorm, -0.25 + 0.125j),
+        (np.diag([0.0, 0.0, 5.0]).astype(complex), 1.0 + 0.5j),
+        (t.entries.T.copy(), 0.5 + 0.25j),
+        (t.entries, -0.25 + 0.125j),
     ]
-    first = [_triangle_evaluator(*case[:3])(case[3]) for case in cases]
+    first = [_triangle_evaluator(tri)(lam) for tri, lam in cases]
     assert first[0] == (pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15), False)
     rng = np.random.default_rng(5)
     b = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     scipy.sparse.linalg.eigsh(b @ b.conj().T, k=2)  # an unrelated ARPACK run from an unseeded start
-    evaluators = [_triangle_evaluator(*case[:3]) for case in cases]
-    for evaluate, case in zip(evaluators, cases):
-        evaluate(case[3] + 0.1)
-    assert [evaluate(case[3]) for evaluate, case in zip(evaluators, cases)] == first
-    assert [_triangle_evaluator(*case[:3])(case[3]) for case in cases] == first
+    evaluators = [_triangle_evaluator(tri) for tri, _ in cases]
+    for evaluate, (_, lam) in zip(evaluators, cases):
+        evaluate(lam + 0.1)
+    assert [evaluate(lam) for evaluate, (_, lam) in zip(evaluators, cases)] == first
+    assert [_triangle_evaluator(tri)(lam) for tri, lam in cases] == first
 
 
 @pytest.mark.parametrize(
@@ -776,16 +788,16 @@ def test_triangle_resolvent_norm_matches_the_dense_oracle_on_random_triangles(ca
     lams = (np.linspace(-2.0, 2.0, 5)[:, None] + 1j * ladder[None, :]).ravel()
     for tri in (a, a.real.astype(complex)):
         tnorm = float(scipy.linalg.svdvals(tri)[0])
-        for r, lower in ((tri, True), (tri.T.copy(), False)):
+        for r in (tri, tri.T.copy()):
+            evaluate = _triangle_evaluator(r)
             for lam in lams:
                 try:
-                    dense = resolvent_norm(r, lam)
+                    dense = _dense_resolvent_norm(r, lam)
                 except NearSingularError:
                     with pytest.raises(NearSingularError):
-                        _triangle_evaluator(r, lower, tnorm)(lam)
+                        evaluate(lam)
                     continue
-                norm = _triangle_evaluator(r, lower, tnorm)(lam)[0]
-                assert _close_to_dense(norm, dense, tnorm, lam)
+                assert _close_to_dense(evaluate(lam)[0], dense, tnorm, lam)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
