@@ -39,7 +39,7 @@ from .operators import (
     save_matrix,
     split_given_basis,
 )
-from .specfun import EbetaSpec, e_beta, e_beta_cumulative, m_moment
+from .specfun import EbetaSpec, e_beta, e_beta_cumulative_array, m_moment
 
 __all__ = ["ExperimentConfig", "ConfigError", "Check", "Summary", "REGISTRY", "run_experiment"]
 
@@ -294,11 +294,11 @@ def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
     """Build (or reload) a log-singular convolution matrix.
 
-    The per-cell quadratures make these the most expensive constructions, so
-    the CLI can cache them in the documented text format.  A cached file is
-    trusted only if it reads back as a matrix whose first cell matches the
-    kernel's; otherwise (a truncated or non-numeric file too) the matrix is
-    rebuilt and the file overwritten.
+    The CLI can cache these builds in the documented text format.  A cached
+    file is trusted only if it reads back as a matrix whose first cell
+    matches the kernel's, computed by the build's own cell rule; otherwise
+    (a truncated or non-numeric file too) the matrix is rebuilt and the file
+    overwritten.
     """
     kernel = EbetaSpec(beta, config.c)
     if not config.cache_dir:
@@ -312,7 +312,7 @@ def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> Operator
     except ValueError:  # truncated or not numbers: rebuilt like a stale file
         cached = None
     if cached is not None:
-        first = e_beta_cumulative(0.5 * grid.h, kernel) / math.gamma(beta)
+        first = e_beta_cumulative_array(np.array([0.5 * grid.h]), kernel)[0] / math.gamma(beta)
         if (
             cached.grid.n == grid.n
             and abs(cached.grid.omega - grid.omega) < 1e-12

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .exceptions import ConstructionError, NumericalError
 from .grid import Grid, GridFunction, make_grid
-from .specfun import EbetaSpec, e_beta_cumulative, gamma_complex
+from .specfun import EbetaSpec, e_beta_cumulative, e_beta_cumulative_array, gamma_complex
 
 __all__ = [
     "KERNEL_PRESETS",
@@ -255,20 +255,32 @@ def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
     """Convolution triangle of the log-singular kernel family.
 
     Entry ``(j, k)`` is ``(1/Gamma(beta))`` times the exact cell integral of
-    the kernel, obtained from the cumulative integral
-    :func:`triangulab.specfun.e_beta_cumulative`, which absorbs the
-    ``u -> 0`` log singularity analytically.  Lower-triangular Toeplitz.
+    the kernel, the difference of two cumulative integrals, which absorb the
+    ``u -> 0`` log singularity analytically.  All ``n`` cumulative integrals
+    come from one call of :func:`triangulab.specfun.e_beta_cumulative_array`:
+    a fixed Gauss rule, Gauss-Jacobi on ``(0, 1)`` and Gauss-Legendre on the
+    tail window ``[1, 64]``, with a cell falling back to the adaptive
+    quadrature when the rule's two orders disagree beyond 1e-12, its value is
+    not finite and positive, or the integrand at the window's end is not
+    negligible.  The last cell, whose kernel peak in ``s`` lies nearest the
+    window's end, is the anchor: it is checked against the adaptive
+    :func:`triangulab.specfun.e_beta_cumulative` to 1e-10 relative, and a
+    mismatch raises :class:`ConstructionError`.  Lower-triangular Toeplitz.
     """
     n, h = grid.n, grid.h
-    cum = np.empty(n + 1)
-    cum[0] = 0.0
+    edges = (np.arange(1, n + 1) - 0.5) * h
     try:
-        for d in range(1, n + 1):
-            cum[d] = e_beta_cumulative((d - 0.5) * h, spec)
+        cum = e_beta_cumulative_array(edges, spec)
+        anchor = e_beta_cumulative(edges[-1], spec)
     except Exception as exc:
         raise ConstructionError(f"kernel cell quadrature failed: {exc}") from exc
+    if not abs(cum[-1] - anchor) <= 1e-10 * anchor:
+        raise ConstructionError(
+            f"kernel cell rule gives {float(cum[-1])!r} at a = {float(edges[-1])!r}, "
+            f"the adaptive quadrature {anchor!r}"
+        )
     try:
-        col = np.diff(cum) / math.gamma(spec.beta)
+        col = np.diff(cum, prepend=0.0) / math.gamma(spec.beta)
     except OverflowError as exc:
         raise ConstructionError(f"Gamma({spec.beta!r}) overflows a double") from exc
     if not np.all(np.isfinite(col)):
@@ -419,8 +431,14 @@ def chain_invariance_residual(t: OperatorMatrix, e: OperatorMatrix) -> float:
 
 
 def operator_norm(t) -> float:
-    """Largest singular value, from the dense singular values."""
-    return float(scipy.linalg.svdvals(as_entries(t))[0])
+    """Largest singular value, from the dense singular values.
+
+    Entries with no imaginary part go to LAPACK as a real array.
+    """
+    entries = as_entries(t)
+    if not np.any(entries.imag):
+        entries = entries.real
+    return float(scipy.linalg.svdvals(entries)[0])
 
 
 def apply(t: OperatorMatrix, f: GridFunction) -> GridFunction:

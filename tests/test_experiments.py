@@ -123,6 +123,24 @@ def test_ebeta_cache_rebuilds_a_file_saved_under_another_beta(tmp_path):
     assert (loaded.entries == expected).all()
 
 
+def test_ebeta_cache_accepts_what_the_build_wrote(tmp_path, monkeypatch):
+    from triangulab import experiments
+    from triangulab.grid import make_grid
+
+    config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(tmp_path / "cache")})
+    grids = [make_grid(config.omega, n) for n in (64, 128, 256)]
+    betas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    built = {(g.n, b): experiments._cached_ebeta(config, g, b).entries for g in grids for b in betas}
+
+    def no_rebuild(*args):
+        raise AssertionError("a cache file the build wrote was rejected")
+
+    monkeypatch.setattr(experiments, "build_ebeta_operator", no_rebuild)
+    for g in grids:
+        for b in betas:
+            assert (experiments._cached_ebeta(config, g, b).entries == built[g.n, b]).all()
+
+
 def test_ebeta_cache_rebuilds_an_unreadable_file(tmp_path):
     from triangulab.experiments import _cached_ebeta
     from triangulab.grid import make_grid

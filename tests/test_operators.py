@@ -240,6 +240,31 @@ def test_ebeta_semigroup_defect_keeps_shrinking_at_512():
     assert defects[512] < defects[256]
 
 
+def test_ebeta_columns_are_the_adaptive_cell_integrals():
+    from triangulab.specfun import e_beta_cumulative
+
+    g = make_grid(1.0, 64)
+    kernel = EbetaSpec(0.5, 0.0)
+    cum = [e_beta_cumulative((d - 0.5) * g.h, kernel) for d in range(1, 65)]
+    cells = np.diff(cum, prepend=0.0) / math.gamma(0.5)
+    col = build_ebeta_operator(g, kernel).entries[:, 0]
+    assert np.max(np.abs(col - cells) / cells) <= 1e-11
+
+
+def test_ebeta_anchor_cell_catches_a_rule_forced_wrong(monkeypatch):
+    from triangulab import specfun
+
+    # without the edge test the rule truncates the last cell's integral at
+    # omega = 20, c = -1, where both of its orders agree
+    monkeypatch.setattr(specfun, "_RULE_EDGE", math.inf)
+    with pytest.raises(ConstructionError, match="adaptive quadrature"):
+        build_ebeta_operator(make_grid(20.0, 256), EbetaSpec(1.0, -1.0))
+    # a window cut at s = 4 truncates every cell of a default build
+    monkeypatch.setattr(specfun, "_RULE_TAIL_END", 4.0)
+    with pytest.raises(ConstructionError, match="adaptive quadrature"):
+        build_ebeta_operator(make_grid(1.0, 64), EbetaSpec(1.0, 0.0))
+
+
 # ---------------------------------------------------------------- difference kernels
 
 
@@ -505,6 +530,34 @@ def test_operator_norm_matches_dense_svd(seed, draw):
 
     a = draw(np.random.default_rng(seed))
     assert operator_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-12)
+
+
+def _svdvals_inputs(monkeypatch) -> list:
+    """Record the arrays that ``scipy.linalg.svdvals`` receives."""
+    import scipy.linalg
+
+    seen = []
+    svdvals = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", lambda a, *args, **kw: seen.append(a) or svdvals(a, *args, **kw))
+    return seen
+
+
+def test_operator_norm_of_a_real_valued_complex_matrix_takes_a_real_svd(monkeypatch):
+    import scipy.linalg
+
+    a = np.random.default_rng(8).standard_normal((60, 60)).astype(complex)
+    expected = scipy.linalg.svdvals(a)[0]
+    seen = _svdvals_inputs(monkeypatch)
+    assert operator_norm(a) == pytest.approx(expected, rel=1e-14)
+    assert [x.dtype for x in seen] == [np.float64]
+
+
+def test_operator_norm_keeps_a_tiny_imaginary_part_complex(monkeypatch):
+    a = np.random.default_rng(9).standard_normal((8, 8)).astype(complex)
+    a[3, 5] += 1e-300j
+    seen = _svdvals_inputs(monkeypatch)
+    operator_norm(a)
+    assert [x.dtype for x in seen] == [np.complex128]
 
 
 def test_save_load_roundtrip():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,9 @@ from triangulab import (
     m_moment,
     stirling_gamma_check,
 )
+from triangulab import specfun
 from triangulab.exceptions import NumericalError, QuadratureError
+from triangulab.specfun import _kernel_integral, e_beta_cumulative_array
 
 mp.mp.dps = 40
 
@@ -207,6 +210,83 @@ def test_cumulative_consistency_with_pointwise():
     a, da = 0.4, 1e-5
     derivative = (e_beta_cumulative(a + da, kernel) - e_beta_cumulative(a - da, kernel)) / (2 * da)
     assert derivative == pytest.approx(e_beta(a, kernel), rel=1e-5)
+
+
+def _cell_edges(omega, n):
+    """The upper limits of an n-cell build on (0, omega): ``(d - 1/2) h``."""
+    return (np.arange(1, n + 1) - 0.5) * (omega / n)
+
+
+def _rule_with_fallbacks(a, kernel):
+    """``e_beta_cumulative_array(a, kernel)`` and the drifts it sent to the adaptive path."""
+    with mock.patch.object(specfun, "_kernel_integral", wraps=_kernel_integral) as adaptive:
+        cells = e_beta_cumulative_array(a, kernel)
+    return cells, {call.args[1] for call in adaptive.call_args_list}
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_e_beta_cumulative_array_matches_the_adaptive_path_on_default_builds(beta):
+    # every (beta, c, omega, n) a default experiment builds, with no fallback
+    for n in (64, 128, 256):
+        a = _cell_edges(1.0, n)
+        cells, fell_back = _rule_with_fallbacks(a, EbetaSpec(beta))
+        assert fell_back == set()
+        exact = np.array([_kernel_integral(beta - 2.0, -math.log(x)) for x in a])
+        assert np.max(np.abs(cells - exact) / exact) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(min_value=0.01, max_value=4.0),
+    c=st.floats(min_value=-3.0, max_value=3.0),
+    omega=st.floats(min_value=1e-3, max_value=50.0),
+    n=st.integers(min_value=1, max_value=24),
+)
+def test_e_beta_cumulative_array_agrees_with_the_adaptive_path_or_falls_back(beta, c, omega, n):
+    # beta >= 0.01: below about 1e-6 the adaptive oracle stops at its
+    # subdivision limit.  A large omega with a negative c overflows a double,
+    # and then both paths raise.
+    a = _cell_edges(omega, n)
+    drift = c - np.log(a)
+    try:
+        cells, fell_back = _rule_with_fallbacks(a, EbetaSpec(beta, c))
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            for d in drift:
+                _kernel_integral(beta - 2.0, float(d))
+        return
+    for d, value in zip(drift, cells):
+        exact = _kernel_integral(beta - 2.0, float(d))
+        if float(d) in fell_back:
+            assert value == exact
+        else:
+            assert abs(value - exact) <= 1e-11 * exact
+
+
+def test_e_beta_cumulative_array_falls_back_near_the_end_of_the_tail_window():
+    # omega = 20 and c = -1 move the integrand's peak in s to about 55, close
+    # to the window's end at 64: the edge test sends those cells to the
+    # adaptive path
+    a = _cell_edges(20.0, 256)
+    drift = -1.0 - np.log(a)
+    cells, fell_back = _rule_with_fallbacks(a, EbetaSpec(1.0, -1.0))
+    assert len(fell_back) >= 100
+    assert float(drift[-1]) in fell_back
+    exact = np.array([_kernel_integral(-1.0, float(d)) for d in drift])
+    assert np.max(np.abs(cells - exact) / exact) <= 1e-11
+
+
+def test_e_beta_cumulative_array_rejects_nonpositive_limits():
+    with pytest.raises(ValueError):
+        e_beta_cumulative_array(np.array([0.5, 0.0]), EbetaSpec(1.0))
+
+
+def test_gauss_jacobi_head_integrates_monomials_against_its_weight():
+    # integral_0^1 s^(beta-1) s^m ds = 1 / (beta + m), down to a tiny beta
+    for beta in (1e-20, 0.01, 0.5, 1.0, 2.5, 4.0):
+        nodes, weights = specfun._gauss_jacobi_head(beta, 24)
+        for m in (0, 1, 2, 7, 20):
+            assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (beta + m), rel=1e-14)
 
 
 def test_stirling_ratio_values():
