@@ -10,7 +10,9 @@ trees (or exists in only one) and the largest relative change of any check
 value in their ``summary.json`` files; it exits 1 on any difference.  For a
 differing CSV with the same header and row count in both trees it also
 says whether every non-float field matches and how far the float fields
-moved (the largest relative change).
+moved (the largest relative change); for a differing CSV whose row counts
+differ, it counts the lines found in only one tree (a multiset difference)
+and prints up to 10 of each side.
 
 BLAS rounding depends on the thread count, so ``run`` sets
 ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1`` in its own environment
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,6 +91,21 @@ def _csv_drift(a: Path, b: Path):
     return match, worst
 
 
+def _only_in_one(a: Path, b: Path):
+    """The lines of CSV ``a`` not in ``b`` and of ``b`` not in ``a``, counted as multisets.
+
+    None when the two files have the same number of lines.
+    """
+    lines_a = Counter(a.read_text(encoding="ascii").splitlines())
+    lines_b = Counter(b.read_text(encoding="ascii").splitlines())
+    if lines_a.total() == lines_b.total():
+        return None
+    return list((lines_a - lines_b).elements()), list((lines_b - lines_a).elements())
+
+
+_SHOWN_ROWS = 10  # rows printed per side for a CSV whose row counts differ
+
+
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -109,6 +127,13 @@ def compare(a: Path, b: Path) -> int:
         drift = _csv_drift(a / rel, b / rel) if rel.suffix == ".csv" else None
         if drift is None:
             print(f"differs: {rel}")
+            rows = _only_in_one(a / rel, b / rel) if rel.suffix == ".csv" else None
+            for root, only in zip((a, b), rows or ()):
+                print(f"  {len(only)} row(s) only in {root}" + (":" if only else ""))
+                for line in only[:_SHOWN_ROWS]:
+                    print(f"    {line}")
+                if len(only) > _SHOWN_ROWS:
+                    print(f"    ... {len(only) - _SHOWN_ROWS} more")
         else:
             match, moved = drift
             print(

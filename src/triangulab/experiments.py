@@ -274,7 +274,11 @@ def _write_profile(prof: res.ResolventProfile, path) -> None:
 
 
 def _write_r_table(prof: res.ResolventProfile, path) -> None:
-    """``n, y, r_n(y)`` for every nonzero chain root."""
+    """``n, y, r_n(y)`` for every nonzero entry of ``prof.r``.
+
+    A power missing from the table reads 0 in ``prof.r``: every chain at it is
+    dead or certified below ``|y|/2`` (see :class:`~triangulab.resolvent.ResolventProfile`).
+    """
     rows = ((k + 1, y, r) for j, y in enumerate(prof.y_grid) for k, r in enumerate(prof.r[:, j]) if r > 0.0)
     _write_csv(path, "n,y,r_n", rows)
 

@@ -212,6 +212,35 @@ def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> 
     return log_s, todo.size
 
 
+_CERT_SLACK = 1e-8  # per-power slack of the stop certificate, in log norm
+
+
+def _certified_below(gaps: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of ``gaps`` prove that no power after the last one crosses.
+
+    Row ``c`` holds ``G_j = log ||B_c^j|| - j t`` for ``j = 1..K``, with
+    ``t`` the log threshold, and ``B_c^n = 0``.  Submultiplicativity
+    (``||B^(a+b)|| <= ||B^a|| ||B^b||``) makes the min-plus closure
+    ``U_m = min_{a+b=m} (U_a + U_b)``, from ``U_j = G_j`` for ``j <= K``, an
+    upper bound on ``G_m`` for every ``m > K``.  A row is certified when
+    ``U_m < 0`` for every ``m`` in ``(K, min(2K+1, n-1)]``: from there
+    ``U_m <= U_(K+1) + U_(m-K-1) < 0`` by induction for every larger ``m``,
+    up to ``B^n = 0``.  The caller passes only rows with ``G_K < 0``.
+    """
+    rows, k = gaps.shape
+    top = min(2 * k + 1, n - 1)
+    closure = np.empty((rows, max(top, k) + 1))
+    closure[:, 1 : k + 1] = gaps
+    ok = np.ones(rows, dtype=bool)
+    for m in range(k + 1, top + 1):
+        a = np.arange(1, m // 2 + 1)
+        closure[:, m] = (closure[:, a] + closure[:, m - a]).min(axis=1)
+        ok &= closure[:, m] < 0.0
+        if not ok.any():
+            break
+    return ok
+
+
 def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     """``max_c ||B_c^k||^{1/k}`` for ``k = 1..n_max``, the chains run in lockstep.
 
@@ -219,33 +248,46 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     ``B_c = diag(d[:, c]) V``.  Every chain starts from one fixed vector,
     drawn from ``default_rng(3)`` so that the roots depend on the chains
     alone, and carries its power-iteration vector from ``k`` to ``k + 1``.
-    A chain stops when it dies or after 4 consecutive steps with
-    ``||B_c^k||^{1/k} < 0.4 |y|``: a heuristic, not a proof that no later
-    power crosses ``|y|/2``.  On the four default ``growth-frac`` and
-    ``growth-ebeta`` profiles (n=256) the min-plus closure of the computed
-    log norms, a submultiplicative bound on every later power, certified
-    all 297 ``(y, x)`` stops of each.  Entry ``k - 1``
-    is 0.0 once every chain has stopped.  Returns the roots and how many
-    ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`.
+    A chain stops when it dies, or at the first power ``K`` below ``|y|/2``
+    from which submultiplicativity proves that no later power crosses
+    ``|y|/2`` (see :func:`_certified_below`; ``B^n = 0`` for the ``n x n``
+    strict triangle ``V``).  The certificate takes the computed log norms
+    ``L_j`` as exact.  They are power-iteration values, settled to ``1e-8``
+    relative or by the ``1e-10`` one-step certificate of
+    :func:`_log_power_norms`, and a slack of ``1e-8`` per power, taken off
+    the log threshold (``G_j = L_j - j (log(|y|/2) - 1e-8)``), absorbs that
+    settling error.  Entry ``k - 1`` is the largest root of the chains still
+    running at ``k``, and 0.0 once every chain has stopped: then every root
+    at ``k`` is 0 or certified below ``|y|/2``, so the entries above
+    ``|y|/2`` are exactly the crossings.  Returns the roots, how many
+    ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`
+    and how many chains the certificate stopped.
     """
     n, m = d.shape
     rng = np.random.default_rng(3)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     vecs = np.tile((start / np.linalg.norm(start))[:, None], (1, m))
-    below_streak = np.zeros(m, dtype=int)
+    log_t = math.log(abs(y) / 2.0) - _CERT_SLACK
+    gaps = np.empty((m, n_max))  # G_j of each running chain, in column j - 1
     roots = np.zeros(n_max)
-    fallbacks = 0
+    fallbacks = certified = 0
     for k in range(1, n_max + 1):
         log_norms, dense = _log_power_norms(v, d, vecs, k)
         fallbacks += dense
-        rk = np.exp(log_norms / k)
-        roots[k - 1] = rk.max()
-        below_streak = np.where(rk < 0.4 * abs(y), below_streak + 1, 0)
-        go = (log_norms > -np.inf) & (below_streak < 4)
+        roots[k - 1] = np.exp(log_norms / k).max()
+        if k == n_max:
+            break
+        gaps[:, k - 1] = log_norms - k * log_t
+        go = log_norms > -np.inf
+        below = np.flatnonzero(go & (gaps[:, k - 1] < 0.0))
+        if below.size:
+            stop = below[_certified_below(gaps[below, :k], n)]
+            go[stop] = False
+            certified += stop.size
         if not go.any():
             break
-        d, vecs, below_streak = d[:, go], vecs[:, go], below_streak[go]
-    return roots, fallbacks
+        d, vecs, gaps = d[:, go], vecs[:, go], gaps[go]
+    return roots, fallbacks, certified
 
 
 def c_norm(split: SplitPair, lam: complex, n: int) -> float:
@@ -371,15 +413,21 @@ def _envelope(evaluate, t_inf: float, x_grid: np.ndarray, y: float, samples: lis
 class ResolventProfile:
     """All tables produced by :func:`profile`, plus the fitted exponents.
 
-    ``r[k, j]`` holds ``r_{k+1}(y_j)``; ``count_n[j]`` the number of chain
-    indices whose ``r_n`` exceeds ``|y_j| / 2``; ``envelope_m[j]`` the largest
+    ``r[k, j]`` holds ``r_{k+1}(y_j)``, the largest root among the chains
+    still running at that power; 0.0 means that every chain at that power is
+    dead or certified below ``|y_j| / 2`` (see :func:`_chain_roots`), so an
+    entry above ``|y_j| / 2`` is the maximum over every chain.
+    ``count_n[j]`` is the number of chain indices whose ``r_n`` exceeds
+    ``|y_j| / 2``; ``envelope_m[j]`` the largest
     resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
     :func:`resolvent_norm`).  ``chain_fallbacks[j]``
     counts the chain norms at ``y_j`` that the power iteration left unsettled and
-    dense singular values finished (see :func:`_log_power_norms`).
+    dense singular values finished (see :func:`_log_power_norms`), and
+    ``chains_certified[j]`` the chains at ``y_j`` that the submultiplicative
+    certificate stopped before ``n_max``.
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
     exponent in ``ln M(y) ~ |y|^{-q}``.  ``envelope_violation`` is the largest factor by
     which the data exceeds the bound ``||R|| <= (C/|y|) (M/|y|)^{N(y)}``
@@ -397,6 +445,7 @@ class ResolventProfile:
     envelope_evals: np.ndarray
     envelope_fallbacks: np.ndarray
     chain_fallbacks: np.ndarray
+    chains_certified: np.ndarray
     fitted_p: float
     fitted_q: float
     envelope_violation: float
@@ -405,7 +454,8 @@ class ResolventProfile:
     def __post_init__(self):
         for arr in (self.y_grid, self.x_grid, self.power_x_grid, self.r,
                     self.count_n, self.envelope_m, self.envelope_x, self.envelope_evals,
-                    self.envelope_fallbacks, self.chain_fallbacks, self.saturated):
+                    self.envelope_fallbacks, self.chain_fallbacks, self.chains_certified,
+                    self.saturated):
             arr.setflags(write=False)
 
     @property
@@ -442,9 +492,12 @@ def profile(
     ``N(y) = #{n <= n_max : r_n(y) > |y|/2}``, and the envelope is
     ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T`` the split's triangle,
     the same for every split of one operator (unlike ``r_n`` and ``N``).
-    Chains stop early once ``r_n`` sits well below the counting threshold
-    for several consecutive steps: a heuristic stop, measured but not
-    proved sound (see :func:`_chain_roots`).
+    A chain stops at the first power below the counting threshold from
+    which submultiplicativity, ``||B^(a+b)|| <= ||B^a|| ||B^b||``, proves
+    that no later power crosses it; ``chains_certified`` counts those stops.
+    The proof needs the window ``(K, 2K+1]`` of powers after the stop ``K``
+    only, and takes the computed log norms as exact, with a slack of
+    ``1e-8`` per power for their settling error (see :func:`_chain_roots`).
     The envelope evaluates only the ``x`` samples that can attain ``M(y)``,
     ruling samples out by the ``sigma_min`` of every sample evaluated at this
     and earlier ladder points (see :func:`_envelope`); a sample numerically
@@ -492,12 +545,13 @@ def profile(
     envelope_fallbacks = np.zeros(n_y, dtype=int)
     envelope_samples = []  # (x, y, sigma_min) of every envelope sample evaluated
     chain_fallbacks = np.zeros(n_y, dtype=int)
+    chains_certified = np.zeros(n_y, dtype=int)
     saturated = np.zeros(n_y, dtype=bool)
 
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
         d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
-        r[:, j], chain_fallbacks[j] = _chain_roots(v, d, y, n_max)
+        r[:, j], chain_fallbacks[j], chains_certified[j] = _chain_roots(v, d, y, n_max)
         counts[j] = int(np.sum(r[:, j] > threshold))
         saturated[j] = counts[j] >= n_max
         envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
@@ -528,6 +582,7 @@ def profile(
         envelope_evals=envelope_evals,
         envelope_fallbacks=envelope_fallbacks,
         chain_fallbacks=chain_fallbacks,
+        chains_certified=chains_certified,
         fitted_p=fitted_p,
         fitted_q=fitted_q,
         envelope_violation=violation,

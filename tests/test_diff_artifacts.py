@@ -84,3 +84,18 @@ def test_differing_csv_reports_how_far_its_floats_moved(tmp_path, diff_artifacts
     assert "differs: exp/longer.csv\n" in out
     assert "files compared: 5, differing: 3" in out
     assert "largest relative check-value change: 0.0\n" in out
+
+
+def test_csv_with_dropped_rows_lists_the_rows_in_one_tree_only(tmp_path, diff_artifacts, capsys):
+    # a multiset difference: the repeated row "2,0.1" is dropped once of twice
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b")
+    rows = [f"{k},0.{k}" for k in range(1, 14)]
+    (a / "exp" / "r_table.csv").write_text("\n".join(["n,r", "2,0.1", *rows, "2,0.1"]) + "\n", encoding="ascii")
+    (b / "exp" / "r_table.csv").write_text("\n".join(["n,r", "2,0.1", "1,0.1", "9,0.9"]) + "\n", encoding="ascii")
+    code, out = compare(diff_artifacts, capsys, a, b)
+    assert code == 1
+    dropped = ["2,0.1", *[r for r in rows if r not in ("1,0.1", "9,0.9")]]
+    listed = "".join(f"    {line}\n" for line in dropped[:10])
+    assert f"differs: exp/r_table.csv\n  12 row(s) only in {a}:\n{listed}    ... 2 more\n  0 row(s) only in {b}\n" in out
+    assert "files compared: 3, differing: 1" in out

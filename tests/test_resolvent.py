@@ -114,21 +114,27 @@ def test_c_norm_validates_arguments():
         c_norm(split_given_basis(complex_diag), 0.5j, 1)
 
 
-def _assert_sweep_matches_c_norm(pair, powers):
-    # the sweep's warm power iteration against the dense-SVD route of c_norm
+def _assert_sweep_matches_c_norm(pair):
+    # the sweep's warm power iteration against the dense-SVD route of c_norm,
+    # at every power: a nonzero root is the dense maximum over the x samples,
+    # and a zero one means every chain at that power is dead or certified
+    # below the threshold |y|/2
     y = 0.25
     prof = profile(pair, [y], x_samples=5, power_x_samples=5, n_max=20)
     xs = prof.power_x_grid
-    for k in powers:
-        exact = max(c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs)
-        assert prof.r[k - 1, 0] == pytest.approx(exact, rel=1e-5)
+    for k in range(1, 21):
+        exact = [c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs]
+        if prof.r[k - 1, 0] == 0.0:
+            assert max(exact) <= y / 2
+        else:
+            assert prof.r[k - 1, 0] == pytest.approx(max(exact), rel=1e-5)
 
 
 def test_profile_estimator_matches_exact_chain_norms():
     # a real V: the sweep applies it by real GEMM
     t, pair = _phi_plus_fractional(48, 1.0)
     assert not np.any(pair.strict.imag)
-    _assert_sweep_matches_c_norm(pair, (1, 3, 8, 15))
+    _assert_sweep_matches_c_norm(pair)
 
 
 def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
@@ -138,8 +144,7 @@ def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
     phase = np.exp(1j * np.linspace(0.0, 3.0, 48))
     schur = split_schur(wrap_matrix(phase[:, None] * t.entries * phase.conj()[None, :]))
     assert np.any(schur.strict.imag)
-    # its chains stop one power earlier (r_15 reads 0.0): compare up to r_14
-    _assert_sweep_matches_c_norm(schur, (1, 3, 8, 14))
+    _assert_sweep_matches_c_norm(schur)
 
 
 # ---------------------------------------------------------------- profiles
@@ -502,6 +507,7 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         envelope_evals=np.ones(ys.size, dtype=int),
         envelope_fallbacks=np.zeros(ys.size, dtype=int),
         chain_fallbacks=np.zeros(ys.size, dtype=int),
+        chains_certified=np.zeros(ys.size, dtype=int),
         fitted_p=float("nan"),
         fitted_q=float("nan"),
         envelope_violation=1.0,
@@ -630,7 +636,7 @@ def test_unsettled_chain_gets_the_dense_norm():
     # 1e-8 relative by the 60-step cap, so the dense norm is taken instead
     v = np.eye(2, dtype=complex)
     d = np.array([[1.0], [0.99]], dtype=complex)
-    roots, fallbacks = _chain_roots(v, d, 0.5, 1)
+    roots, fallbacks, _ = _chain_roots(v, d, 0.5, 1)
     np.testing.assert_array_equal(roots, [1.0])
     assert fallbacks == 1
 
@@ -653,13 +659,27 @@ def test_profile_finishes_where_power_iteration_stalls(n, seed):
     assert prof.chain_fallbacks.sum() > 0
 
 
-def test_chain_fallbacks_vanish_on_the_default_fractional_ladder():
+@pytest.fixture(scope="module")
+def default_fractional_profile():
     t, pair = _phi_plus_fractional(64, 1.0)
-    prof = profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+    return profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+
+
+def test_chain_fallbacks_vanish_on_the_default_fractional_ladder(default_fractional_profile):
+    prof = default_fractional_profile
     assert prof.chain_fallbacks.dtype.kind == "i"
     np.testing.assert_array_equal(prof.chain_fallbacks, np.zeros(prof.y_grid.size))
     with pytest.raises(ValueError):
         prof.chain_fallbacks[0] = 1
+
+
+def test_chains_certified_on_the_default_fractional_ladder(default_fractional_profile):
+    prof = default_fractional_profile
+    assert prof.chains_certified.dtype.kind == "i"
+    assert np.all(prof.chains_certified >= 0) and prof.chains_certified.sum() > 0
+    assert np.all(prof.chains_certified <= prof.power_x_grid.size)
+    with pytest.raises(ValueError):
+        prof.chains_certified[0] = 1
 
 
 def test_lockstep_chains_match_single_chain_runs():
@@ -719,6 +739,31 @@ def test_dense_log_norm_survives_a_subnormal_power_norm():
         for k in (2, 7):
             assert _dense_log_norm(1e-310 * shift, k) == pytest.approx(k * math.log(1e-310), rel=1e-14)
         assert _dense_log_norm(1e-310 * shift, 8) == -math.inf
+
+
+def test_certificate_keeps_a_chain_that_crosses_after_a_long_dip():
+    # B = V, a weighted shift with weights [W, 0.1 x 10, W]: ||B^k|| is the
+    # largest product of k consecutive weights, W 0.1^(k-1) up to k = 11 and
+    # W^2 0.1^10 at k = 12 (B^13 = 0).  The roots dip below 0.4 |y| at k = 8..11
+    # and cross |y|/2 at 12, so a stop after 4 steps below 0.4 |y| misses it
+    n, y, w = 13, 1.0, math.exp(8.0)
+    weights = np.array([w, *[0.1] * 10, w])
+    v = np.diag(weights, -1)
+    exact = np.array(
+        [max(np.prod(weights[i : i + k]) for i in range(n - k)) ** (1.0 / k) for k in range(1, n)] + [0.0]
+    )
+    assert np.all(exact[7:11] < 0.4 * y) and exact[11] > y / 2
+    # at K = 11 the closure cannot rule power 12 out
+    gaps = np.log(exact[:11]) * np.arange(1, 12) - np.arange(1, 12) * (math.log(y / 2) - 1e-8)
+    assert not resolvent._certified_below(gaps[None, :], n)[0]
+    # S = 0 and lambda = x + iy: the x = 0 sample has d = -i, so B = -i V there
+    pair = split_given_basis(wrap_matrix(v.astype(complex)))
+    prof = profile(pair, [y], x_samples=3, power_x_samples=3)
+    np.testing.assert_allclose(prof.r[:, 0], exact, rtol=1e-12, atol=0.0)
+    for k in range(1, n):
+        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
+        assert prof.r[k - 1, 0] == pytest.approx(dense, rel=1e-10)
+    assert prof.count_n[0] == 1 + int(np.sum(exact[:11] > y / 2))
 
 
 def _count_power_steps(monkeypatch):
@@ -818,11 +863,28 @@ def test_real_chain_product_matches_the_complex_one_on_random_operators(case):
     y = ladder[-1]
     xs = np.linspace(-2.0, 2.0, 3)
     d = -y / (t.diagonal()[:, None] - (xs + 1j * y)[None, :])
-    roots, _ = _chain_roots(v, d, y, n)
+    roots = _chain_roots(v, d, y, n)[0]
     assert (roots[0] > 0.0) == np.any(v)
     for k in np.flatnonzero(roots) + 1:
         dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
         assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(triangular_operators(max_n=12))
+def test_chain_roots_write_zero_only_below_the_threshold_on_random_operators(case):
+    # a zero root is a power where every chain is dead or certified below
+    # |y|/2: the dense oracle must agree at every x sample
+    a, ladder = case
+    pair = split_given_basis(wrap_matrix(a))
+    diag, v = pair.diagonal.real, pair.strict
+    n = a.shape[0]
+    xs = np.linspace(diag.min() - 1.0, diag.max() + 1.0, 5)
+    for y in ladder:
+        d = -y / (diag[:, None] - (xs + 1j * y)[None, :])
+        roots = _chain_roots(v, d, y, n)[0]
+        for k in np.flatnonzero(roots == 0.0) + 1:
+            assert max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs) <= abs(y) / 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
