@@ -43,6 +43,9 @@ def _cmd_run(config_path: str) -> int:
     except (TriangulabError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a grid too large for the machine's memory
+        print(f"numerical error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:  # output_dir or cache_dir cannot hold files
         print(f"config error: cannot use {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2

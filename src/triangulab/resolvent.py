@@ -116,100 +116,78 @@ def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
-_GROUP = 4  # block products between two renormalizations of the chain sweep
-# A group whose column norm falls below this is redone product by product.
-# The block's column norms are unscaled sums of squares: they lose precision
-# once the square is subnormal (a norm below 1.5e-154) and read 0 below
-# about 1e-162.  Above 1e-150 the square is a normal double.
-_GROUP_FLOOR = 1e-150
+_FLOOR = 1e-150  # smallest column norm of the chain sweep; its square is a normal double
+_LOG_CEIL = math.log(1e140)  # largest log norm a product of the chain sweep may reach
 
 
-def _chain_products(v: np.ndarray, v_adj: np.ndarray, dk: np.ndarray, dk_conj: np.ndarray,
-                    w: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
-    """Products ``lo..hi-1`` of one power step on ``B^k``, applied to the block ``w``.
-
-    Product ``i`` applies ``B = diag(dk) V`` for ``i < k`` and ``B*`` from
-    ``k`` on; ``dk_conj`` is ``dk.conj()``.  Nothing is renormalized.
-    """
-    for i in range(lo, hi):
-        w = dk * _gemm(v, w) if i < k else _gemm(v_adj, dk_conj * w)
-    return w
-
-
-def _log_power_norms(v: np.ndarray, d: np.ndarray, vecs: np.ndarray, k: int) -> tuple:
+def _log_power_norms(v: np.ndarray, d: np.ndarray, log_root: np.ndarray, log_reach: np.ndarray,
+                     vecs: np.ndarray, k: int) -> tuple:
     """``log ||B_c^k||`` for each chain ``B_c = diag(d[:, c]) V``, all columns at once.
 
-    A warm-started power iteration on ``A = (B^k)* B^k``, which applies
-    ``B`` and its adjoint ``k`` times each to the block of start vectors
-    ``vecs`` (updated in place).  A real ``V`` (float64) is applied by real
-    GEMM (see :func:`_gemm`); a complex one by complex GEMM.  The products
-    run in groups of 4, with group boundaries at ``k`` and ``2k``; each
-    group ends with one column norm, one ``log`` and one division, so the
-    log norm never underflows.  A column whose group norm is zero,
-    non-finite or below ``_GROUP_FLOOR = 1e-150`` redoes that group one
-    product at a time, renormalizing after each by a scaled norm; a column
-    whose vector becomes exactly zero on that path is a dead chain and
-    reads ``-inf``.  One step from the unit vector ``x`` estimates
-    ``0.5 log ||A x||``.  A column leaves the block once two successive
-    estimates agree to ``1e-8`` relative, or once one step certifies itself:
-    the Rayleigh quotient ``rho = ||B^k x||^2`` (kept at the ``k`` boundary)
-    satisfies ``rho <= ||A x|| <= sigma_1^2``, and
-    ``log ||A x|| - log rho <= 1e-10`` settles the column.  A column still
-    unsettled after 60 steps, as when the top singular values of ``B^k``
-    nearly coincide, gets the dense value :func:`_dense_log_norm` instead.
-    Returns the log norms and the number of columns that took that dense
-    value.
+    Column ``c`` is swept as ``B'_c = diag(d[:, c] e^(-l_c)) V``,
+    ``l_c = log_root[c]``, and ``k l_c`` is added back; scaling changes no
+    singular vector.  ``log_reach[c]`` bounds ``log ||B'_c^j||`` for every
+    ``j <= k`` (see :func:`_chain_roots`).  A warm-started power iteration
+    on ``A = (B'^k)* B'^k``: from the unit vectors of the block ``vecs``
+    (updated in place), one step applies ``B'`` ``k`` times, takes the column
+    norm ``n_k = ||B'^k x||`` and divides by it, then applies ``B'*`` ``k``
+    times and takes the norm ``n_2k``, so ``n_k n_2k = ||A x||``.  A real
+    ``V`` (float64) is applied by real GEMM (see :func:`_gemm`); a complex
+    one by complex GEMM.  A column leaves the block once two successive
+    estimates ``0.5 log ||A x||`` agree to ``1e-8`` relative, or once one
+    step certifies itself: the Rayleigh quotient ``rho = n_k^2`` satisfies
+    ``rho <= ||A x|| <= sigma_1^2``, and ``log ||A x|| - log rho <= 1e-10``.
+
+    A column instead gets the dense value :func:`_dense_log_norm` of its
+    unscaled chain when its scaled diagonal is not finite, when
+    ``log_reach[c] > log(1e140)``, when ``n_k`` or ``n_2k`` is not finite or
+    is below ``1e-150``, or when it is unsettled after 60 steps, as when the
+    top singular values of ``B^k`` nearly coincide.  So, by
+    submultiplicativity, every product ``B'^j x`` and ``B'*^j u``
+    (``u = B'^k x / n_k``, ``j <= k``) of a swept column has a norm in
+    ``[1e-290, 1e140]`` (at most ``||B'^j||``, at least
+    ``n_k / ||B'^(k-j)||``): none loses digits to underflow or overflows,
+    and both column norms sum squares that are normal doubles.
+    A dense value is ``-inf`` only when a power of the chain up to ``k`` is
+    exactly zero.  Returns the log norms and the number of columns that took
+    the dense value.
     """
     v_adj = v.conj().T
     log_s = np.full(d.shape[1], -np.inf)
-    todo = np.arange(d.shape[1])
-    edges = [*range(0, k, _GROUP), *range(k, 2 * k, _GROUP), 2 * k]
-    groups = list(zip(edges[:-1], edges[1:]))
-    for _ in range(60):
-        w = np.take(vecs, todo, axis=1)  # C-contiguous, as _gemm needs
-        dk = d[:, todo]
-        dk_conj = dk.conj()
-        log_nu = np.zeros(todo.size)
-        for lo, hi in groups:
-            start = w
-            w = _chain_products(v, v_adj, dk, dk_conj, start, lo, hi, k)
-            nrm = np.linalg.norm(w, axis=0)
-            ok = np.isfinite(nrm) & (nrm >= _GROUP_FLOOR)
-            scale = np.where(ok, nrm, 1.0)
-            log_nu += np.log(scale)
-            w /= scale
-            # the other columns redo the group one product at a time; a dead
-            # column (-inf, a zero vector) stays zero and needs no redo
-            for c in np.flatnonzero(~ok & (log_nu > -np.inf)):
-                x = start[:, [c]]
-                for i in range(lo, hi):
-                    x = _chain_products(v, v_adj, dk[:, [c]], dk_conj[:, [c]], x, i, i + 1, k)
-                    nrm_c = float(scipy.linalg.norm(x[:, 0], check_finite=False))  # scaled BLAS nrm2
-                    if nrm_c == 0.0:
-                        log_nu[c] = -np.inf
-                        break
-                    log_nu[c] += math.log(nrm_c)
-                    # a real division: numpy's complex one takes 1 / nrm_c,
-                    # which overflows for a subnormal norm
-                    x = (x.view(np.float64) / nrm_c).view(np.complex128)
-                w[:, c] = x[:, 0]
-            if hi == k:
-                log_bk = log_nu.copy()  # log ||B^k x||
-        vecs[:, todo] = w
-        s_est = 0.5 * log_nu
-        with np.errstate(invalid="ignore"):
-            settled = (
-                (s_est == -np.inf)
-                | (np.abs(np.expm1(log_s[todo] - s_est)) <= 1e-8)
-                | (log_nu - 2.0 * log_bk <= 1e-10)
-            )
-        log_s[todo] = s_est
-        todo = todo[~settled]
-        if todo.size == 0:
-            return log_s, 0
-    for c in todo:
+    # a column outside the norm range may turn infinite or NaN: that stays in
+    # its own column of the GEMMs, and the column goes dense
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ds = d * np.exp(-log_root)
+        fits = np.isfinite(ds).all(axis=0) & (log_reach <= _LOG_CEIL)
+        todo = np.flatnonzero(fits)
+        dense = [np.flatnonzero(~fits)]
+        for _ in range(60):
+            if todo.size == 0:
+                break
+            w = np.take(vecs, todo, axis=1)  # C-contiguous, as _gemm needs
+            dk = ds[:, todo]
+            for _ in range(k):
+                w = dk * _gemm(v, w)
+            n_k = np.linalg.norm(w, axis=0)
+            w /= n_k
+            dk = dk.conj()
+            for _ in range(k):
+                w = _gemm(v_adj, dk * w)
+            n_2k = np.linalg.norm(w, axis=0)
+            w /= n_2k
+            ok = (n_k >= _FLOOR) & (n_2k >= _FLOOR) & np.isfinite(n_k) & np.isfinite(n_2k)
+            log_k, log_2k = np.log(n_k), np.log(n_2k)
+            s_est = 0.5 * (log_k + log_2k)
+            settled = ok & ((np.abs(np.expm1(log_s[todo] - s_est)) <= 1e-8) | (log_2k - log_k <= 1e-10))
+            log_s[todo] = s_est
+            vecs[:, todo[ok]] = w[:, ok]
+            dense.append(todo[~ok])
+            todo = todo[ok & ~settled]
+    dense = np.concatenate([*dense, todo])
+    log_s += k * log_root
+    for c in dense:
         log_s[c] = _dense_log_norm(d[:, c, None] * v, k)
-    return log_s, todo.size
+    return log_s, dense.size
 
 
 _CERT_SLACK = 1e-8  # per-power slack of the stop certificate, in log norm
@@ -248,6 +226,13 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     ``B_c = diag(d[:, c]) V``.  Every chain starts from one fixed vector,
     drawn from ``default_rng(3)`` so that the roots depend on the chains
     alone, and carries its power-iteration vector from ``k`` to ``k + 1``.
+    It also carries its log root ``l = log ||B^(k-1)|| / (k-1)`` (0 at
+    ``k = 1``), by which :func:`_log_power_norms` scales it to
+    ``B' = e^(-l) B``, and a reach that bounds the scaled powers by the
+    chain's own log norms ``L_j``: ``log ||B'^j|| = L_j - j l`` for
+    ``j < k``, and ``||B'^k|| <= ||B'|| <= max|d e^(-l)| sqrt(||V||_1 ||V||_inf)``.
+    (``||B'||^j`` alone grows with ``j`` wherever the roots fall, and would
+    send long chains dense.)
     A chain stops when it dies, or at the first power ``K`` below ``|y|/2``
     from which submultiplicativity proves that no later power crosses
     ``|y|/2`` (see :func:`_certified_below`; ``B^n = 0`` for the ``n x n``
@@ -259,20 +244,28 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
     settling error.  Entry ``k - 1`` is the largest root of the chains still
     running at ``k``, and 0.0 once every chain has stopped: then every root
     at ``k`` is 0 or certified below ``|y|/2``, so the entries above
-    ``|y|/2`` are exactly the crossings.  Returns the roots, how many
-    ``(c, k)`` norms came from the dense fallback of :func:`_log_power_norms`
-    and how many chains the certificate stopped.
+    ``|y|/2`` are exactly the crossings.  Powers from ``n`` on stay 0
+    unswept: ``B^n = 0``, and a sweep would send each running chain dense.
+    Returns the roots, how many ``(c, k)`` norms :func:`_log_power_norms`
+    sent to the dense value and how many chains the certificate stopped.
     """
     n, m = d.shape
     rng = np.random.default_rng(3)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     vecs = np.tile((start / np.linalg.norm(start))[:, None], (1, m))
+    v_bound = math.sqrt(np.linalg.norm(v, 1)) * math.sqrt(np.linalg.norm(v, np.inf))  # >= ||V||_2
+    log_root = np.zeros(m)  # l_c = log ||B_c^(k-1)|| / (k-1) of each running chain
     log_t = math.log(abs(y) / 2.0) - _CERT_SLACK
     gaps = np.empty((m, n_max))  # G_j of each running chain, in column j - 1
     roots = np.zeros(n_max)
     fallbacks = certified = 0
-    for k in range(1, n_max + 1):
-        log_norms, dense = _log_power_norms(v, d, vecs, k)
+    for k in range(1, min(n_max, n - 1) + 1):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_step = np.log(np.abs(d).max(axis=0) * v_bound) - log_root  # >= log ||B'||
+        # log ||B'^j|| = L_j - j l = G_j + j (log_t - l) for j < k
+        log_known = gaps[:, : k - 1] + np.arange(1, k) * (log_t - log_root)[:, None]
+        log_reach = np.maximum(log_known.max(axis=1, initial=0.0), log_step)
+        log_norms, dense = _log_power_norms(v, d, log_root, log_reach, vecs, k)
         fallbacks += dense
         roots[k - 1] = np.exp(log_norms / k).max()
         if k == n_max:
@@ -286,7 +279,7 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
             certified += stop.size
         if not go.any():
             break
-        d, vecs, gaps = d[:, go], vecs[:, go], gaps[go]
+        d, vecs, gaps, log_root = d[:, go], vecs[:, go], gaps[go], log_norms[go] / k
     return roots, fallbacks, certified
 
 
@@ -423,9 +416,10 @@ class ResolventProfile:
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
-    :func:`resolvent_norm`).  ``chain_fallbacks[j]``
-    counts the chain norms at ``y_j`` that the power iteration left unsettled and
-    dense singular values finished (see :func:`_log_power_norms`), and
+    :func:`resolvent_norm`).  ``chain_fallbacks[j]`` counts the chain norms
+    ``(x sample, power)`` at ``y_j`` that took dense singular values in place
+    of the scaled power iteration: out of its norm range, or unsettled
+    after 60 steps (see :func:`_log_power_norms`), and
     ``chains_certified[j]`` the chains at ``y_j`` that the submultiplicative
     certificate stopped before ``n_max``.
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
@@ -507,11 +501,14 @@ def profile(
     states its accuracy and its dense fallback, which
     ``envelope_fallbacks`` counts.
     ``n_max``, ``x_samples`` and ``power_x_samples`` below 1 raise
-    ``ValueError``.
-    :func:`_log_power_norms` states when a chain norm settles and when it
-    comes from dense singular values instead, which ``chain_fallbacks``
-    counts.  When ``V`` has no imaginary part, as for every real kernel, the
-    chain sweep applies ``V`` by real GEMM.
+    ``ValueError``, and so does an ``n_max`` above the dimension, whose
+    rows past the dimension would all be 0 (``B^n = 0``).
+    Each chain is swept scaled by its last root; :func:`_log_power_norms`
+    states when a chain norm settles, the norm range that scaling keeps
+    every product in, and the one rule that sends a norm to dense singular
+    values instead, which ``chain_fallbacks`` counts.  When ``V`` has no
+    imaginary part, as for every real kernel, the chain sweep applies ``V``
+    by real GEMM.
     """
     entries = split.triangle
     diag, v = _real_split(split)
@@ -526,6 +523,8 @@ def profile(
     for name, count in (("n_max", n_max), ("x_samples", x_samples), ("power_x_samples", power_x_samples)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count!r}")
+    if n_max > dim:  # B^n = 0 for the n x n strict triangle: later rows are all 0
+        raise ValueError(f"n_max must be at most the dimension {dim}, got {n_max!r}")
     evaluate = _triangle_evaluator(entries)
     t_inf = float(np.linalg.norm(entries, np.inf))
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)

@@ -111,6 +111,19 @@ def test_numerical_error_exits_three(tmp_path, overrides):
     assert main(["run", "--config", cfg]) == 3
 
 
+def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    # exit 1 means a failed check, so an allocation failure (as for
+    # resolvent-profile at grid.n 1000000) must not end in a traceback
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("triangulab.cli.run_experiment", exhausted)
+    cfg = write_config(tmp_path, {"experiment": "resolvent-profile", "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

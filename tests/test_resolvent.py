@@ -414,6 +414,14 @@ def test_profile_rejects_empty_sample_counts(name):
         profile(pair, [0.5, 0.25], **{name: 0})
 
 
+def test_profile_rejects_n_max_above_the_dimension():
+    # B^n = 0 for the n x n strict triangle, so powers past n are all zero
+    t, pair = _phi_plus_fractional(16, 1.0)
+    assert profile(pair, [0.5], n_max=16, x_samples=3).r.shape == (16, 1)
+    with pytest.raises(ValueError, match="n_max"):
+        profile(pair, [0.5], n_max=17, x_samples=3)
+
+
 def test_profile_counts_are_bounded_integers():
     t, pair = _phi_plus_fractional(48, 1.0)
     prof = profile(pair, [0.5, 0.25], x_samples=9, power_x_samples=9)
@@ -710,26 +718,59 @@ def test_dead_chain_stops_without_raising():
     np.testing.assert_array_equal(_chain_roots(v, d[:, [1]], 1e-3, 6)[0], np.zeros(6))
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e-75, 1e-90, 1e-170])
-def test_chain_that_underflows_within_a_group_is_not_dead(scale):
-    # B = scale * shift: four products scale a column norm by 1e-160 (its
-    # square subnormal), 1e-300 (its square 0), 1e-360 (0 itself) or 1e-680,
-    # so the sweep must redo those groups one product at a time; at 1e-170
-    # even one product's square underflows, so that path needs a scaled norm
+@pytest.mark.parametrize("scale", [1e-40, 1e-75, 1e-90, 1e-160, 1e-170, 1e-300])
+def test_chain_scaled_by_its_last_root_survives_a_tiny_scale(scale):
+    # B = scale * shift: each power k > 1 is swept as (B / |d|)^k, of norm 1;
+    # only at k = 1, unscaled, does a column norm below 1e-150 (1e-160: its
+    # square is subnormal; 1e-170: it underflows; 1e-300) send the chain to
+    # the dense value
     n = 8
     v = np.diag(np.ones(n - 1), -1)
     pair = split_given_basis(wrap_matrix(v.astype(complex)))
     lam = complex(-1.0, scale)
     d = np.full((n, 1), -scale / (0.0 - lam))
-    roots = _chain_roots(v, d, scale, n)[0]
+    roots, fallbacks, _ = _chain_roots(v, d, scale, n)
+    assert fallbacks == (1 if scale < 1e-150 else 0)
     # ||B^k|| = |d|^k for k < n and V^n = 0: only the last power is dead
     assert np.all(roots[: n - 1] > 0.0) and roots[n - 1] == 0.0
     for k in range(1, n):
         dense = math.exp(_dense_log_norm(d * v, k) / k)  # c_norm's dense route, in logs
         assert roots[k - 1] == pytest.approx(dense, rel=1e-12, abs=0.0)
         assert roots[k - 1] == pytest.approx(abs(d[0, 0]), rel=1e-12, abs=0.0)
-        if c_norm(pair, lam, k) > 0.0:  # c_norm itself underflows once |d|^k does
+        if c_norm(pair, lam, k) >= np.finfo(float).tiny:  # c_norm itself underflows once |d|^k does
             assert roots[k - 1] == pytest.approx(c_norm(pair, lam, k) ** (1.0 / k), rel=1e-12, abs=0.0)
+
+
+def test_chain_above_the_amplification_bound_goes_dense_once(monkeypatch):
+    # B = 1e200 d shift: at k = 1 (unscaled) the reach
+    # log(max|d| sqrt(||V||_1 ||V||_inf)) = log(1e200 max|d|) exceeds
+    # log(1e140), so that power is dense before any product; from k = 2 on
+    # each chain is scaled by its root 1e200 |d| and every later power
+    # settles in the block
+    n, y = 8, 0.5
+    v = 1e200 * np.diag(np.ones(n - 1), -1)
+    d = np.tile(-y / -(np.array([0.0, 0.3]) + 1j * y), (n, 1))
+    calls = _count_power_steps(monkeypatch)
+    roots, fallbacks, _ = _chain_roots(v, d, y, n)
+    assert calls[0] == (1, []) and all(widths for _, widths in calls[1:])
+    assert fallbacks == 2
+    for k in range(1, n):
+        dense = max(math.exp(_dense_log_norm(d[:, [c]] * v, k) / k) for c in range(2))
+        assert roots[k - 1] == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert roots[n - 1] == 0.0
+
+
+def test_long_falling_chains_stay_in_the_block():
+    # beta = 0.5 at y = 1e-3: the chains run past k = 55, where ||B'||^k
+    # (B' the chain scaled by its last root) passes 1e140 although no product
+    # exceeds e^32; the reach from the chain's own norms keeps them swept
+    t, pair = _phi_plus_fractional(64, 0.5)
+    y = 1e-3
+    prof = profile(pair, [y], x_samples=3, power_x_samples=9)
+    assert prof.chain_fallbacks[0] == 0 and prof.count_n[0] > 50
+    for k in (30, 58):
+        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
+        assert prof.r[k - 1, 0] == pytest.approx(dense, rel=1e-7)
 
 
 def test_dense_log_norm_survives_a_subnormal_power_norm():
@@ -771,9 +812,9 @@ def _count_power_steps(monkeypatch):
     calls = []
     power, gemm = resolvent._log_power_norms, resolvent._gemm
 
-    def spy_power(v, d, vecs, k):
+    def spy_power(v, d, log_root, log_reach, vecs, k):
         calls.append((k, []))
-        return power(v, d, vecs, k)
+        return power(v, d, log_root, log_reach, vecs, k)
 
     def spy_gemm(a, w):
         calls[-1][1].append(w.shape[1])
@@ -789,7 +830,8 @@ def test_certificate_settles_a_column_after_one_power_step(monkeypatch):
     # one step certifies it, where two successive estimates need two steps
     calls = _count_power_steps(monkeypatch)
     vecs = np.array([[1.0], [0.0]], dtype=complex)
-    log_s, dense = resolvent._log_power_norms(np.diag([1.0, 0.5]), np.ones((2, 1), complex), vecs, 3)
+    v, d = np.diag([1.0, 0.5]), np.ones((2, 1), complex)
+    log_s, dense = resolvent._log_power_norms(v, d, np.zeros(1), np.zeros(1), vecs, 3)
     assert calls == [(3, [1] * 6)]
     assert log_s[0] == 0.0 and dense == 0
 
@@ -803,7 +845,7 @@ def test_certificate_settles_columns_early_on_the_default_fractional_ladder(monk
     profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
     exits = np.zeros(61, dtype=int)
     for k, widths in calls:
-        # no group was redone: every step is 2k products on one block
+        # every step is 2k products on one block
         steps = widths[:: 2 * k]
         assert len(widths) == 2 * k * len(steps)
         assert widths == [w for w in steps for _ in range(2 * k)]
