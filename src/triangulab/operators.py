@@ -42,6 +42,7 @@ __all__ = [
     "operator_norm",
     "apply",
     "as_entries",
+    "real_if_real",
     "compose",
     "wrap_matrix",
     "save_matrix",
@@ -169,6 +170,22 @@ def as_entries(t) -> np.ndarray:
     if isinstance(t, OperatorMatrix):
         return t.entries
     return np.asarray(t, dtype=complex)
+
+
+def real_if_real(entries) -> np.ndarray:
+    """``entries`` as a C-contiguous float64 copy when no entry has an
+    imaginary part, else as a complex array: the same array when it is a
+    complex128 one.
+
+    A real array needs no copy and comes back as it is when it is already
+    C-contiguous float64.
+    """
+    entries = np.asarray(entries)
+    if np.iscomplexobj(entries):
+        if np.any(entries.imag):
+            return entries.astype(complex, copy=False)
+        entries = entries.real
+    return np.ascontiguousarray(entries, dtype=np.float64)
 
 
 def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
@@ -433,12 +450,11 @@ def chain_invariance_residual(t: OperatorMatrix, e: OperatorMatrix) -> float:
 def operator_norm(t) -> float:
     """Largest singular value, from the dense singular values.
 
-    Entries with no imaginary part go to LAPACK as a real array.
+    Entries with no imaginary part, and a raw real array, go to LAPACK as a
+    real array (:func:`real_if_real`).
     """
-    entries = as_entries(t)
-    if not np.any(entries.imag):
-        entries = entries.real
-    return float(scipy.linalg.svdvals(entries)[0])
+    entries = t.entries if isinstance(t, OperatorMatrix) else t
+    return float(scipy.linalg.svdvals(real_if_real(entries))[0])
 
 
 def apply(t: OperatorMatrix, f: GridFunction) -> GridFunction:
@@ -457,14 +473,24 @@ def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 def save_matrix(t: OperatorMatrix, path) -> None:
     """Write the documented text format: header ``rows cols omega``, then
-    row-major ``re im`` pairs, one matrix row per line."""
+    row-major ``re im`` pairs, one matrix row per line.
+
+    Each number is the shortest round-trip ``repr`` of a float, so it
+    parses back to the same float: the sign of zero is kept, and ``nan`` and
+    ``inf`` are written as Python writes them.
+    """
     entries = np.ascontiguousarray(t.entries, dtype=complex)
+    # the float64 view interleaves re, im along each row; its int64 view
+    # tells apart every float, -0.0 from 0.0 too, so each distinct value is
+    # formatted once (a Toeplitz triangle has n + 1) and rows are looked up
+    bits = entries.view(np.float64).view(np.int64)
+    keys = np.sort(bits, axis=None)  # np.unique takes about 10x as long here
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    text = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{entries.shape[0]} {entries.shape[1]} {float(t.grid.omega)!r}\n")
-        # the float64 view interleaves re, im along each row; converting one
-        # row at a time keeps a single row of Python floats alive
-        for row in entries.view(np.float64):
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+        for row in bits:
+            fh.write(" ".join(text[np.searchsorted(keys, row)]) + "\n")
 
 
 def load_matrix(path) -> OperatorMatrix:
@@ -481,5 +507,6 @@ def load_matrix(path) -> OperatorMatrix:
         raise ValueError(
             f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {data.size}"
         )
-    entries = data[0::2] + 1j * data[1::2]
-    return OperatorMatrix(make_grid(omega, rows), entries.reshape(rows, cols))
+    # a view, not ``re + 1j * im``: that arithmetic turns -0.0 into 0.0 and
+    # an infinite imaginary part into a nan real part
+    return OperatorMatrix(make_grid(omega, rows), data.view(complex).reshape(rows, cols))

@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .exceptions import InsufficientDataError, NearSingularError
-from .operators import SplitPair, as_entries
+from .operators import SplitPair, as_entries, real_if_real
 
 __all__ = [
     "ResolventProfile",
@@ -86,22 +86,24 @@ def _real_split(split: SplitPair) -> tuple:
 
 
 def _dense_log_norm(b: np.ndarray, k: int) -> float:
-    """``log ||b^k||`` by renormalized powers with a dense SVD at every step.
+    """``log ||b^k||`` by powers renormalized by their largest entry modulus,
+    and one dense SVD of the last.
 
     ``-inf`` when some power of ``b`` up to ``k`` is exactly zero.
     """
     m = b
     log_acc = 0.0
     for i in range(k):
-        nrm = float(scipy.linalg.svdvals(m)[0])
-        if nrm == 0.0:
+        if i:
+            m = m @ b
+        scale = float(np.max(np.abs(m)))
+        if scale == 0.0:
             return -math.inf
-        log_acc += math.log(nrm)
-        if i < k - 1:
-            # a real division: numpy's complex one takes 1 / nrm, which
-            # overflows for a subnormal norm
-            m = (m.view(np.float64) / nrm).view(m.dtype) @ b
-    return log_acc
+        log_acc += math.log(scale)
+        # a real division: numpy's complex one takes 1 / scale, which
+        # overflows for a subnormal scale
+        m = (m.view(np.float64) / scale).view(m.dtype)
+    return log_acc + math.log(float(scipy.linalg.svdvals(m)[0]))
 
 
 def _gemm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -286,8 +288,9 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
 def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     """``|| ( -Im(lambda) (S - lambda)^{-1} V )^n ||`` by renormalized powers.
 
-    Exact dense singular values at every step; intended for single queries
-    and as the oracle for the faster profile sweep.
+    Dense powers renormalized by their largest entry, and exact dense
+    singular values of the last (:func:`_dense_log_norm`); intended for
+    single queries and as the oracle for the faster profile sweep.
     """
     if lam.imag == 0.0:
         raise ValueError("chain norms require Im(lambda) != 0")
@@ -512,8 +515,7 @@ def profile(
     """
     entries = split.triangle
     diag, v = _real_split(split)
-    if not np.any(v.imag):
-        v = np.ascontiguousarray(v.real)  # real GEMMs in the chain sweep
+    v = real_if_real(v)  # real GEMMs in the chain sweep when V is real
     dim = entries.shape[0]
     if n_max is None:
         n_max = dim

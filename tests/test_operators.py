@@ -24,6 +24,7 @@ from triangulab.operators import (
     compose,
     load_matrix,
     operator_norm,
+    real_if_real,
     save_matrix,
     split_given_basis,
     split_schur,
@@ -585,6 +586,62 @@ def test_save_matrix_matches_per_entry_repr_format(tmp_path):
     )
     assert path.read_text() == expected
     np.testing.assert_array_equal(load_matrix(path).entries, entries)
+
+
+def _per_entry_repr_text(op: OperatorMatrix) -> str:
+    """The file ``save_matrix`` writes, one ``repr`` per float as in
+    ``test_save_matrix_matches_per_entry_repr_format``."""
+    rows, cols = op.entries.shape
+    return f"{rows} {cols} {float(op.grid.omega)!r}\n" + "".join(
+        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in op.entries
+    )
+
+
+def _special_values_matrix() -> OperatorMatrix:
+    # few distinct values, so each is formatted once and looked up
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310, -1e-310, 1.5, 1.0 / 3.0]
+    idx = np.random.default_rng(12).integers(0, len(special), (2, 12, 12))
+    entries = np.empty((12, 12), dtype=complex)
+    entries.real, entries.imag = np.array(special)[idx]
+    return OperatorMatrix(make_grid(2.5, 12), entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_special_values_matrix, lambda: build_ebeta_operator(make_grid(1.0, 64), EbetaSpec(1.5, 0.0))],
+    ids=["special-values", "ebeta-64"],
+)
+def test_save_matrix_writes_each_entry_by_repr_and_reads_back_bitwise(tmp_path, make):
+    op = make()
+    path = tmp_path / "m.txt"
+    save_matrix(op, path)
+    assert path.read_text() == _per_entry_repr_text(op)
+    loaded = load_matrix(path).entries
+    assert loaded.shape == op.entries.shape
+    # bit patterns, so -0.0 against 0.0 and nan count
+    np.testing.assert_array_equal(loaded.view(np.int64), op.entries.view(np.int64))
+
+
+def test_real_if_real_copies_real_entries_and_keeps_complex_ones():
+    ebeta = build_ebeta_operator(make_grid(1.0, 64), EbetaSpec(0.5, 0.0)).entries
+    assert not np.any(ebeta.imag)  # e_beta entries are real
+    real = real_if_real(ebeta)
+    assert real.dtype == np.float64 and real.flags.c_contiguous and not np.shares_memory(real, ebeta)
+    np.testing.assert_array_equal(real, ebeta.real)
+    complex_a = np.random.default_rng(13).standard_normal((9, 9)) + 1j * np.eye(9)
+    assert real_if_real(complex_a) is complex_a
+
+
+def test_operator_norm_of_a_raw_real_array_is_svdvals_bit_for_bit(monkeypatch):
+    import scipy.linalg
+
+    a = np.random.default_rng(14).standard_normal((50, 50))
+    expected = float(scipy.linalg.svdvals(a)[0])
+    seen = _svdvals_inputs(monkeypatch)
+    assert operator_norm(a) == expected
+    assert seen[0] is a  # no complex round trip
+    assert operator_norm(a.astype(complex)) == expected
+    assert [x.dtype for x in seen] == [np.float64, np.float64]
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -782,6 +782,45 @@ def test_dense_log_norm_survives_a_subnormal_power_norm():
         assert _dense_log_norm(1e-310 * shift, 8) == -math.inf
 
 
+def _dense_log_norm_by_svd_per_power(b: np.ndarray, k: int) -> float:
+    """``log ||b^k||`` renormalizing every power by its own ``svdvals``: the
+    loop :func:`_dense_log_norm` replaced, kept as its oracle."""
+    m = b
+    log_acc = 0.0
+    for i in range(k):
+        nrm = float(scipy.linalg.svdvals(m)[0])
+        if nrm == 0.0:
+            return -math.inf
+        log_acc += math.log(nrm)
+        if i < k - 1:
+            m = (m.view(np.float64) / nrm).view(m.dtype) @ b
+    return log_acc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_log_norm_matches_the_svd_per_power_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 24))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    b = scale * np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for k in (1, 2, 3, 7, 16, 29, 40):
+        got, expected = _dense_log_norm(b, k), _dense_log_norm_by_svd_per_power(b, k)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+    strict = np.tril(b, -1)  # strict^(n-1) has one nonzero entry, strict^n = 0
+    expected = _dense_log_norm_by_svd_per_power(strict, n - 1)
+    assert abs(_dense_log_norm(strict, n - 1) - expected) <= 1e-13 * max(1.0, abs(expected))
+    assert _dense_log_norm(strict, n) == _dense_log_norm(strict, 40) == -math.inf
+
+
+def test_dense_log_norm_takes_one_svd(monkeypatch):
+    calls = []
+    svdvals = scipy.linalg.svdvals
+    monkeypatch.setattr(scipy.linalg, "svdvals", lambda a, *args, **kw: calls.append(a.shape) or svdvals(a, *args, **kw))
+    b = np.tril(np.random.default_rng(5).standard_normal((16, 16))).astype(complex)
+    _dense_log_norm(b, 40)
+    assert calls == [(16, 16)]
+
+
 def test_certificate_keeps_a_chain_that_crosses_after_a_long_dip():
     # B = V, a weighted shift with weights [W, 0.1 x 10, W]: ||B^k|| is the
     # largest product of k consecutive weights, W 0.1^(k-1) up to k = 11 and
