@@ -19,12 +19,10 @@ from .grid import (
     Grid,
     GridFunction,
     check_frequency,
-    l2_inner,
     l2_norm,
     make_grid,
     max_frequency,
     sample_exponential,
-    sample_function,
 )
 from .specfun import (
     EbetaSpec,
@@ -32,7 +30,6 @@ from .specfun import (
     e_beta_cumulative,
     gamma_complex,
     m_moment,
-    stirling_gamma_check,
 )
 
 __all__ = [
@@ -50,12 +47,9 @@ __all__ = [
     "e_beta",
     "e_beta_cumulative",
     "gamma_complex",
-    "l2_inner",
     "l2_norm",
     "m_moment",
     "make_grid",
     "max_frequency",
     "sample_exponential",
-    "sample_function",
-    "stirling_gamma_check",
 ]

@@ -20,8 +20,6 @@ __all__ = [
     "GridFunction",
     "make_grid",
     "l2_norm",
-    "l2_inner",
-    "sample_function",
     "sample_exponential",
     "max_frequency",
     "check_frequency",
@@ -86,34 +84,19 @@ def make_grid(omega: float, n: int) -> Grid:
     return Grid(omega=float(omega), n=int(n), h=h, nodes=nodes)
 
 
-def sample_function(grid: Grid, func) -> GridFunction:
-    """Sample a callable at the grid nodes into a :class:`GridFunction`."""
-    values = np.asarray([func(x) for x in grid.nodes], dtype=complex)
-    return GridFunction(grid, values)
-
-
 def l2_norm(f: GridFunction) -> float:
     """Discrete L2 norm, ``sqrt(h * sum |f_k|^2)``."""
     return math.sqrt(f.grid.h * float(np.sum(np.abs(f.values) ** 2)))
 
 
-def l2_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Discrete L2 inner product ``h * sum conj(f_k) g_k``."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires a common grid")
-    return complex(f.grid.h * np.vdot(f.values, g.values))
-
-
-def sample_exponential(grid: Grid, xi: float, sign: int = 1) -> GridFunction:
-    """Samples of ``exp(sign * i * x * xi)`` at the grid nodes.
+def sample_exponential(grid: Grid, xi: float) -> GridFunction:
+    """Samples of ``exp(i * x * xi)`` at the grid nodes.
 
     All samples are unimodular.  The caller is responsible for the aliasing
     guard (:func:`check_frequency`) when the samples feed an operation that
     interprets ``xi`` as a resolved frequency.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    values = np.exp(1j * sign * xi * grid.nodes)
+    values = np.exp(1j * xi * grid.nodes)
     return GridFunction(grid, values)
 
 

@@ -2,12 +2,10 @@
 
 Constructors produce lower-triangular (or diagonal) matrices on a midpoint
 grid with exact zero patterns: multiplication symbols become diagonals,
-Volterra kernels become Nystrom triangles, fractional and log-singular
-convolution kernels become product-integration Toeplitz triangles, and
-difference kernels become differenced cumulative convolutions.  The module
-also owns the scalar-plus-quasinilpotent splits (in the given basis and via
-a deterministically ordered complex Schur form), chain projections, and the
-chain-invariance residual.
+fractional and log-singular convolution kernels become product-integration
+Toeplitz triangles, and difference kernels become differenced cumulative
+convolutions.  The module also owns the scalar-plus-quasinilpotent splits
+(in the given basis and via a deterministically ordered complex Schur form).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import ConstructionError, NumericalError
-from .grid import Grid, GridFunction, make_grid
+from .grid import Grid, make_grid
 from .specfun import EbetaSpec, e_beta_cumulative, e_beta_cumulative_array, gamma_complex
 
 __all__ = [
@@ -30,20 +28,15 @@ __all__ = [
     "OperatorMatrix",
     "SplitPair",
     "build_multiplication",
-    "build_volterra",
     "build_fractional",
     "build_ebeta_operator",
     "build_difference_operator",
     "build_imaginary_fractional",
     "split_given_basis",
     "split_schur",
-    "chain_projection",
-    "chain_invariance_residual",
     "operator_norm",
-    "apply",
     "as_entries",
     "real_if_real",
-    "compose",
     "wrap_matrix",
     "save_matrix",
     "load_matrix",
@@ -189,7 +182,11 @@ def real_if_real(entries) -> np.ndarray:
 
 
 def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
-    """Wrap a raw square matrix with a synthetic unit-length grid of matching size."""
+    """Wrap a raw square matrix with a synthetic unit-length grid of matching size.
+
+    No module calls it; acceptance criteria 2 and 7 wrap their sums of
+    operator entries with it.
+    """
     entries = np.array(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
@@ -197,7 +194,11 @@ def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
 
 
 def build_multiplication(grid: Grid, phi: Callable) -> OperatorMatrix:
-    """Diagonal matrix with entries ``phi(x_k)``; ``phi`` must be real valued."""
+    """Diagonal matrix with entries ``phi(x_k)``; ``phi`` must be real valued.
+
+    No module calls it; acceptance criteria 2 and 7 build their
+    multiplication parts with it.
+    """
     try:
         values = np.asarray([phi(x) for x in grid.nodes])
     except Exception as exc:  # symbol handle failed at some node
@@ -207,34 +208,6 @@ def build_multiplication(grid: Grid, phi: Callable) -> OperatorMatrix:
     entries = np.diag(values.real.astype(float)).astype(complex)
     if not np.all(np.isfinite(entries)):
         raise ConstructionError("multiplication symbol produced non-finite entries")
-    return OperatorMatrix(grid, entries)
-
-
-def build_volterra(grid: Grid, v: Callable, diagonal: str = "half_cell") -> OperatorMatrix:
-    """Nystrom triangle of the Volterra kernel ``v(x, t)``.
-
-    Off-diagonal entries are ``h * v(x_j, x_k)`` for ``k < j``.  The diagonal
-    cell only extends from the left cell edge to the node, and the kernel may
-    be singular at ``t = x``, so the diagonal is the half-cell midpoint rule
-    ``(h/2) * v(x_j, x_j - h/4)`` (``diagonal="half_cell"``) or exactly zero
-    (``diagonal="zero"``, the strictly triangular variant whose n-th power
-    vanishes identically).
-    """
-    if diagonal not in ("half_cell", "zero"):
-        raise ValueError(f"unknown diagonal mode {diagonal!r}")
-    n, h = grid.n, grid.h
-    entries = np.zeros((n, n), dtype=complex)
-    try:
-        for j in range(n):
-            xj = grid.nodes[j]
-            for k in range(j):
-                entries[j, k] = h * v(xj, grid.nodes[k])
-            if diagonal == "half_cell":
-                entries[j, j] = 0.5 * h * v(xj, xj - 0.25 * h)
-    except Exception as exc:  # kernel handle failed somewhere in the triangle
-        raise ConstructionError(f"Volterra kernel evaluation failed: {exc}") from exc
-    if not np.all(np.isfinite(entries)):
-        raise ConstructionError("Volterra kernel produced non-finite entries")
     return OperatorMatrix(grid, entries)
 
 
@@ -419,34 +392,6 @@ def split_schur(t: OperatorMatrix) -> SplitPair:
     return SplitPair(triangle=r, unitary=q)
 
 
-def chain_projection(grid: Grid, t_param: float) -> OperatorMatrix:
-    """Chain projection selecting the trailing nodes ``x_k > omega - t_param``.
-
-    ``t_param = 0`` gives the zero matrix, ``t_param = omega`` the identity,
-    and consecutive cell-width steps change the rank by exactly one.
-    """
-    if not 0.0 <= t_param <= grid.omega + 1e-12 * grid.omega:
-        raise ValueError(f"chain parameter must lie in [0, omega], got {t_param}")
-    mask = grid.nodes > grid.omega - t_param
-    entries = np.diag(mask.astype(float)).astype(complex)
-    return OperatorMatrix(grid, entries)
-
-
-def chain_invariance_residual(t: OperatorMatrix, e: OperatorMatrix) -> float:
-    """Invariance defect ``|| E T E - T E ||`` for a projection ``E``.
-
-    Zero (to rounding) exactly when ``ran(E)`` is invariant under ``T``;
-    raises ``ValueError`` if ``e`` is not an orthogonal projection.
-    """
-    ee = as_entries(e)
-    herm = float(np.linalg.norm(ee - ee.conj().T, 2))
-    idem = float(np.linalg.norm(ee @ ee - ee, 2))
-    if herm > 1e-12 or idem > 1e-12:
-        raise ValueError("e must be an orthogonal projection (e^2 = e = e*)")
-    tt = as_entries(t)
-    return float(np.linalg.norm(ee @ tt @ ee - tt @ ee, 2))
-
-
 def operator_norm(t) -> float:
     """Largest singular value, from the dense singular values.
 
@@ -455,20 +400,6 @@ def operator_norm(t) -> float:
     """
     entries = t.entries if isinstance(t, OperatorMatrix) else t
     return float(scipy.linalg.svdvals(real_if_real(entries))[0])
-
-
-def apply(t: OperatorMatrix, f: GridFunction) -> GridFunction:
-    """Matrix-vector action on a grid function."""
-    if f.grid != t.grid:
-        raise ValueError("operator and function live on different grids")
-    return GridFunction(t.grid, t.entries @ f.values)
-
-
-def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Operator product ``a @ b`` on a common grid."""
-    if a.grid != b.grid:
-        raise ValueError("operator product requires a common grid")
-    return OperatorMatrix(a.grid, a.entries @ b.entries)
 
 
 def save_matrix(t: OperatorMatrix, path) -> None:

@@ -60,6 +60,10 @@ def resolvent_norm(t, lam: complex) -> float:
     or ``1 / sqrt(theta) <= 1e-12 max(||T||_2 + 2|lambda|, 1)``.  That band
     lies above the dense guard, so every :class:`NearSingularError` comes
     from the SVD, raised when ``sigma_min < 1e-14 max(||A||_2 + |lambda|, 1)``.
+
+    No module calls it: :func:`profile` sets up :func:`_triangle_evaluator`
+    once per operator.  It stays as the single-query entry point, and this
+    docstring is the evaluator's contract.
     """
     return _triangle_evaluator(as_entries(t))(lam)[0]
 
@@ -289,8 +293,13 @@ def c_norm(split: SplitPair, lam: complex, n: int) -> float:
     """``|| ( -Im(lambda) (S - lambda)^{-1} V )^n ||`` by renormalized powers.
 
     Dense powers renormalized by their largest entry, and exact dense
-    singular values of the last (:func:`_dense_log_norm`); intended for
-    single queries and as the oracle for the faster profile sweep.
+    singular values of the last (:func:`_dense_log_norm`).  No module calls
+    it; the tests take it as the oracle of the chain sweep in :func:`profile`.
+
+    The value is ``exp(_dense_log_norm(b, n))``.  Below
+    ``np.finfo(float).tiny`` it is subnormal and keeps few digits (at
+    1e-320, about three), so a caller that needs the ``n``-th root should
+    take it from the log, ``exp(_dense_log_norm(b, n) / n)``.
     """
     if lam.imag == 0.0:
         raise ValueError("chain norms require Im(lambda) != 0")

@@ -4,9 +4,9 @@ Provides the complex gamma function, the log-singular kernel family
 
     e_beta(x) = integral_0^inf exp(-C s) s^(beta-1) x^(s-1) / Gamma(s) ds,
 
-its cumulative integrals, the moment m(beta) = (1/Gamma(beta)) * integral of
-e_beta over (0, omega), and a Stirling-ratio diagnostic.  The kernel blows up
-like Gamma(beta+1) / (x |ln x|^(beta+1)) as x -> 0, which is what makes the
+its cumulative integrals, and the moment m(beta) = (1/Gamma(beta)) * integral
+of e_beta over (0, omega).  The kernel blows up like
+Gamma(beta+1) / (x |ln x|^(beta+1)) as x -> 0, which is what makes the
 associated convolution operators bounded but heavily non-normal.
 
 Both kernel functions reduce to one integral over ``s``, ``K(b, drift)``
@@ -39,7 +39,6 @@ __all__ = [
     "e_beta_cumulative",
     "e_beta_cumulative_array",
     "m_moment",
-    "stirling_gamma_check",
 ]
 
 
@@ -285,15 +284,3 @@ def m_moment(spec: EbetaSpec, omega: float) -> float:
     except OverflowError as exc:
         raise NumericalError(f"Gamma({spec.beta!r}) overflows a double") from exc
     return e_beta_cumulative(omega, spec) / gamma_beta
-
-
-def stirling_gamma_check(nbeta: float) -> float:
-    """Ratio of ``Gamma(nbeta + 1)`` to its Stirling approximation.
-
-    Evaluated in log space to survive the overflow region; tends to 1 as
-    ``nbeta`` grows, like ``1 + 1/(12 nbeta)``.
-    """
-    if not nbeta >= 1:
-        raise ValueError(f"nbeta must be >= 1, got {nbeta}")
-    log_stirling = 0.5 * math.log(2.0 * math.pi * nbeta) + nbeta * (math.log(nbeta) - 1.0)
-    return math.exp(math.lgamma(nbeta + 1.0) - log_stirling)

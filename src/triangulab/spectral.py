@@ -1,16 +1,17 @@
 """Eigenvalue and singular-value analytics for operator matrices.
 
-Spectra, quasinilpotency verdicts, singular-value ideals (trace-class style
-norms and the weighted ``sum s_n / (2n-1)`` norm), spectral-set distances,
-a contour-quadrature functional calculus, and the sigma-equality and
-spectral-mapping measurements that the experiments compare with tolerances.
+A seeded machine-noise eigenvalue probe, singular-value ideals
+(trace-class style norms and the weighted ``sum s_n / (2n-1)`` norm),
+spectral-set distances, a contour-quadrature functional calculus, and the
+sigma-equality and spectral-mapping measurements that the experiments
+compare with tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -20,10 +21,8 @@ from .exceptions import NumericalError, QuadratureError
 from .operators import SplitPair, as_entries, split_schur
 
 __all__ = [
-    "SpectralReport",
     "SigmaEqualityReport",
     "MappingReport",
-    "spectrum",
     "eigenvalues_with_machine_noise",
     "macaev_norm",
     "schatten_norm",
@@ -33,59 +32,6 @@ __all__ = [
     "verify_spectral_mapping",
     "default_contour",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigenvalues, s-numbers, ideal norms, and the quasinilpotency verdict."""
-
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    s_numbers: np.ndarray
-    schatten: dict
-    macaev_omega: float
-    quasinilpotent: bool
-    tol_q: float
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.s_numbers.setflags(write=False)
-
-
-def spectrum(
-    t,
-    tol_q: Optional[float] = None,
-    schatten_p: Sequence[float] = (1.0, 2.0, 4.0),
-) -> SpectralReport:
-    """Full dense spectral report.
-
-    ``tol_q`` is the quasinilpotency threshold on the spectral radius; it
-    defaults to ``10 / n`` because spectral radii of refined triangular
-    discretizations decay like a constant over ``n``, so a fixed finite
-    matrix can only evidence, not prove, a concentrated spectrum.  The
-    verdict is always reported together with the tolerance used.
-    """
-    entries = as_entries(t)
-    n = entries.shape[0]
-    if tol_q is None:
-        tol_q = 10.0 / n
-    try:
-        eigs = np.linalg.eigvals(entries)
-        s_nums = scipy.linalg.svdvals(entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    radius = float(np.max(np.abs(eigs))) if n else 0.0
-    schatten = {float(p): _schatten_from_s(s_nums, p) for p in schatten_p}
-    macaev = _macaev_from_s(s_nums)
-    return SpectralReport(
-        eigenvalues=eigs,
-        spectral_radius=radius,
-        s_numbers=s_nums,
-        schatten=schatten,
-        macaev_omega=macaev,
-        quasinilpotent=bool(radius <= tol_q),
-        tol_q=float(tol_q),
-    )
 
 
 def eigenvalues_with_machine_noise(t, eps: float, seed: int) -> np.ndarray:
@@ -104,26 +50,20 @@ def eigenvalues_with_machine_noise(t, eps: float, seed: int) -> np.ndarray:
     return np.linalg.eigvals(entries + scale * noise)
 
 
-def _schatten_from_s(s_nums: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(s_nums[0]) if s_nums.size else 0.0
+def schatten_norm(t, p: float) -> float:
+    """p-th singular-value norm, ``(sum s_n^p)^(1/p)``; ``p = inf`` is the largest."""
     if not p >= 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
+    s_nums = scipy.linalg.svdvals(as_entries(t))
+    if p == math.inf:
+        return float(s_nums[0]) if s_nums.size else 0.0
     return float(np.sum(s_nums**p) ** (1.0 / p))
-
-
-def _macaev_from_s(s_nums: np.ndarray) -> float:
-    return float(np.sum(s_nums / (2.0 * np.arange(1, s_nums.size + 1) - 1.0)))
-
-
-def schatten_norm(t, p: float) -> float:
-    """p-th singular-value norm, ``(sum s_n^p)^(1/p)``."""
-    return _schatten_from_s(scipy.linalg.svdvals(as_entries(t)), p)
 
 
 def macaev_norm(t) -> float:
     """Weighted singular-value norm ``sum_k s_k / (2k - 1)``."""
-    return _macaev_from_s(scipy.linalg.svdvals(as_entries(t)))
+    s_nums = scipy.linalg.svdvals(as_entries(t))
+    return float(np.sum(s_nums / (2.0 * np.arange(1, s_nums.size + 1) - 1.0)))
 
 
 def spectral_distance(a: Iterable[complex], b: Iterable[complex]) -> float:

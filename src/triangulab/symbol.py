@@ -229,7 +229,7 @@ def prop54_residual(t: OperatorMatrix, xi: float) -> float:
         raise ValueError("prop54_residual needs an operator built from a difference kernel")
     check_frequency(t.grid, xi)
     s_tilde1 = weighted_transform(t.kernel.s, t.grid.omega, xi)
-    wave = sample_exponential(t.grid, xi, sign=-1)
+    wave = sample_exponential(t.grid, -xi)
     lhs = t.entries @ wave.values
     rhs = (-1j * xi) * s_tilde1 * wave.values
     return l2_norm(GridFunction(t.grid, lhs - rhs))

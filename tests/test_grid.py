@@ -9,12 +9,10 @@ from triangulab import (
     FrequencyRangeError,
     GridFunction,
     check_frequency,
-    l2_inner,
     l2_norm,
     make_grid,
     max_frequency,
     sample_exponential,
-    sample_function,
 )
 
 
@@ -66,7 +64,7 @@ def test_l2_norm_zero():
 def test_l2_norm_linear_function():
     # independent oracle: integral of x^2 over (0,1) is exactly 1/3
     g = make_grid(1.0, 1024)
-    f = sample_function(g, lambda x: x)
+    f = GridFunction(g, g.nodes)
     assert l2_norm(f) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
 
 
@@ -83,14 +81,6 @@ def test_l2_norm_scales_homogeneously(alpha):
     assert l2_norm(scaled) == pytest.approx(abs(alpha) * l2_norm(f), rel=1e-12, abs=1e-12)
 
 
-def test_inner_product_matches_norm():
-    g = make_grid(2.0, 64)
-    rng = np.random.default_rng(3)
-    f = GridFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    assert l2_inner(f, f).real == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
-    assert abs(l2_inner(f, f).imag) < 1e-12
-
-
 def test_exponential_zero_frequency_is_constant():
     g = make_grid(1.0, 8)
     f = sample_exponential(g, 0.0)
@@ -99,7 +89,7 @@ def test_exponential_zero_frequency_is_constant():
 
 def test_exponential_samples_unimodular():
     g = make_grid(1.5, 33)
-    f = sample_exponential(g, 17.3, sign=-1)
+    f = sample_exponential(g, -17.3)
     np.testing.assert_allclose(np.abs(f.values), 1.0, atol=1e-14)
 
 
@@ -131,8 +121,9 @@ def test_refinement_consistency_second_order():
     # midpoint-rule norms of a smooth function converge at order >= 2
     diffs = []
     for n in (64, 128, 256):
-        f_n = sample_function(make_grid(1.0, n), lambda x: math.sin(3.0 * x))
-        f_2n = sample_function(make_grid(1.0, 2 * n), lambda x: math.sin(3.0 * x))
+        g_n, g_2n = make_grid(1.0, n), make_grid(1.0, 2 * n)
+        f_n = GridFunction(g_n, np.sin(3.0 * g_n.nodes))
+        f_2n = GridFunction(g_2n, np.sin(3.0 * g_2n.nodes))
         diffs.append(abs(l2_norm(f_n) - l2_norm(f_2n)))
     assert diffs[0] / diffs[1] > 3.5
     assert diffs[1] / diffs[2] > 3.5

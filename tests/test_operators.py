@@ -18,10 +18,6 @@ from triangulab.operators import (
     build_fractional,
     build_imaginary_fractional,
     build_multiplication,
-    build_volterra,
-    chain_invariance_residual,
-    chain_projection,
-    compose,
     load_matrix,
     operator_norm,
     real_if_real,
@@ -102,44 +98,6 @@ def test_multiplication_rejects_complex_symbol():
     g = make_grid(1.0, 4)
     with pytest.raises(ValueError):
         build_multiplication(g, lambda x: 1j * x)
-
-
-# ---------------------------------------------------------------- volterra
-
-
-def test_volterra_constant_kernel_matches_order_one_integral():
-    g = make_grid(1.0, 8)
-    v = build_volterra(g, lambda x, t: 1.0)
-    j1 = build_fractional(g, 1.0)
-    np.testing.assert_allclose(v.entries, j1.entries, atol=1e-15)
-
-
-def test_volterra_zero_kernel():
-    g = make_grid(1.0, 8)
-    assert np.all(build_volterra(g, lambda x, t: 0.0).entries == 0)
-
-
-def test_volterra_strict_variant_is_nilpotent():
-    g = make_grid(1.0, 8)
-    v = build_volterra(g, lambda x, t: 1.0 + x * t, diagonal="zero")
-    assert np.all(np.linalg.matrix_power(v.entries, 8) == 0)
-
-
-def test_volterra_classical_norm():
-    # the integration operator on L^2(0,1) has norm 2/pi
-    g = make_grid(1.0, 512)
-    v = build_volterra(g, lambda x, t: 1.0)
-    assert operator_norm(v) == pytest.approx(2.0 / math.pi, abs=2e-3)
-
-
-def test_volterra_propagates_kernel_failure():
-    g = make_grid(1.0, 4)
-
-    def bad(x, t):
-        raise RuntimeError("boom")
-
-    with pytest.raises(ConstructionError):
-        build_volterra(g, bad)
 
 
 def test_multiplication_propagates_symbol_failure():
@@ -458,63 +416,6 @@ def test_split_schur_strict_part_is_strictly_triangular():
     assert np.all(np.diag(pair.diagonal) + strict == pair.triangle)
 
 
-# ---------------------------------------------------------------- chains
-
-
-def test_chain_projection_endpoints():
-    g = make_grid(1.0, 8)
-    assert np.all(chain_projection(g, 0.0).entries == 0)
-    np.testing.assert_allclose(chain_projection(g, 1.0).entries, np.eye(8))
-
-
-def test_chain_projection_rank_steps():
-    g = make_grid(1.0, 8)
-    ranks = [
-        int(np.trace(chain_projection(g, k * g.h).entries).real) for k in range(9)
-    ]
-    assert ranks == list(range(9))
-
-
-def test_chain_projection_range_check():
-    g = make_grid(1.0, 8)
-    with pytest.raises(ValueError):
-        chain_projection(g, -0.1)
-    with pytest.raises(ValueError):
-        chain_projection(g, 1.5)
-
-
-def test_chain_invariance_of_lower_triangular():
-    g = make_grid(1.0, 12)
-    rng = np.random.default_rng(5)
-    t = wrap_matrix(np.tril(rng.standard_normal((12, 12))).astype(complex))
-    for k in (1, 5, 11):
-        e = chain_projection(g, k * g.h)
-        assert chain_invariance_residual(t, e) <= 1e-12
-
-
-def test_chain_invariance_diagonal_commutes():
-    g = make_grid(1.0, 8)
-    t = build_multiplication(g, lambda x: x * x)
-    e = chain_projection(g, 3 * g.h)
-    assert chain_invariance_residual(t, e) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_chain_invariance_detects_upper_entry():
-    g = make_grid(1.0, 8)
-    entries = np.tril(np.ones((8, 8))).astype(complex)
-    entries[0, 7] = 1.0
-    t = wrap_matrix(entries)
-    e = chain_projection(g, 4 * g.h)
-    assert chain_invariance_residual(t, e) > 0.1
-
-
-def test_chain_invariance_rejects_non_projection():
-    g = make_grid(1.0, 8)
-    t = build_multiplication(g, lambda x: x)
-    with pytest.raises(ValueError):
-        chain_invariance_residual(t, t)
-
-
 # ---------------------------------------------------------------- norms, io, dispatch
 
 
@@ -651,41 +552,16 @@ def test_load_rejects_truncated_file(tmp_path):
         load_matrix(path)
 
 
-def test_apply_and_compose():
-    g = make_grid(1.0, 16)
-    j1 = build_fractional(g, 1.0)
-    jh = build_fractional(g, 0.5)
-    prod = compose(jh, jh)
-    assert np.max(np.abs(prod.entries - jh.entries @ jh.entries)) == 0.0
-    from triangulab import sample_function
-    from triangulab.operators import apply
-
-    f = sample_function(g, lambda x: 1.0)
-    out = apply(j1, f)
-    np.testing.assert_allclose(out.values.real, g.nodes, atol=1e-12)
-
-
 def test_equal_grids_built_apart_combine(tmp_path):
-    from triangulab import l2_inner, sample_function
-    from triangulab.operators import apply
-
     a, b = make_grid(1.0, 8), make_grid(1.0, 8)
     assert a == b and a is not b
     assert a != make_grid(1.0, 16) and a != make_grid(2.0, 8)
     op = build_fractional(a, 0.5)
-    f = sample_function(b, lambda x: x)
-    np.testing.assert_array_equal(apply(op, f).values, op.entries @ f.values)
-    other = build_fractional(b, 1.0)
-    np.testing.assert_array_equal(compose(op, other).entries, op.entries @ other.entries)
-    assert l2_inner(sample_function(a, lambda x: 1.0), f) == pytest.approx(0.5)
     path = tmp_path / "op.txt"
     save_matrix(op, path)
     loaded = load_matrix(path)
-    assert loaded.grid == a
-    np.testing.assert_array_equal(apply(loaded, f).values, op.entries @ f.values)
-    np.testing.assert_array_equal(compose(loaded, op).entries, op.entries @ op.entries)
-    with pytest.raises(ValueError):
-        apply(op, sample_function(make_grid(1.0, 16), lambda x: x))
+    assert loaded.grid == a and loaded.grid == b
+    np.testing.assert_array_equal(loaded.entries, op.entries)
 
 
 @pytest.mark.parametrize("alpha", [1 + 1j, np.complex64(1.0), float("nan"), float("inf")])

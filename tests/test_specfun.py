@@ -13,7 +13,6 @@ from triangulab import (
     e_beta_cumulative,
     gamma_complex,
     m_moment,
-    stirling_gamma_check,
 )
 from triangulab import specfun
 from triangulab.exceptions import NumericalError, QuadratureError
@@ -287,19 +286,3 @@ def test_gauss_jacobi_head_integrates_monomials_against_its_weight():
         nodes, weights = specfun._gauss_jacobi_head(beta, 24)
         for m in (0, 1, 2, 7, 20):
             assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (beta + m), rel=1e-14)
-
-
-def test_stirling_ratio_values():
-    # 1/(sqrt(2 pi) e^{-1}) at the bottom of the admissible range
-    assert stirling_gamma_check(1.0) == pytest.approx(math.e / math.sqrt(2 * math.pi), rel=1e-12)
-    assert stirling_gamma_check(10.0) == pytest.approx(1.0, abs=1e-2)
-    assert stirling_gamma_check(100.0) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_stirling_log_space_survives_huge_orders():
-    assert stirling_gamma_check(1e4) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_stirling_rejects_small_orders():
-    with pytest.raises(ValueError):
-        stirling_gamma_check(0.5)

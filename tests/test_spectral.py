@@ -10,9 +10,7 @@ from triangulab.exceptions import NumericalError, QuadratureError
 from triangulab.operators import (
     build_fractional,
     build_multiplication,
-    build_volterra,
     operator_norm,
-    split_schur,
     wrap_matrix,
 )
 from triangulab.spectral import (
@@ -22,57 +20,9 @@ from triangulab.spectral import (
     riesz_calculus,
     schatten_norm,
     spectral_distance,
-    spectrum,
     verify_sigma_equality,
     verify_spectral_mapping,
 )
-from .test_operators import cubic_roots
-
-
-def test_spectrum_strictly_triangular_is_quasinilpotent():
-    entries = np.tril(np.ones((6, 6)), -1).astype(complex)
-    report = spectrum(entries)
-    assert np.max(np.abs(report.eigenvalues)) == 0.0
-    assert report.quasinilpotent
-    assert report.spectral_radius == 0.0
-
-
-def test_spectrum_diagonal_values():
-    report = spectrum(np.diag([1.0, 2.0, 3.0]).astype(complex))
-    np.testing.assert_allclose(sorted(report.eigenvalues.real), [1, 2, 3], atol=1e-14)
-    np.testing.assert_allclose(report.s_numbers, [3, 2, 1], atol=1e-14)
-    assert report.spectral_radius == pytest.approx(3.0)
-
-
-def test_spectrum_matches_characteristic_polynomial_oracle():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    report = spectrum(a)
-    assert spectral_distance(report.eigenvalues, cubic_roots(a)) <= 1e-8
-
-
-def test_spectral_radius_below_operator_norm():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        report = spectrum(a)
-        assert report.spectral_radius <= operator_norm(a) + 1e-12
-
-
-def test_quasinilpotency_verdict_reports_tolerance():
-    g = make_grid(1.0, 64)
-    v = build_volterra(g, lambda x, t: 1.0)
-    report = spectrum(v)
-    assert report.tol_q == pytest.approx(10.0 / 64)
-    assert report.quasinilpotent
-
-
-def test_quasinilpotency_is_basis_independent():
-    g = make_grid(1.0, 32)
-    v = build_volterra(g, lambda x, t: 1.0 + x * t)
-    pair = split_schur(v)
-    conjugated = pair.unitary.conj().T @ v.entries @ pair.unitary
-    assert spectrum(v).quasinilpotent == spectrum(conjugated).quasinilpotent
 
 
 def test_nilpotent_norm_roots_decrease_to_zero():
@@ -160,10 +110,13 @@ def test_sigma_equality_identity():
 
 def test_sigma_equality_multiplication_plus_volterra():
     g = make_grid(1.0, 64)
-    t = wrap_matrix(
-        build_multiplication(g, lambda x: x).entries
-        + build_volterra(g, lambda x, t_: 1.0 + 0.5 * x * t_).entries
+    x, h = g.nodes, g.h
+    # Nystrom triangle of the kernel 1 + x t/2: h v(x_j, x_k) below the
+    # diagonal, the half-cell rule (h/2) v(x_j, x_j - h/4) on it
+    volterra = np.tril(h * (1.0 + 0.5 * np.outer(x, x)), -1) + np.diag(
+        0.5 * h * (1.0 + 0.5 * x * (x - 0.25 * h))
     )
+    t = wrap_matrix(build_multiplication(g, lambda x: x).entries + volterra)
     report = verify_sigma_equality(t)
     assert report.distance <= 1e-8
 
@@ -267,17 +220,8 @@ def test_mapping_rational_with_outside_pole():
 
 def test_machine_noise_probe_is_deterministic():
     g = make_grid(1.0, 64)
-    v = build_volterra(g, lambda x, t: 1.0)
+    # Nystrom triangle of the kernel 1: h below the diagonal, h/2 on it
+    v = np.tril(np.full((64, 64), g.h)) - 0.5 * g.h * np.eye(64)
     e1 = eigenvalues_with_machine_noise(v, eps=1e-12, seed=5)
     e2 = eigenvalues_with_machine_noise(v, eps=1e-12, seed=5)
     np.testing.assert_array_equal(e1, e2)
-
-
-def test_spectrum_report_fields():
-    report = spectrum(np.diag([2.0, 1.0]).astype(complex), tol_q=0.5, schatten_p=(1.0, 2.0))
-    assert report.spectral_radius == pytest.approx(2.0)
-    assert report.macaev_omega == pytest.approx(2.0 + 1.0 / 3.0)
-    assert not report.quasinilpotent
-    assert report.schatten[1.0] == pytest.approx(3.0)
-    assert report.s_numbers[0] == pytest.approx(2.0)
-    assert len(report.eigenvalues) == 2
