@@ -35,6 +35,7 @@ __all__ = [
     "split_given_basis",
     "split_schur",
     "operator_norm",
+    "matmul",
     "as_entries",
     "real_if_real",
     "wrap_matrix",
@@ -396,10 +397,25 @@ def operator_norm(t) -> float:
     """Largest singular value, from the dense singular values.
 
     Entries with no imaginary part, and a raw real array, go to LAPACK as a
-    real array (:func:`real_if_real`).
+    real array (:func:`real_if_real`).  A product whose norm is taken here
+    comes from :func:`matmul` (README, "Performance").
     """
     entries = t.entries if isinstance(t, OperatorMatrix) else t
     return float(scipy.linalg.svdvals(real_if_real(entries))[0])
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two matrices, by the ``gemm`` of scipy's BLAS.
+
+    numpy and scipy each load their own OpenBLAS, each with a thread pool
+    whose workers spin for a while after a call; a loop that feeds numpy
+    products to a scipy LAPACK call keeps both pools busy on the same
+    cores.  The bits are numpy's: ``gemm(1, b.T, a.T).T`` is the call
+    numpy's row-major product makes, C-contiguous operands pass as Fortran
+    views with no copy, and the result is C-contiguous.
+    """
+    gemm = scipy.linalg.get_blas_funcs("gemm", (a, b))
+    return gemm(1.0, b.T, a.T).T
 
 
 def save_matrix(t: OperatorMatrix, path) -> None:

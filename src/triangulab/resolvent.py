@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .exceptions import InsufficientDataError, NearSingularError
-from .operators import SplitPair, as_entries, real_if_real
+from .operators import SplitPair, as_entries, matmul, real_if_real
 
 __all__ = [
     "ResolventProfile",
@@ -99,7 +99,7 @@ def _dense_log_norm(b: np.ndarray, k: int) -> float:
     log_acc = 0.0
     for i in range(k):
         if i:
-            m = m @ b
+            m = matmul(m, b)
         scale = float(np.max(np.abs(m)))
         if scale == 0.0:
             return -math.inf

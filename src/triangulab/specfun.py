@@ -24,6 +24,7 @@ integrand at the end of the window exceeds 1e-16 of the value (a peak in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,12 +197,20 @@ _RULE_ORDERS = ((16, 12), (24, 16))
 _RULE_EDGE = 1e-16
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# Cached: every e_beta operator build takes both orders of both rules.
+@functools.lru_cache(maxsize=64)
 def _gauss_jacobi_head(beta: float, n: int):
     """Nodes and weights of ``integral_0^1 s^(beta-1) f(s) ds``, by Golub-Welsch.
 
     The symmetric Jacobi matrix of the shifted Jacobi polynomials has the
     nodes as eigenvalues; each weight is ``1/beta`` times the squared first
-    component of its eigenvector.
+    component of its eigenvector.  Cached; the arrays are read-only.
     """
     k = np.arange(1, n, dtype=float)
     # written in beta, not beta - 1, so a tiny beta loses no digits
@@ -211,15 +220,18 @@ def _gauss_jacobi_head(beta: float, n: int):
     m = k - 1.0
     off = k * (m + beta) / ((2.0 * k + beta - 1.0) * np.sqrt((2.0 * k + beta) * (2.0 * m + beta)))
     nodes, vectors = linalg.eigh_tridiagonal(diag, off)
-    return nodes, vectors[0] ** 2 / beta
+    return _read_only(nodes, vectors[0] ** 2 / beta)
 
 
-def _gauss_legendre_tail(n: int):
-    """Nodes and weights of ``n``-point Gauss-Legendre on each tail panel."""
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre_tail(n: int, end: float):
+    """Nodes and weights of ``n``-point Gauss-Legendre on each panel
+    ``[2^k, 2^(k+1)]`` of the window ``[1, end]``.  Cached; the arrays are
+    read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    edges = np.geomspace(1.0, _RULE_TAIL_END, round(math.log2(_RULE_TAIL_END)) + 1)
+    edges = np.geomspace(1.0, end, round(math.log2(end)) + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
-    return (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * w).ravel()
+    return _read_only((0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * w).ravel())
 
 
 def _rule_integral(beta: float, drift: np.ndarray, head_n: int, tail_n: int) -> np.ndarray:
@@ -232,7 +244,7 @@ def _rule_integral(beta: float, drift: np.ndarray, head_n: int, tail_n: int) -> 
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value falls back
         s_head, w_head = _gauss_jacobi_head(beta, head_n)
-        s_tail, w_tail = _gauss_legendre_tail(tail_n)
+        s_tail, w_tail = _gauss_legendre_tail(tail_n, _RULE_TAIL_END)
         nodes = np.concatenate([s_head, s_tail])
         weights = np.concatenate([w_head, w_tail])
         base = np.concatenate(

@@ -19,6 +19,7 @@ from triangulab.operators import (
     build_imaginary_fractional,
     build_multiplication,
     load_matrix,
+    matmul,
     operator_norm,
     real_if_real,
     save_matrix,
@@ -543,6 +544,35 @@ def test_operator_norm_of_a_raw_real_array_is_svdvals_bit_for_bit(monkeypatch):
     assert seen[0] is a  # no complex round trip
     assert operator_norm(a.astype(complex)) == expected
     assert [x.dtype for x in seen] == [np.float64, np.float64]
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matmul_is_numpys_product_bit_for_bit(n, dtype):
+    rng = np.random.default_rng(n)
+
+    def triangle():
+        t = np.tril(rng.standard_normal((n, n)))
+        return t + 1j * np.tril(rng.standard_normal((n, n))) if dtype is np.complex128 else t
+
+    a, b = triangle(), triangle()
+    for order_a, order_b in ("CC", "CF", "FC", "FF"):
+        x, y = np.asarray(a, order=order_a), np.asarray(b, order=order_b)
+        out = matmul(x, y)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out.view(np.int64), (x @ y).view(np.int64))
+
+
+def test_semigroup_ebeta_takes_every_product_from_matmul(monkeypatch, tmp_path):
+    from triangulab import experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    config = experiments.ExperimentConfig.from_dict(
+        {"experiment": "semigroup-ebeta", "output_dir": str(tmp_path), "cache_dir": str(tmp_path / "cache")}
+    )
+    assert experiments.run_experiment(config).passed
+    assert len(calls) == 27  # 9 order pairs at each of 3 sizes
 
 
 def test_load_rejects_truncated_file(tmp_path):

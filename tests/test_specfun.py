@@ -286,3 +286,15 @@ def test_gauss_jacobi_head_integrates_monomials_against_its_weight():
         nodes, weights = specfun._gauss_jacobi_head(beta, 24)
         for m in (0, 1, 2, 7, 20):
             assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (beta + m), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "rule, args",
+    [(specfun._gauss_jacobi_head, (0.5, 16)), (specfun._gauss_legendre_tail, (12, 64.0))],
+)
+def test_gauss_rule_nodes_are_cached_read_only_and_bitwise_fresh(rule, args):
+    cached = rule(*args)
+    assert rule(*args) is cached
+    for got, fresh in zip(cached, rule.__wrapped__(*args)):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got.view(np.int64), fresh.view(np.int64))
