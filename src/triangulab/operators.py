@@ -341,22 +341,6 @@ def split_given_basis(t: OperatorMatrix) -> SplitPair:
     return split
 
 
-def _swap_adjacent(r: np.ndarray, q: np.ndarray, k: int) -> None:
-    """Unitary swap of diagonal entries k, k+1 of an upper-triangular r."""
-    a = r[k, k]
-    b = r[k, k + 1]
-    c = r[k + 1, k + 1]
-    norm = math.hypot(abs(b), abs(c - a))
-    if norm == 0.0:
-        return
-    u = np.array([b / norm, (c - a) / norm], dtype=complex)
-    g = np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=complex)
-    r[:, k : k + 2] = r[:, k : k + 2] @ g
-    r[k : k + 2, :] = g.conj().T @ r[k : k + 2, :]
-    q[:, k : k + 2] = q[:, k : k + 2] @ g
-    r[k + 1, k] = 0.0
-
-
 def _order_key(z: complex):
     return (z.real, z.imag)
 
@@ -364,28 +348,25 @@ def _order_key(z: complex):
 def split_schur(t: OperatorMatrix) -> SplitPair:
     """Unitary triangularization split ``Q* T Q = R = S + N``.
 
-    Computes a complex Schur form and reorders its diagonal by ascending
-    real part (ties by ascending imaginary part) with exact unitary swaps,
-    so the returned split is deterministic.  ``R`` is upper triangular.
+    Computes a complex Schur form and orders its diagonal by ascending
+    real part, ties by ascending imaginary part, with LAPACK's ``trexc``.
+    Its rotations exchange the diagonal entries exactly, so the returned
+    diagonal is the sorted diagonal of the Schur form and the split is
+    deterministic.  ``R`` is upper triangular.
     """
     entries = as_entries(t)
     try:
         r, q = scipy.linalg.schur(entries, output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"Schur factorization failed: {exc}") from exc
-    r = r.astype(complex)
-    q = q.astype(complex)
-    n = r.shape[0]
-    # bubble sort with unitary adjacent swaps keeps the form triangular
-    for _ in range(n):
-        swapped = False
-        for k in range(n - 1):
-            if _order_key(r[k, k]) > _order_key(r[k + 1, k + 1]):
-                _swap_adjacent(r, q, k)
-                swapped = True
-        if not swapped:
-            break
-    r = np.triu(r)
+    # selection sort: move the smallest remaining entry to position i
+    for i in range(r.shape[0] - 1):
+        rest = r.diagonal()[i:].tolist()
+        j = i + rest.index(min(rest, key=_order_key))
+        if j > i:
+            r, q, info = scipy.linalg.lapack.ztrexc(r, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
+            if info != 0:
+                raise NumericalError(f"Schur reorder failed: ztrexc info {info}")
     scale = max(float(np.linalg.norm(entries, 2)), 1e-300)
     residual = float(np.linalg.norm(q @ r @ q.conj().T - entries, 2)) / scale
     if residual > 1e-10:

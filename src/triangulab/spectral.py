@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NumericalError, QuadratureError
-from .operators import SplitPair, as_entries, split_schur
+from .operators import as_entries, split_schur
 
 __all__ = [
     "SigmaEqualityReport",
@@ -87,7 +87,6 @@ def spectral_distance(a: Iterable[complex], b: Iterable[complex]) -> float:
 @dataclass(frozen=True)
 class SigmaEqualityReport:
     distance: float
-    split: SplitPair
 
 
 def verify_sigma_equality(t) -> SigmaEqualityReport:
@@ -97,10 +96,8 @@ def verify_sigma_equality(t) -> SigmaEqualityReport:
     ordered Schur form; in finite dimension the two agree exactly, so the
     distance is pure floating-point noise.
     """
-    split = split_schur(t)
     eigs = np.linalg.eigvals(as_entries(t))
-    dist = spectral_distance(eigs, split.diagonal)
-    return SigmaEqualityReport(dist, split)
+    return SigmaEqualityReport(spectral_distance(eigs, split_schur(t).diagonal))
 
 
 def default_contour(eigs: np.ndarray) -> list:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -379,7 +380,6 @@ def test_split_schur_orders_diagonal():
     assert keys == sorted(keys)
 
 
-@pytest.mark.xfail(strict=True, reason="Givens swaps; mended by the ztrexc reorder")
 def test_split_schur_breaks_real_part_ties_by_imaginary_part():
     # LAPACK returns this triangle unchanged; three diagonal entries share
     # the real part 1, so the order among them is the imaginary part's
@@ -387,7 +387,7 @@ def test_split_schur_breaks_real_part_ties_by_imaginary_part():
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = np.diag([1 + 2j, 1 - 1j, 0, 1 + 0.5j]) + np.triu(b, 1)
     diag = split_schur(wrap_matrix(a)).diagonal
-    np.testing.assert_allclose(diag, [0, 1 - 1j, 1 + 0.5j, 1 + 2j], atol=1e-12)
+    assert diag.tolist() == [0, 1 - 1j, 1 + 0.5j, 1 + 2j]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -395,16 +395,23 @@ def test_split_schur_breaks_real_part_ties_by_imaginary_part():
 def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
     a, _ = case
     n = a.shape[0]
-    # the triangular draw, and the same operator made dense by a random unitary
     rng = np.random.default_rng(seed)
+    # a complex spectrum whose real parts repeat exactly, so the imaginary
+    # part orders them; LAPACK keeps an upper triangle's diagonal as it is
+    ties = np.triu(a.T, 1) + np.diag(rng.integers(-2, 3, n) + 1j * rng.uniform(-1.0, 1.0, n))
+    # the triangular draws, and the same operators made dense by a random unitary
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    for m in (a, q @ a @ q.conj().T):
+    for m in (a, ties, q @ a @ q.conj().T, q @ ties @ q.conj().T):
         pair = split_schur(wrap_matrix(m))
         u = pair.unitary
         recon = u @ pair.triangle @ u.conj().T
         assert np.linalg.norm(recon - m, 2) <= 1e-10 * np.linalg.norm(m, 2)
         keys = [(z.real, z.imag) for z in pair.diagonal]
         assert keys == sorted(keys)
+        # the reorder only exchanges entries: the Schur diagonal, sorted, bit for bit
+        schur_diagonal = np.diag(scipy.linalg.schur(m, output="complex")[0]).tolist()
+        expected = np.array(sorted(schur_diagonal, key=lambda z: (z.real, z.imag)))
+        assert pair.diagonal.tobytes() == expected.tobytes()
 
 
 def test_split_schur_strict_part_is_strictly_triangular():
@@ -429,16 +436,12 @@ def test_split_schur_strict_part_is_strictly_triangular():
     ids=["complex-40", "real-1024"],
 )
 def test_operator_norm_matches_dense_svd(seed, draw):
-    import scipy.linalg
-
     a = draw(np.random.default_rng(seed))
     assert operator_norm(a) == pytest.approx(scipy.linalg.svdvals(a)[0], rel=1e-12)
 
 
 def _svdvals_inputs(monkeypatch) -> list:
     """Record the arrays that ``scipy.linalg.svdvals`` receives."""
-    import scipy.linalg
-
     seen = []
     svdvals = scipy.linalg.svdvals
     monkeypatch.setattr(scipy.linalg, "svdvals", lambda a, *args, **kw: seen.append(a) or svdvals(a, *args, **kw))
@@ -446,8 +449,6 @@ def _svdvals_inputs(monkeypatch) -> list:
 
 
 def test_operator_norm_of_a_real_valued_complex_matrix_takes_a_real_svd(monkeypatch):
-    import scipy.linalg
-
     a = np.random.default_rng(8).standard_normal((60, 60)).astype(complex)
     expected = scipy.linalg.svdvals(a)[0]
     seen = _svdvals_inputs(monkeypatch)
@@ -535,8 +536,6 @@ def test_real_if_real_copies_real_entries_and_keeps_complex_ones():
 
 
 def test_operator_norm_of_a_raw_real_array_is_svdvals_bit_for_bit(monkeypatch):
-    import scipy.linalg
-
     a = np.random.default_rng(14).standard_normal((50, 50))
     expected = float(scipy.linalg.svdvals(a)[0])
     seen = _svdvals_inputs(monkeypatch)
