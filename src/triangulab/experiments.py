@@ -10,6 +10,7 @@ registry; tests call it directly.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -44,6 +45,25 @@ from .operators import (
 from .specfun import EbetaSpec, e_beta, e_beta_cumulative_array, m_moment
 
 __all__ = ["ExperimentConfig", "ConfigError", "Check", "Summary", "REGISTRY", "run_experiment"]
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 4 and 8 MiB; no-op without glibc.
+
+    glibc raises them as large arrays are freed (to 16 and 32 MiB once the
+    annulus experiment frees its n=1024 matrices) and then keeps up to 32 MiB
+    of freed heap resident, so a second pass of the spectral experiments
+    peaked 18 MiB higher than the first.  README "Performance" has the numbers.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 class ConfigError(ValueError):
