@@ -128,16 +128,18 @@ def _path(where: str, value) -> str:
     return value
 
 
-# tolerance key -> default; witness_tol None is 5% of the larger side
-# modulus of the symbol (symbol.non_triangular_witness)
-_TOLERANCE_DEFAULTS = {
-    "sigma_distance": 1e-8,
-    "mapping_distance": 1e-6,
-    "vf_radius": 1e-6,
-    "semigroup_rel": 5e-2,
-    "witness_tol": None,
-    "noise_eps": 1e-12,
-    "levinson_margin": res.LEVINSON_MARGIN,
+# tolerance key -> (default, validator); witness_tol None is 5% of the
+# larger side modulus of the symbol (symbol.non_triangular_witness)
+_TOLERANCES = {
+    "sigma_distance": (1e-8, _number),
+    "mapping_distance": (1e-6, _number),
+    "vf_radius": (1e-6, _number),
+    "semigroup_rel": (5e-2, _number),
+    # the witness compares separations against witness_tol, so it must be positive
+    "witness_tol": (None, _positive),
+    "noise_eps": (1e-12, _number),
+    # a negative margin turns the INCONCLUSIVE band inside out
+    "levinson_margin": (res.LEVINSON_MARGIN, _non_negative),
 }
 
 # config key path -> (ExperimentConfig field, validator); a two-part path
@@ -153,12 +155,7 @@ _SCHEMA = {
     # the top frequency 2**xi_k_max must be a finite double
     ("ladder", "xi_k_max"): ("xi_k_max", _integer_in(high=sys.float_info.max_exp - 1)),
     ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_in(1)),
-    **{("tolerances", key): ("tolerances", _number) for key in _TOLERANCE_DEFAULTS},
-    # replaces the entry above: the witness compares separations against
-    # witness_tol, so it must be positive
-    ("tolerances", "witness_tol"): ("tolerances", _positive),
-    # a negative margin turns the INCONCLUSIVE band inside out
-    ("tolerances", "levinson_margin"): ("tolerances", _non_negative),
+    **{("tolerances", key): ("tolerances", check) for key, (_, check) in _TOLERANCES.items()},
     ("seed",): ("seed", _integer),
     ("output_dir",): ("output_dir", _path),
     ("cache_dir",): ("cache_dir", _path),
@@ -227,7 +224,7 @@ class ExperimentConfig:
         return config
 
     def tol(self, key: str) -> Optional[float]:
-        return self.tolerances.get(key, _TOLERANCE_DEFAULTS[key])
+        return self.tolerances.get(key, _TOLERANCES[key][0])
 
 
 @dataclass(frozen=True)
@@ -369,8 +366,7 @@ def _exp_sigma_equality(config: ExperimentConfig, outdir: str):
     for _ in range(count):
         n = int(rng.integers(2, 65))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        report = spec.verify_sigma_equality(a)
-        worst = max(worst, report.distance)
+        worst = max(worst, spec.verify_sigma_equality(a))
     checks = [at_most("max-sigma-distance-over-100-random", worst, config.tol("sigma_distance"))]
     return checks, dict(matrices=count, max_dim=64)
 
@@ -404,11 +400,10 @@ def _exp_macaev_norms(config: ExperimentConfig, outdir: str):
     for _ in range(50):
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         omega_norm = spec.macaev_norm(a)
-        trace_norm = spec.schatten_norm(a, 1.0)
-        worst_ideal = max(worst_ideal, omega_norm - trace_norm)
-        hs = spec.schatten_norm(a, 2.0)
-        worst_cs = max(worst_cs, omega_norm - hs * cs_factor)
         values = [spec.schatten_norm(a, p) for p in p_grid]
+        trace_norm, hs = values[p_grid.index(1.0)], values[p_grid.index(2.0)]
+        worst_ideal = max(worst_ideal, omega_norm - trace_norm)
+        worst_cs = max(worst_cs, omega_norm - hs * cs_factor)
         worst_monotone = max(
             worst_monotone, max(values[i + 1] - values[i] for i in range(len(values) - 1))
         )
@@ -679,8 +674,7 @@ def _exp_prop54(config: ExperimentConfig, outdir: str):
     decreasing = residuals[0] > residuals[1] > residuals[2]
     checks = [("residual-strictly-decreasing", residuals[-1], residuals[0], decreasing)]
     # the identity-kernel case collapses to quadrature noise at full periods
-    one = KernelSpec.preset("one")
-    ident = build_difference_operator(grid, one.s, one.s_antiderivative)
+    ident = build_difference_operator(grid, KernelSpec.preset("one"))
     xi0 = 2.0 * math.pi * round(64.0 * config.omega / (2.0 * math.pi)) / config.omega
     r_ident = sym.prop54_residual(ident, xi0)
     checks.append(at_most("identity-kernel-residual", r_ident, 1e-8))

@@ -279,42 +279,41 @@ def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, _toeplitz_lower(col.astype(complex)))
 
 
-def _cell_integrals(s: Callable, antiderivative: Optional[Callable], h: float, n: int) -> np.ndarray:
-    """Integrals of ``s`` over the cells ``[d h, (d+1) h]``, ``d = 0..n-1``."""
-    if antiderivative is not None:
-        pts = np.array([antiderivative(d * h) for d in range(n + 1)], dtype=complex)
+def _cell_integrals(kernel: KernelSpec, h: float, n: int) -> np.ndarray:
+    """Integrals of ``kernel.s`` over the cells ``[d h, (d+1) h]``, ``d = 0..n-1``."""
+    if kernel.s_antiderivative is not None:
+        pts = np.array([kernel.s_antiderivative(d * h) for d in range(n + 1)], dtype=complex)
         return np.diff(pts)
     from scipy.integrate import quad
 
     out = np.empty(n, dtype=complex)
     for d in range(n):
         a, b = d * h, (d + 1) * h
-        out[d], _ = quad(s, a, b, complex_func=True, epsabs=1e-13, epsrel=1e-11, limit=200)
+        out[d], _ = quad(kernel.s, a, b, complex_func=True, epsabs=1e-13, epsrel=1e-11, limit=200)
         if not cmath.isfinite(out[d]):
             raise ConstructionError(f"difference-kernel cell integral diverged on [{a:g}, {b:g}]")
     return out
 
 
-def build_difference_operator(
-    grid: Grid, s: Callable, antiderivative: Optional[Callable] = None
-) -> OperatorMatrix:
-    """Triangle of ``f -> d/dx integral_0^x s(x - t) f(t) dt``.
+def build_difference_operator(grid: Grid, kernel: KernelSpec) -> OperatorMatrix:
+    """Triangle of ``f -> d/dx integral_0^x s(x - t) f(t) dt``, ``s = kernel.s``.
 
     The cumulative convolution is discretized at the right cell edges with
-    exact per-cell integrals of ``s`` (from ``antiderivative`` when supplied,
-    else adaptive quadrature), then differenced with a zero boundary value.
-    Differencing the cumulative rather than differentiating the kernel keeps
-    severely singular ``s'`` out of the picture and reproduces ``s = 1`` as
-    the identity and ``s(t) = t`` as the order-one integral exactly.
+    exact per-cell integrals of ``s`` (from ``kernel.s_antiderivative`` when
+    set, else adaptive quadrature), then differenced with a zero boundary
+    value.  Differencing the cumulative rather than differentiating the
+    kernel keeps severely singular ``s'`` out of the picture and reproduces
+    ``s = 1`` as the identity and ``s(t) = t`` as the order-one integral
+    exactly.
     """
     n, h = grid.n, grid.h
-    g = _cell_integrals(s, antiderivative, h, n)
+    g = _cell_integrals(kernel, h, n)
     tau = np.empty(n, dtype=complex)
     tau[0] = g[0] / h
     tau[1:] = (g[1:] - g[:-1]) / h
     if not np.all(np.isfinite(tau)):
         raise ConstructionError("difference-kernel entries are not finite")
-    return OperatorMatrix(grid, _toeplitz_lower(tau), KernelSpec(s, antiderivative))
+    return OperatorMatrix(grid, _toeplitz_lower(tau), kernel)
 
 
 def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
@@ -324,8 +323,7 @@ def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
     :meth:`KernelSpec.fractional_imaginary`; ``alpha = 0`` reduces to the
     identity.
     """
-    kernel = KernelSpec.fractional_imaginary(alpha)
-    return build_difference_operator(grid, kernel.s, kernel.s_antiderivative)
+    return build_difference_operator(grid, KernelSpec.fractional_imaginary(alpha))
 
 
 def split_given_basis(t: OperatorMatrix) -> SplitPair:

@@ -416,14 +416,15 @@ def _envelope(evaluate, t_inf: float, x_grid: np.ndarray, y: float, samples: lis
 
 @dataclass(frozen=True)
 class ResolventProfile:
-    """All tables produced by :func:`profile`, plus the fitted exponents.
+    """All tables produced by :func:`profile`; the fits derive from them.
 
     ``r[k, j]`` holds ``r_{k+1}(y_j)``, the largest root among the chains
     still running at that power; 0.0 means that every chain at that power is
     dead or certified below ``|y_j| / 2`` (see :func:`_chain_roots`), so an
     entry above ``|y_j| / 2`` is the maximum over every chain.
     ``count_n[j]`` is the number of chain indices whose ``r_n`` exceeds
-    ``|y_j| / 2``; ``envelope_m[j]`` the largest
+    ``|y_j| / 2``, and ``saturated[j]`` says that it reached ``n_max``;
+    ``envelope_m[j]`` the largest
     resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
     first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
@@ -452,26 +453,41 @@ class ResolventProfile:
     envelope_fallbacks: np.ndarray
     chain_fallbacks: np.ndarray
     chains_certified: np.ndarray
-    fitted_p: float
-    fitted_q: float
-    envelope_violation: float
-    saturated: np.ndarray
 
     def __post_init__(self):
         for arr in (self.y_grid, self.x_grid, self.power_x_grid, self.r,
                     self.count_n, self.envelope_m, self.envelope_x, self.envelope_evals,
-                    self.envelope_fallbacks, self.chain_fallbacks, self.chains_certified,
-                    self.saturated):
+                    self.envelope_fallbacks, self.chain_fallbacks, self.chains_certified):
             arr.setflags(write=False)
+
+    @property
+    def saturated(self) -> np.ndarray:
+        return self.count_n >= self.n_max
 
     @property
     def fit_mask(self) -> np.ndarray:
         """Ladder points the exponent fits use: unsaturated, with ``N >= 2``."""
-        return _fit_mask(self.count_n, self.saturated)
+        return (self.count_n >= 2) & ~self.saturated
 
+    @property
+    def fitted_p(self) -> float:
+        return _fit_power(self.y_grid, np.maximum(self.count_n, 1), self.fit_mask)
 
-def _fit_mask(count_n: np.ndarray, saturated: np.ndarray) -> np.ndarray:
-    return (count_n >= 2) & ~saturated
+    @property
+    def fitted_q(self) -> float:
+        log_m = np.log(np.maximum(self.envelope_m, 1.0 + 1e-15))
+        return _fit_power(self.y_grid, log_m, log_m > 0)
+
+    @property
+    def envelope_violation(self) -> float:
+        counts, log_y = self.count_n, np.log(np.abs(self.y_grid))
+        # least-squares constants for ln M <= ln C - ln|y| + N (ln Mc - ln|y|)
+        a = np.column_stack([np.ones(counts.size), counts.astype(float)])
+        b = np.log(self.envelope_m) + log_y + counts * log_y
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        ln_c, ln_mc = sol
+        predicted = ln_c - log_y + counts * (ln_mc - log_y)
+        return float(np.max(np.exp(np.log(self.envelope_m) - predicted)))
 
 
 def _fit_power(y: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
@@ -556,29 +572,15 @@ def profile(
     envelope_samples = []  # (x, y, sigma_min) of every envelope sample evaluated
     chain_fallbacks = np.zeros(n_y, dtype=int)
     chains_certified = np.zeros(n_y, dtype=int)
-    saturated = np.zeros(n_y, dtype=bool)
 
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
         d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
         r[:, j], chain_fallbacks[j], chains_certified[j] = _chain_roots(v, d, y, n_max)
         counts[j] = int(np.sum(r[:, j] > threshold))
-        saturated[j] = counts[j] >= n_max
         envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
             evaluate, t_inf, x_grid, y, envelope_samples
         )
-
-    fitted_p = _fit_power(y_grid, np.maximum(counts, 1), _fit_mask(counts, saturated))
-    log_m = np.log(np.maximum(envelope, 1.0 + 1e-15))
-    fitted_q = _fit_power(y_grid, log_m, log_m > 0)
-
-    # least-squares constants for ln M <= ln C - ln|y| + N (ln Mc - ln|y|)
-    a = np.column_stack([np.ones(n_y), counts.astype(float)])
-    b = np.log(envelope) + np.log(np.abs(y_grid)) + counts * np.log(np.abs(y_grid))
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    ln_c, ln_mc = sol
-    predicted = ln_c - np.log(np.abs(y_grid)) + counts * (ln_mc - np.log(np.abs(y_grid)))
-    violation = float(np.max(np.exp(np.log(envelope) - predicted)))
 
     return ResolventProfile(
         y_grid=y_grid,
@@ -593,10 +595,6 @@ def profile(
         envelope_fallbacks=envelope_fallbacks,
         chain_fallbacks=chain_fallbacks,
         chains_certified=chains_certified,
-        fitted_p=fitted_p,
-        fitted_q=fitted_q,
-        envelope_violation=violation,
-        saturated=saturated,
     )
 
 
@@ -664,25 +662,23 @@ def count_bound_constant(alpha: float, ln_n: float, y: float) -> float:
     return 0.5 * abs(y) * ln_n ** alpha
 
 
-def neumann_residual(split: SplitPair, lam: complex, n_max: Optional[int] = None) -> float:
-    """Relative gap between the direct resolvent and the truncated chain series.
+def neumann_residual(split: SplitPair, lam: complex) -> float:
+    """Relative gap between the direct resolvent and the chain series.
 
-    Evaluates ``(I + sum_{n<=n_max} c_n / (Im lambda)^n)(S - lambda)^{-1}``
+    Evaluates ``(I + sum_{n<dim} c_n / (Im lambda)^n)(S - lambda)^{-1}``
     against a dense solve of ``(T - lambda)^{-1}``, ``T`` the split's
-    triangle; exact (to rounding) at ``n_max = dim``.
+    triangle; exact to rounding, since ``((S - lambda)^{-1} V)^dim = 0``.
     """
     if lam.imag == 0.0:
         raise ValueError("the expansion needs Im(lambda) != 0")
     entries = split.triangle
     diag, v = _real_split(split)
     dim = entries.shape[0]
-    if n_max is None:
-        n_max = dim
     s_inv = 1.0 / (diag - lam)
     v1 = s_inv[:, None] * v  # (S - lambda)^{-1} V
     series = np.eye(dim, dtype=complex)
     term = np.eye(dim, dtype=complex)
-    for _ in range(n_max):
+    for _ in range(dim):
         term = term @ (-v1)
         series = series + term
         if not np.any(term):

@@ -142,31 +142,34 @@ class SymbolTrace:
             arr.setflags(write=False)
 
 
-def default_xi_ladder(k_max: int = 14, refine_from: int = 10, per_octave: int = 4) -> np.ndarray:
+_REFINE_FROM = 10  # first ladder exponent refined to per_octave points per octave
+
+
+def default_xi_ladder(k_max: int = 14, per_octave: int = 4) -> np.ndarray:
     """Signed geometric ladder ``+-2^k`` refined near the top.
 
-    Integer exponents up to ``refine_from``, then ``per_octave`` points per
-    octave up to ``k_max``; mirrored to negative frequencies.  The refinement
-    supplies the trailing windows the limit-set estimator needs.
+    Integer exponents up to 10, then ``per_octave`` points per octave up to
+    ``k_max``; mirrored to negative frequencies.  The refinement supplies
+    the trailing windows the limit-set estimator needs.
     """
-    coarse = np.arange(0, refine_from, dtype=float)
-    fine = np.arange(refine_from * per_octave, k_max * per_octave + 1, dtype=float) / per_octave
+    coarse = np.arange(0, _REFINE_FROM, dtype=float)
+    fine = np.arange(_REFINE_FROM * per_octave, k_max * per_octave + 1, dtype=float) / per_octave
     exponents = np.concatenate([coarse, fine])
     positive = 2.0**exponents
     return np.concatenate([-positive[::-1], positive])
 
 
-def xi_ladder_side_count(k_max: int = 14, refine_from: int = 10, per_octave: int = 4) -> int:
+def xi_ladder_side_count(k_max: int = 14, per_octave: int = 4) -> int:
     """Frequencies per side of :func:`default_xi_ladder`, without building it."""
-    return refine_from + max(0, (k_max - refine_from) * per_octave + 1)
+    return _REFINE_FROM + max(0, (k_max - _REFINE_FROM) * per_octave + 1)
 
 
-def _window_summary(xi: np.ndarray, g: np.ndarray, side: int, window: int) -> WindowSummary:
+def _window_summary(xi: np.ndarray, g: np.ndarray, side: int) -> WindowSummary:
     order = np.argsort(np.abs(xi))
-    g_tail = g[order][-window:]
-    if g_tail.shape[0] < window:
+    g_tail = g[order][-MIN_WINDOW:]
+    if g_tail.shape[0] < MIN_WINDOW:
         raise InsufficientDataError(
-            f"need {window} trailing samples on side {side:+d}, got {g_tail.shape[0]}"
+            f"need {MIN_WINDOW} trailing samples on side {side:+d}, got {g_tail.shape[0]}"
         )
     moduli = np.abs(g_tail)
     mean = complex(np.mean(g_tail))
@@ -186,15 +189,12 @@ def trace_symbol(
     s: Callable,
     omega: float,
     xi_samples: Optional[Sequence[float]] = None,
-    window: int = MIN_WINDOW,
 ) -> SymbolTrace:
     """Evaluate both transforms along a signed ladder and summarize the tails.
 
-    Each side is summarized over its ``window`` highest frequencies, at
-    least :data:`MIN_WINDOW` of them.
+    Each side is summarized over its :data:`MIN_WINDOW` highest frequencies;
+    a side with fewer raises :class:`InsufficientDataError`.
     """
-    if window < MIN_WINDOW:
-        raise InsufficientDataError(f"window must be at least {MIN_WINDOW}, got {window}")
     if xi_samples is None:
         xi_samples = default_xi_ladder()
     xi = np.asarray(sorted(xi_samples), dtype=float)
@@ -203,8 +203,8 @@ def trace_symbol(
     for i, x in enumerate(xi):
         s1[i], s0[i] = transform(s, omega, x)
     g = -1j * xi * s1
-    plus = _window_summary(xi[xi > 0], g[xi > 0], +1, window)
-    minus = _window_summary(xi[xi < 0], g[xi < 0], -1, window)
+    plus = _window_summary(xi[xi > 0], g[xi > 0], +1)
+    minus = _window_summary(xi[xi < 0], g[xi < 0], -1)
     return SymbolTrace(
         omega=float(omega),
         xi_samples=xi,

@@ -231,21 +231,21 @@ def test_ebeta_anchor_cell_catches_a_rule_forced_wrong(monkeypatch):
 
 def test_difference_constant_kernel_is_identity():
     g = make_grid(1.0, 64)
-    op = build_difference_operator(g, lambda t: 1.0, antiderivative=lambda u: u)
+    op = build_difference_operator(g, KernelSpec(lambda t: 1.0, lambda u: u))
     assert np.max(np.abs(op.entries - np.eye(64))) <= 1e-10
 
 
 def test_difference_linear_kernel_matches_fractional():
     g = make_grid(1.0, 64)
-    op = build_difference_operator(g, lambda t: t, antiderivative=lambda u: 0.5 * u * u)
+    op = build_difference_operator(g, KernelSpec(lambda t: t, lambda u: 0.5 * u * u))
     j1 = build_fractional(g, 1.0)
     assert np.max(np.abs(op.entries - j1.entries)) <= 1e-10
 
 
 def test_difference_quadrature_matches_antiderivative():
     g = make_grid(1.0, 16)
-    with_anti = build_difference_operator(g, lambda t: t * t, antiderivative=lambda u: u**3 / 3.0)
-    without = build_difference_operator(g, lambda t: t * t)
+    with_anti = build_difference_operator(g, KernelSpec(lambda t: t * t, lambda u: u**3 / 3.0))
+    without = build_difference_operator(g, KernelSpec(lambda t: t * t))
     assert np.max(np.abs(with_anti.entries - without.entries)) <= 1e-9
 
 

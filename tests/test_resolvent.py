@@ -516,11 +516,20 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         envelope_fallbacks=np.zeros(ys.size, dtype=int),
         chain_fallbacks=np.zeros(ys.size, dtype=int),
         chains_certified=np.zeros(ys.size, dtype=int),
-        fitted_p=float("nan"),
-        fitted_q=float("nan"),
-        envelope_violation=1.0,
-        saturated=counts >= n_max,
     )
+
+
+def test_profile_tables_alone_give_saturation_and_fits():
+    # N(y) = 4/|y| (p = 1) reaches n_max = 64 at the last rung; ln M(y) = 2 |y|^(-1/2) (q = 1/2)
+    ys = 2.0 ** -np.arange(5.0)
+    counts = np.rint(4.0 / ys).astype(int)
+    prof = _synthetic_profile(ys, counts, np.exp(2.0 / np.sqrt(ys)), n_max=64)
+    np.testing.assert_array_equal(prof.saturated, [False, False, False, False, True])
+    assert prof.fitted_p == pytest.approx(1.0, abs=1e-12)
+    assert prof.fitted_q == pytest.approx(0.5, abs=1e-12)
+    # an envelope on the bound (C/|y|) (M/|y|)^N itself, C = 3 and M = 1.5, exceeds it by no factor
+    on_bound = _synthetic_profile(ys, counts, (3.0 / ys) * (1.5 / ys) ** counts, n_max=64)
+    assert on_bound.envelope_violation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_levinson_integrable_on_subcritical_law():
@@ -623,14 +632,6 @@ def test_neumann_series_exact_in_the_schur_basis():
     for x in (-0.5, 0.3, 1.2):
         for y in (0.5, -0.2):
             assert neumann_residual(pair, complex(x, y)) <= 1e-8
-
-
-def test_neumann_truncation_error_shrinks_with_order():
-    t, pair = _phi_plus_fractional(24, 1.0)
-    lam = 0.5 + 0.6j
-    res_short = neumann_residual(pair, lam, n_max=2)
-    res_long = neumann_residual(pair, lam, n_max=24)
-    assert res_long < res_short
 
 
 def test_neumann_needs_off_axis_lambda():

@@ -134,14 +134,6 @@ def test_trace_identity_kernel_converges_to_one():
     assert abs(minus.mean_value - 1.0) <= 0.05
 
 
-def test_trace_identity_kernel_estimate_stable_under_window_doubling():
-    ladder = default_xi_ladder(k_max=14, refine_from=8)
-    trace = trace_symbol(lambda t: 1.0, OMEGA, ladder, window=16)
-    wide = trace_symbol(lambda t: 1.0, OMEGA, ladder, window=25)
-    tol = 0.05
-    assert abs(trace.window_plus.mean_value - wide.window_plus.mean_value) < tol / 2.0
-
-
 def test_trace_imaginary_power_limit_sets():
     trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
     plus, minus = trace.window_plus, trace.window_minus
@@ -154,8 +146,6 @@ def test_trace_imaginary_power_limit_sets():
 
 def test_trace_symbol_requires_enough_samples():
     short = np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
-    with pytest.raises(InsufficientDataError):
-        trace_symbol(lambda t: 1.0, OMEGA, short, window=3)
     with pytest.raises(InsufficientDataError):
         trace_symbol(lambda t: 1.0, OMEGA, short)
 
@@ -172,7 +162,7 @@ def test_side_kind_requires_positive_tol():
 
 def test_prop54_identity_kernel_at_full_periods():
     g = make_grid(OMEGA, 512)
-    ident = build_difference_operator(g, lambda t: 1.0, antiderivative=lambda u: u)
+    ident = build_difference_operator(g, KernelSpec(lambda t: 1.0, lambda u: u))
     xi = 2.0 * math.pi * 16 / OMEGA
     assert prop54_residual(ident, xi) <= 1e-8
 
@@ -183,13 +173,13 @@ def test_prop54_residual_decreases_for_imaginary_power():
     residuals = [prop54_residual(op, xi) for xi in (16.0, 32.0, 64.0)]
     assert residuals[0] > residuals[1] > residuals[2]
     kernel = KernelSpec.fractional_imaginary(1.0)
-    via_spec = build_difference_operator(g, kernel.s, kernel.s_antiderivative)
+    via_spec = build_difference_operator(g, kernel)
     assert [prop54_residual(via_spec, xi) for xi in (16.0, 32.0, 64.0)] == residuals
 
 
 def test_prop54_zero_frequency_documents_operator_action():
     g = make_grid(OMEGA, 64)
-    ident = build_difference_operator(g, lambda t: 1.0, antiderivative=lambda u: u)
+    ident = build_difference_operator(g, KernelSpec(lambda t: 1.0, lambda u: u))
     wave = sample_exponential(g, 0.0)
     expected = l2_norm(GridFunction(g, ident.entries @ wave.values))
     assert prop54_residual(ident, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -197,7 +187,7 @@ def test_prop54_zero_frequency_documents_operator_action():
 
 def test_prop54_enforces_aliasing_guard():
     g = make_grid(OMEGA, 64)
-    ident = build_difference_operator(g, lambda t: 1.0, antiderivative=lambda u: u)
+    ident = build_difference_operator(g, KernelSpec(lambda t: 1.0, lambda u: u))
     with pytest.raises(FrequencyRangeError):
         prop54_residual(ident, 1000.0)
 
