@@ -17,12 +17,9 @@ from .exceptions import (
 )
 from .grid import (
     Grid,
-    GridFunction,
     check_frequency,
-    l2_norm,
     make_grid,
     max_frequency,
-    sample_exponential,
 )
 from .specfun import (
     EbetaSpec,
@@ -37,7 +34,6 @@ __all__ = [
     "EbetaSpec",
     "FrequencyRangeError",
     "Grid",
-    "GridFunction",
     "InsufficientDataError",
     "NearSingularError",
     "NumericalError",
@@ -47,9 +43,7 @@ __all__ = [
     "e_beta",
     "e_beta_cumulative",
     "gamma_complex",
-    "l2_norm",
     "m_moment",
     "make_grid",
     "max_frequency",
-    "sample_exponential",
 ]

@@ -17,10 +17,7 @@ from .exceptions import FrequencyRangeError
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "make_grid",
-    "l2_norm",
-    "sample_exponential",
     "max_frequency",
     "check_frequency",
 ]
@@ -52,21 +49,6 @@ class Grid:
         self.nodes.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a function at the midpoints of a :class:`Grid`."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} samples, got shape {self.values.shape}"
-            )
-        self.values.setflags(write=False)
-
-
 def make_grid(omega: float, n: int) -> Grid:
     """Build the uniform midpoint grid on (0, omega).
 
@@ -82,22 +64,6 @@ def make_grid(omega: float, n: int) -> Grid:
     h = omega / n
     nodes = (np.arange(n) + 0.5) * h
     return Grid(omega=float(omega), n=int(n), h=h, nodes=nodes)
-
-
-def l2_norm(f: GridFunction) -> float:
-    """Discrete L2 norm, ``sqrt(h * sum |f_k|^2)``."""
-    return math.sqrt(f.grid.h * float(np.sum(np.abs(f.values) ** 2)))
-
-
-def sample_exponential(grid: Grid, xi: float) -> GridFunction:
-    """Samples of ``exp(i * x * xi)`` at the grid nodes.
-
-    All samples are unimodular.  The caller is responsible for the aliasing
-    guard (:func:`check_frequency`) when the samples feed an operation that
-    interprets ``xi`` as a resolved frequency.
-    """
-    values = np.exp(1j * xi * grid.nodes)
-    return GridFunction(grid, values)
 
 
 def max_frequency(grid: Grid) -> float:

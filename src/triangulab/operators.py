@@ -1,11 +1,11 @@
 """Dense matrix realizations of the operator classes under study.
 
-Constructors produce lower-triangular (or diagonal) matrices on a midpoint
-grid with exact zero patterns: multiplication symbols become diagonals,
-fractional and log-singular convolution kernels become product-integration
-Toeplitz triangles, and difference kernels become differenced cumulative
-convolutions.  The module also owns the scalar-plus-quasinilpotent splits
-(in the given basis and via a deterministically ordered complex Schur form).
+Constructors produce lower-triangular matrices on a midpoint grid with exact
+zero patterns: fractional and log-singular convolution kernels become
+product-integration Toeplitz triangles, and difference kernels become
+differenced cumulative convolutions.  The module also owns the
+scalar-plus-quasinilpotent splits (in the given basis and via a
+deterministically ordered complex Schur form).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "KernelSpec",
     "OperatorMatrix",
     "SplitPair",
-    "build_multiplication",
     "build_fractional",
     "build_ebeta_operator",
     "build_difference_operator",
@@ -38,7 +37,6 @@ __all__ = [
     "matmul",
     "as_entries",
     "real_if_real",
-    "wrap_matrix",
     "save_matrix",
     "load_matrix",
 ]
@@ -46,11 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Difference kernel ``s`` on ``(0, omega)`` and, when known, its
-    antiderivative ``s_antiderivative`` vanishing at 0."""
+    """Difference kernel ``s`` on ``(0, omega)`` and its antiderivative
+    ``s_antiderivative`` vanishing at 0."""
 
     s: Callable
-    s_antiderivative: Optional[Callable] = None
+    s_antiderivative: Callable
 
     @classmethod
     def fractional_imaginary(cls, alpha: float) -> "KernelSpec":
@@ -116,10 +114,6 @@ class OperatorMatrix:
             )
         self.entries.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -180,36 +174,6 @@ def real_if_real(entries) -> np.ndarray:
             return entries.astype(complex, copy=False)
         entries = entries.real
     return np.ascontiguousarray(entries, dtype=np.float64)
-
-
-def wrap_matrix(entries: np.ndarray) -> OperatorMatrix:
-    """Wrap a raw square matrix with a synthetic unit-length grid of matching size.
-
-    No module calls it; acceptance criteria 2 and 7 wrap their sums of
-    operator entries with it.
-    """
-    entries = np.array(entries, dtype=complex)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    return OperatorMatrix(make_grid(1.0, entries.shape[0]), entries)
-
-
-def build_multiplication(grid: Grid, phi: Callable) -> OperatorMatrix:
-    """Diagonal matrix with entries ``phi(x_k)``; ``phi`` must be real valued.
-
-    No module calls it; acceptance criteria 2 and 7 build their
-    multiplication parts with it.
-    """
-    try:
-        values = np.asarray([phi(x) for x in grid.nodes])
-    except Exception as exc:  # symbol handle failed at some node
-        raise ConstructionError(f"multiplication symbol evaluation failed: {exc}") from exc
-    if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 0:
-        raise ValueError("multiplication symbol must be real valued")
-    entries = np.diag(values.real.astype(float)).astype(complex)
-    if not np.all(np.isfinite(entries)):
-        raise ConstructionError("multiplication symbol produced non-finite entries")
-    return OperatorMatrix(grid, entries)
 
 
 def _toeplitz_lower(first_column: np.ndarray) -> np.ndarray:
@@ -279,35 +243,19 @@ def build_ebeta_operator(grid: Grid, spec: EbetaSpec) -> OperatorMatrix:
     return OperatorMatrix(grid, _toeplitz_lower(col.astype(complex)))
 
 
-def _cell_integrals(kernel: KernelSpec, h: float, n: int) -> np.ndarray:
-    """Integrals of ``kernel.s`` over the cells ``[d h, (d+1) h]``, ``d = 0..n-1``."""
-    if kernel.s_antiderivative is not None:
-        pts = np.array([kernel.s_antiderivative(d * h) for d in range(n + 1)], dtype=complex)
-        return np.diff(pts)
-    from scipy.integrate import quad
-
-    out = np.empty(n, dtype=complex)
-    for d in range(n):
-        a, b = d * h, (d + 1) * h
-        out[d], _ = quad(kernel.s, a, b, complex_func=True, epsabs=1e-13, epsrel=1e-11, limit=200)
-        if not cmath.isfinite(out[d]):
-            raise ConstructionError(f"difference-kernel cell integral diverged on [{a:g}, {b:g}]")
-    return out
-
-
 def build_difference_operator(grid: Grid, kernel: KernelSpec) -> OperatorMatrix:
     """Triangle of ``f -> d/dx integral_0^x s(x - t) f(t) dt``, ``s = kernel.s``.
 
     The cumulative convolution is discretized at the right cell edges with
-    exact per-cell integrals of ``s`` (from ``kernel.s_antiderivative`` when
-    set, else adaptive quadrature), then differenced with a zero boundary
+    exact per-cell integrals of ``s`` (differences of
+    ``kernel.s_antiderivative``), then differenced with a zero boundary
     value.  Differencing the cumulative rather than differentiating the
     kernel keeps severely singular ``s'`` out of the picture and reproduces
     ``s = 1`` as the identity and ``s(t) = t`` as the order-one integral
     exactly.
     """
     n, h = grid.n, grid.h
-    g = _cell_integrals(kernel, h, n)
+    g = np.diff(np.array([kernel.s_antiderivative(d * h) for d in range(n + 1)], dtype=complex))
     tau = np.empty(n, dtype=complex)
     tau[0] = g[0] / h
     tau[1:] = (g[1:] - g[:-1]) / h
@@ -326,14 +274,17 @@ def build_imaginary_fractional(grid: Grid, alpha: float) -> OperatorMatrix:
     return build_difference_operator(grid, KernelSpec.fractional_imaginary(alpha))
 
 
-def split_given_basis(t: OperatorMatrix) -> SplitPair:
-    """Split a triangular matrix into diagonal plus strict triangle in place.
+def split_given_basis(t) -> SplitPair:
+    """Split a triangular operator, or its entries, into diagonal plus strict triangle.
 
     Requires an exactly lower-triangular input (the constructors guarantee
     exact zero patterns); anything else raises ``ValueError`` and should go
-    through :func:`split_schur`.
+    through :func:`split_schur`.  An :class:`OperatorMatrix`'s read-only
+    entries become the triangle as they are; a raw matrix is copied, so the
+    caller's array stays writable.
     """
-    split = SplitPair(triangle=t.entries, unitary=np.eye(t.n, dtype=complex))
+    entries = t.entries if isinstance(t, OperatorMatrix) else np.array(t, dtype=complex)
+    split = SplitPair(triangle=entries, unitary=np.eye(len(entries), dtype=complex))
     if not split.lower:
         raise ValueError("matrix is not lower triangular; use split_schur")
     return split
@@ -343,14 +294,20 @@ def _order_key(z: complex):
     return (z.real, z.imag)
 
 
-def split_schur(t: OperatorMatrix) -> SplitPair:
-    """Unitary triangularization split ``Q* T Q = R = S + N``.
+def split_schur(t) -> SplitPair:
+    """Unitary triangularization split ``Q* T Q = R = S + N`` of an operator or its entries.
 
     Computes a complex Schur form and orders its diagonal by ascending
     real part, ties by ascending imaginary part, with LAPACK's ``trexc``.
     Its rotations exchange the diagonal entries exactly, so the returned
     diagonal is the sorted diagonal of the Schur form and the split is
     deterministic.  ``R`` is upper triangular.
+
+    The split is checked by ``sqrt(n) ||Q R Q* - T||_F <= 1e-10 ||T||_F``
+    (``||T||_F`` floored at 1e-300); a larger residual raises
+    :class:`NumericalError`.  Since ``||E||_2 <= ||E||_F`` and
+    ``||T||_F <= sqrt(n) ||T||_2``, a split that passes also has a 2-norm
+    residual of at most 1e-10 relative.
     """
     entries = as_entries(t)
     try:
@@ -365,8 +322,8 @@ def split_schur(t: OperatorMatrix) -> SplitPair:
             r, q, info = scipy.linalg.lapack.ztrexc(r, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
             if info != 0:
                 raise NumericalError(f"Schur reorder failed: ztrexc info {info}")
-    scale = max(float(np.linalg.norm(entries, 2)), 1e-300)
-    residual = float(np.linalg.norm(q @ r @ q.conj().T - entries, 2)) / scale
+    scale = max(float(np.linalg.norm(entries)), 1e-300)
+    residual = math.sqrt(r.shape[0]) * float(np.linalg.norm(q @ r @ q.conj().T - entries)) / scale
     if residual > 1e-10:
         raise NumericalError(f"Schur reconstruction residual {residual:g} exceeds 1e-10")
     return SplitPair(triangle=r, unitary=q)

@@ -94,12 +94,13 @@ def verify_sigma_equality(t) -> float:
     return spectral_distance(eigs, split_schur(t).diagonal)
 
 
-def default_contour(eigs: np.ndarray) -> list:
-    """One circle centered at the eigenvalue centroid, radius 1.5x the spread."""
+def default_contour(eigs: np.ndarray) -> tuple:
+    """``(center, radius)`` of the circle centered at the eigenvalue
+    centroid, radius 1.5x the spread."""
     center = complex(np.mean(eigs))
     spread = float(np.max(np.abs(eigs - center))) if eigs.size else 0.0
     radius = 1.5 * spread if spread > 0 else max(1.0, 0.1 * (1 + abs(center)))
-    return [(center, radius)]
+    return center, radius
 
 
 _START_NODES = 256  # trapezoid nodes of the first contour evaluation
@@ -119,7 +120,7 @@ def riesz_calculus(t, f: Callable[[complex], complex]) -> np.ndarray:
     """
     entries = as_entries(t)
     n = entries.shape[0]
-    ((center, radius),) = default_contour(np.linalg.eigvals(entries))
+    center, radius = default_contour(np.linalg.eigvals(entries))
     eye = np.eye(n, dtype=complex)
 
     def evaluate(m: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triangulab import EbetaSpec, make_grid, m_moment
-from triangulab.exceptions import ConstructionError
+from triangulab.exceptions import ConstructionError, NumericalError
 from triangulab.operators import (
     KERNEL_PRESETS,
     KernelSpec,
@@ -18,7 +18,6 @@ from triangulab.operators import (
     build_ebeta_operator,
     build_fractional,
     build_imaginary_fractional,
-    build_multiplication,
     load_matrix,
     matmul,
     operator_norm,
@@ -26,7 +25,6 @@ from triangulab.operators import (
     save_matrix,
     split_given_basis,
     split_schur,
-    wrap_matrix,
 )
 from triangulab.spectral import eigenvalues_with_machine_noise
 
@@ -71,50 +69,6 @@ def match_distance(a, b) -> float:
     from triangulab.spectral import spectral_distance
 
     return spectral_distance(a, b)
-
-
-# ---------------------------------------------------------------- multiplication
-
-
-def test_multiplication_zero_symbol():
-    g = make_grid(1.0, 4)
-    op = build_multiplication(g, lambda x: 0.0)
-    assert np.all(op.entries == 0)
-
-
-def test_multiplication_identity_symbol():
-    g = make_grid(1.0, 4)
-    op = build_multiplication(g, lambda x: x)
-    np.testing.assert_allclose(np.diag(op.entries).real, [0.125, 0.375, 0.625, 0.875])
-    assert np.all(op.entries == np.diag(np.diag(op.entries)))
-
-
-def test_multiplication_spectrum_is_diagonal():
-    g = make_grid(1.0, 8)
-    op = build_multiplication(g, lambda x: math.cos(x))
-    eigs = np.sort(np.linalg.eigvals(op.entries).real)
-    np.testing.assert_allclose(eigs, np.sort(np.cos(g.nodes)), atol=1e-14)
-
-
-def test_multiplication_rejects_complex_symbol():
-    g = make_grid(1.0, 4)
-    with pytest.raises(ValueError):
-        build_multiplication(g, lambda x: 1j * x)
-
-
-def test_multiplication_propagates_symbol_failure():
-    g = make_grid(1.0, 4)
-
-    def bad(x):
-        raise RuntimeError("boom")
-
-    with pytest.raises(ConstructionError):
-        build_multiplication(g, bad)
-
-
-def test_multiplication_rejects_non_finite_symbol():
-    with pytest.raises(ConstructionError):
-        build_multiplication(make_grid(1.0, 4), lambda x: float("nan"))
 
 
 # ---------------------------------------------------------------- fractional
@@ -242,13 +196,6 @@ def test_difference_linear_kernel_matches_fractional():
     assert np.max(np.abs(op.entries - j1.entries)) <= 1e-10
 
 
-def test_difference_quadrature_matches_antiderivative():
-    g = make_grid(1.0, 16)
-    with_anti = build_difference_operator(g, KernelSpec(lambda t: t * t, lambda u: u**3 / 3.0))
-    without = build_difference_operator(g, KernelSpec(lambda t: t * t))
-    assert np.max(np.abs(with_anti.entries - without.entries)) <= 1e-9
-
-
 def test_imaginary_fractional_zero_order_is_identity():
     g = make_grid(1.0, 16)
     op = build_imaginary_fractional(g, 0.0)
@@ -284,19 +231,32 @@ def test_imaginary_fractional_radius_lower_bound_at_512():
 
 
 def test_split_given_basis_two_by_two():
-    t = wrap_matrix(np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex))
+    t = np.array([[1.0, 0.0], [1.0, 2.0]], dtype=complex)
     pair = split_given_basis(t)
     np.testing.assert_allclose(pair.diagonal, [1.0, 2.0])
     np.testing.assert_allclose(pair.strict, [[0.0, 0.0], [1.0, 0.0]])
     assert np.all(np.linalg.matrix_power(pair.strict, 2) == 0)
-    eigs = sorted(np.linalg.eigvals(t.entries).real)
+    eigs = sorted(np.linalg.eigvals(t).real)
     np.testing.assert_allclose(eigs, [1.0, 2.0], atol=1e-14)
 
 
 def test_split_given_basis_rejects_non_triangular():
-    t = wrap_matrix(np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)).entries.T
     with pytest.raises(ValueError):
-        split_given_basis(wrap_matrix(t.T))
+        split_given_basis(np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex))
+
+
+def test_split_given_basis_takes_an_operator_or_its_entries():
+    g = make_grid(1.0, 16)
+    entries = np.diag(g.nodes) + build_fractional(g, 0.5).entries
+    op = OperatorMatrix(g, entries.copy())
+    from_op, from_raw = split_given_basis(op), split_given_basis(entries)
+    assert from_op.triangle is op.entries  # the operator's entries, not a copy
+    assert from_raw.triangle.tobytes() == from_op.triangle.tobytes()
+    assert from_raw.unitary.tobytes() == from_op.unitary.tobytes()
+    # the split freezes its own copy; the caller's array stays writable
+    assert entries.flags.writeable and not from_raw.triangle.flags.writeable
+    entries[0, 0] = 7.0
+    assert from_raw.triangle[0, 0] == op.entries[0, 0]
 
 
 def test_split_pair_takes_only_an_exact_triangle_and_a_unitary_of_its_shape():
@@ -323,49 +283,47 @@ def test_split_pair_lower_reads_which_triangle_holds_the_entries():
     assert SplitPair(np.tril(full), eye).lower
     assert not SplitPair(np.triu(full), eye).lower
     assert SplitPair(np.diag(np.diag(full)), eye).lower  # diagonal: both triangles
-    assert split_given_basis(wrap_matrix(np.tril(full))).lower
-    assert not split_schur(wrap_matrix(full)).lower
+    assert split_given_basis(np.tril(full)).lower
+    assert not split_schur(full).lower
 
 
 def test_split_given_basis_roundtrip_exact():
     rng = np.random.default_rng(0)
     entries = np.tril(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    t = wrap_matrix(entries)
-    pair = split_given_basis(t)
+    pair = split_given_basis(entries)
     assert pair.triangle.tobytes() == entries.tobytes()
     assert np.all(np.diag(pair.diagonal) + pair.strict == entries)
     assert np.all(pair.unitary == np.eye(8))
 
 
 def test_split_schur_diagonal_input_has_zero_nilpotent_part():
-    t = wrap_matrix(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    pair = split_schur(t)
+    pair = split_schur(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert np.max(np.abs(pair.strict)) <= 1e-12
 
 
 def test_split_schur_eigenvalues_match_cardano_oracle():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    pair = split_schur(wrap_matrix(a))
+    pair = split_schur(a)
     assert match_distance(pair.diagonal, cubic_roots(a)) <= 1e-8
 
 
 def test_split_schur_random_matrix_preserves_spectrum():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    pair = split_schur(wrap_matrix(a))
+    pair = split_schur(a)
     assert match_distance(np.linalg.eigvals(a), pair.diagonal) <= 1e-8
 
 
 def test_split_schur_nilpotent_input():
-    pair = split_schur(wrap_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+    pair = split_schur(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     assert np.max(np.abs(pair.diagonal)) <= 1e-14
 
 
 def test_split_schur_unitary_and_reconstruction():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    pair = split_schur(wrap_matrix(a))
+    pair = split_schur(a)
     q = pair.unitary
     assert np.linalg.norm(q.conj().T @ q - np.eye(12), 2) <= 1e-12
     recon = q @ pair.triangle @ q.conj().T
@@ -375,7 +333,7 @@ def test_split_schur_unitary_and_reconstruction():
 def test_split_schur_orders_diagonal():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-    diag = split_schur(wrap_matrix(a)).diagonal
+    diag = split_schur(a).diagonal
     keys = [(z.real, z.imag) for z in diag]
     assert keys == sorted(keys)
 
@@ -386,7 +344,7 @@ def test_split_schur_breaks_real_part_ties_by_imaginary_part():
     rng = np.random.default_rng(0)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = np.diag([1 + 2j, 1 - 1j, 0, 1 + 0.5j]) + np.triu(b, 1)
-    diag = split_schur(wrap_matrix(a)).diagonal
+    diag = split_schur(a).diagonal
     assert diag.tolist() == [0, 1 - 1j, 1 + 0.5j, 1 + 2j]
 
 
@@ -402,7 +360,7 @@ def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
     # the triangular draws, and the same operators made dense by a random unitary
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     for m in (a, ties, q @ a @ q.conj().T, q @ ties @ q.conj().T):
-        pair = split_schur(wrap_matrix(m))
+        pair = split_schur(m)
         u = pair.unitary
         recon = u @ pair.triangle @ u.conj().T
         assert np.linalg.norm(recon - m, 2) <= 1e-10 * np.linalg.norm(m, 2)
@@ -414,10 +372,23 @@ def test_split_schur_reconstructs_and_orders_random_operators(case, seed):
         assert pair.diagonal.tobytes() == expected.tobytes()
 
 
+def test_split_schur_rejects_a_schur_form_that_does_not_reconstruct(monkeypatch):
+    schur = scipy.linalg.schur
+
+    def perturbed(a, output):
+        r, q = schur(a, output=output)
+        return r, q + 1e-6
+
+    monkeypatch.setattr(scipy.linalg, "schur", perturbed)
+    a = np.random.default_rng(5).standard_normal((8, 8)) + 0j
+    with pytest.raises(NumericalError, match="residual"):
+        split_schur(a)
+
+
 def test_split_schur_strict_part_is_strictly_triangular():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    pair = split_schur(wrap_matrix(a))
+    pair = split_schur(a)
     strict = pair.strict
     assert np.all(np.tril(strict) == 0)
     assert np.all(np.linalg.matrix_power(strict, 6) == 0)
@@ -647,8 +618,3 @@ def test_preset_antiderivative_matches_quadrature(name, alpha):
         re, _ = quad(lambda t: spec.s(t).real, 0.0, u, epsabs=1e-13, epsrel=1e-12, limit=400)
         im, _ = quad(lambda t: spec.s(t).imag, 0.0, u, epsabs=1e-13, epsrel=1e-12, limit=400)
         assert abs(spec.s_antiderivative(u) - (re + 1j * im)) <= 1e-10
-
-
-def test_wrap_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        wrap_matrix(np.ones((3, 4)))

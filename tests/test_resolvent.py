@@ -12,13 +12,12 @@ from triangulab import make_grid, resolvent
 from triangulab.exceptions import InsufficientDataError, NearSingularError
 from triangulab.experiments import _default_ladder, _phi_plus
 from triangulab.operators import (
+    OperatorMatrix,
     as_entries,
     build_ebeta_operator,
     build_fractional,
-    build_multiplication,
     split_given_basis,
     split_schur,
-    wrap_matrix,
 )
 from triangulab.resolvent import (
     ResolventProfile,
@@ -82,7 +81,7 @@ def test_resolvent_norm_raises_inside_spectrum():
 
 
 def test_c_norm_zero_nilpotent_part():
-    t = wrap_matrix(np.diag([0.1, 0.4, 0.9]).astype(complex))
+    t = np.diag([0.1, 0.4, 0.9]).astype(complex)
     pair = split_given_basis(t)
     assert c_norm(pair, 0.5 + 1.0j, 1) == 0.0
 
@@ -109,7 +108,7 @@ def test_c_norm_validates_arguments():
         c_norm(pair, 0.5 + 0.0j, 3)
     with pytest.raises(ValueError):
         c_norm(pair, 0.5 + 0.5j, 0)
-    complex_diag = wrap_matrix(np.diag([1j, 2.0]).astype(complex) + np.tril(np.ones((2, 2)), -1))
+    complex_diag = np.diag([1j, 2.0]).astype(complex) + np.tril(np.ones((2, 2)), -1)
     with pytest.raises(ValueError):
         c_norm(split_given_basis(complex_diag), 0.5j, 1)
 
@@ -142,7 +141,7 @@ def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
     # them complex, so V is complex and the sweep keeps the complex GEMM
     t, _ = _phi_plus_fractional(48, 1.0)
     phase = np.exp(1j * np.linspace(0.0, 3.0, 48))
-    schur = split_schur(wrap_matrix(phase[:, None] * t.entries * phase.conj()[None, :]))
+    schur = split_schur(phase[:, None] * t.entries * phase.conj()[None, :])
     assert np.any(schur.strict.imag)
     _assert_sweep_matches_c_norm(schur)
 
@@ -152,7 +151,7 @@ def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
 
 def test_profile_zero_nilpotent_part():
     g = make_grid(1.0, 16)
-    t = build_multiplication(g, lambda x: x)
+    t = _phi_plus(g, np.zeros((16, 16), dtype=complex))
     pair = split_given_basis(t)
     ys = [0.5, 0.25, 0.125]
     prof = profile(pair, ys, x_samples=65)
@@ -254,7 +253,7 @@ def test_envelope_carries_bounds_across_the_ladder():
 
 def test_envelope_raises_on_a_sample_inside_the_spectrum():
     # x_samples=5 puts the grid at -1, 0, 1, 2, 3: two samples sit on eigenvalues
-    t = wrap_matrix(np.diag([0.0, 2.0]).astype(complex))
+    t = np.diag([0.0, 2.0]).astype(complex)
     with pytest.raises(NearSingularError):
         profile(split_given_basis(t), [1e-300], x_samples=5)
 
@@ -314,7 +313,8 @@ def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
         norm, dense = _triangle_evaluator(tri)(lam)
         assert not dense
         assert norm == pytest.approx(exact, rel=1e-14)
-        assert resolvent_norm(tri, lam) == resolvent_norm(wrap_matrix(tri), lam) == norm
+        op = OperatorMatrix(make_grid(1.0, len(tri)), tri.copy())
+        assert resolvent_norm(tri, lam) == resolvent_norm(op, lam) == norm
 
 
 def test_resolvent_norm_of_an_almost_triangular_matrix_is_the_dense_value():
@@ -455,9 +455,8 @@ def test_profile_envelope_fit_does_not_overflow():
     # the violation factor is taken in log space and stays finite
     rng = np.random.default_rng(12)
     n = 32
-    t = wrap_matrix(
-        np.diag(np.linspace(0.0, 1.0, n))
-        + 0.25 * np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    t = np.diag(np.linspace(0.0, 1.0, n)) + 0.25 * np.tril(
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1
     )
     prof = profile(split_given_basis(t), [0.5, 0.25, 0.125], x_samples=9, power_x_samples=9)
     np.testing.assert_array_equal(prof.count_n, [30, 31, 31])
@@ -616,10 +615,8 @@ def test_count_bound_validates():
 def test_neumann_series_exact_for_nilpotent_part():
     rng = np.random.default_rng(33)
     g = make_grid(1.0, 32)
-    t = wrap_matrix(
-        build_multiplication(g, lambda x: x).entries
-        + np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.3
-    )
+    v = np.tril(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)), -1) * 0.3
+    t = _phi_plus(g, v)
     pair = split_given_basis(t)
     for lam in (0.5 + 0.3j, -1.0 + 0.1j, 2.0 - 0.8j):
         assert neumann_residual(pair, lam) <= 1e-8
@@ -656,7 +653,7 @@ def test_profile_finishes_where_power_iteration_stalls(n, seed):
     # (at powers 1, 3, 2 and 3 respectively)
     rng = np.random.default_rng(seed)
     v = 0.25 * np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
-    pair = split_given_basis(wrap_matrix(np.diag(np.linspace(0.0, 1.0, n)) + v))
+    pair = split_given_basis(np.diag(np.linspace(0.0, 1.0, n)) + v)
     ladder = [0.5, 0.25, 0.125]
     prof = profile(pair, ladder, x_samples=9)
     for j, y in enumerate(ladder):
@@ -727,7 +724,7 @@ def test_chain_scaled_by_its_last_root_survives_a_tiny_scale(scale):
     # the dense value
     n = 8
     v = np.diag(np.ones(n - 1), -1)
-    pair = split_given_basis(wrap_matrix(v.astype(complex)))
+    pair = split_given_basis(v.astype(complex))
     lam = complex(-1.0, scale)
     d = np.full((n, 1), -scale / (0.0 - lam))
     roots, fallbacks, _ = _chain_roots(v, d, scale, n)
@@ -838,7 +835,7 @@ def test_certificate_keeps_a_chain_that_crosses_after_a_long_dip():
     gaps = np.log(exact[:11]) * np.arange(1, 12) - np.arange(1, 12) * (math.log(y / 2) - 1e-8)
     assert not resolvent._certified_below(gaps[None, :], n)[0]
     # S = 0 and lambda = x + iy: the x = 0 sample has d = -i, so B = -i V there
-    pair = split_given_basis(wrap_matrix(v.astype(complex)))
+    pair = split_given_basis(v.astype(complex))
     prof = profile(pair, [y], x_samples=3, power_x_samples=3)
     np.testing.assert_allclose(prof.r[:, 0], exact, rtol=1e-12, atol=0.0)
     for k in range(1, n):
@@ -901,10 +898,9 @@ def test_certificate_settles_columns_early_on_the_default_fractional_ladder(monk
 @given(triangular_operators())
 def test_profile_envelope_is_the_dense_maximum_on_random_operators(case):
     a, ladder = case
-    t = wrap_matrix(a)
     # the envelope does not read the chain sweep, so keep that short
-    prof = profile(split_given_basis(t), ladder, n_max=1, power_x_samples=2)
-    _assert_envelope_is_dense_max(t, prof)
+    prof = profile(split_given_basis(a), ladder, n_max=1, power_x_samples=2)
+    _assert_envelope_is_dense_max(a, prof)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -941,7 +937,7 @@ def test_real_chain_product_matches_the_complex_one_on_random_operators(case):
         # relative to the scale |V||W| of GEMM rounding, entry by entry
         scale = np.abs(oracle) @ np.abs(w)
         assert np.all(np.abs(_gemm(op, w) - oracle @ w) <= 1e-14 * scale)
-    pair = split_given_basis(wrap_matrix(t.astype(complex)))
+    pair = split_given_basis(t.astype(complex))
     y = ladder[-1]
     xs = np.linspace(-2.0, 2.0, 3)
     d = -y / (t.diagonal()[:, None] - (xs + 1j * y)[None, :])
@@ -958,7 +954,7 @@ def test_chain_roots_write_zero_only_below_the_threshold_on_random_operators(cas
     # a zero root is a power where every chain is dead or certified below
     # |y|/2: the dense oracle must agree at every x sample
     a, ladder = case
-    pair = split_given_basis(wrap_matrix(a))
+    pair = split_given_basis(a)
     diag, v = pair.diagonal.real, pair.strict
     n = a.shape[0]
     xs = np.linspace(diag.min() - 1.0, diag.max() + 1.0, 5)
@@ -973,10 +969,9 @@ def test_chain_roots_write_zero_only_below_the_threshold_on_random_operators(cas
 @given(triangular_operators(), st.floats(min_value=0.0, max_value=1.0))
 def test_chain_series_matches_the_dense_inverse_on_random_operators(case, u):
     a, ladder = case
-    t = wrap_matrix(a)
     # x from the profile's search window around the diagonal
     diag = a.diagonal().real
     x = diag.min() - 1.0 + u * (diag.max() - diag.min() + 2.0)
-    for pair in (split_given_basis(t), split_schur(t)):
+    for pair in (split_given_basis(a), split_schur(a)):
         for y in ladder:
             assert neumann_residual(pair, complex(x, y)) <= 1e-8

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from triangulab import make_grid, spectral
 from triangulab.exceptions import QuadratureError
-from triangulab.operators import (
-    build_fractional,
-    build_multiplication,
-    operator_norm,
-    wrap_matrix,
-)
+from triangulab.experiments import _phi_plus
+from triangulab.operators import build_fractional, operator_norm
 from triangulab.spectral import (
     default_contour,
     eigenvalues_with_machine_noise,
@@ -114,7 +110,7 @@ def test_sigma_equality_multiplication_plus_volterra():
     volterra = np.tril(h * (1.0 + 0.5 * np.outer(x, x)), -1) + np.diag(
         0.5 * h * (1.0 + 0.5 * x * (x - 0.25 * h))
     )
-    t = wrap_matrix(build_multiplication(g, lambda x: x).entries + volterra)
+    t = _phi_plus(g, volterra)
     assert verify_sigma_equality(t) <= 1e-8
 
 
@@ -162,7 +158,7 @@ def test_riesz_never_exceeds_node_budget(monkeypatch):
 
 def test_default_contour_encloses_spectrum():
     eigs = np.array([0.0, 1.0, 0.5 + 0.5j])
-    ((center, radius),) = default_contour(eigs)
+    center, radius = default_contour(eigs)
     assert np.all(np.abs(eigs - center) < radius)
 
 
@@ -171,9 +167,7 @@ def test_default_contour_encloses_spectrum():
 
 def _phi_plus_sqrt(n=32):
     g = make_grid(1.0, n)
-    return wrap_matrix(
-        build_multiplication(g, lambda x: x).entries + build_fractional(g, 0.5).entries
-    )
+    return _phi_plus(g, build_fractional(g, 0.5).entries)
 
 
 def test_mapping_identity_function():
