@@ -440,8 +440,9 @@ def _phi_plus_profile(
     """Resolvent profile of ``phi + V`` split in the given basis.
 
     ``V`` is ``J^beta`` (``kind="fractional"``) or the log-singular build
-    (``kind="ebeta"``, cached through ``config.cache_dir``).  The envelope
-    uses 64 ``x`` samples, the chain sweep 33.
+    (``kind="ebeta"``, cached through ``config.cache_dir``), profiled with
+    :func:`~triangulab.resolvent.profile`'s fixed sampling: 64 envelope ``x``
+    samples and 33 chain-sweep ones.
     """
     grid = make_grid(config.omega, n)
     if kind == "fractional":
@@ -449,7 +450,7 @@ def _phi_plus_profile(
     else:
         v_op = _cached_ebeta(config, grid, beta)
     split = split_given_basis(_phi_plus(grid, v_op.entries))
-    return res.profile(split, ladder, x_samples=64, power_x_samples=33)
+    return res.profile(split, ladder)
 
 
 def _exponent_checks(name: str, fitted_p: float, target: float) -> list:
@@ -607,13 +608,12 @@ def _exp_growth_ebeta(config: ExperimentConfig, outdir: str):
         checks.append(check)
         # the smallest M that bounds the crossing count at every fitted point
         mask = prof.fit_mask
-        if mask.sum():
-            y = prof.y_grid[mask]
-            ln_n = np.log(prof.count_n[mask].astype(float))
-            m_fit = max(
-                res.count_bound_constant(beta, float(lv), float(yv)) for yv, lv in zip(y, ln_n)
-            )
-            checks.append(at_most(f"count-bound-beta{beta:g}", m_fit, 10.0))
+        y = prof.y_grid[mask]
+        ln_n = np.log(prof.count_n[mask].astype(float))
+        m_fit = max(
+            res.count_bound_constant(beta, float(lv), float(yv)) for yv, lv in zip(y, ln_n)
+        )
+        checks.append(at_most(f"count-bound-beta{beta:g}", m_fit, 10.0))
     # kernel-bound variant: e_beta dominates the simpler log-singular envelope
     kernel = EbetaSpec(1.0, config.c)
     ratio_floor = min(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -423,10 +423,9 @@ class ResolventProfile:
     dead or certified below ``|y_j| / 2`` (see :func:`_chain_roots`), so an
     entry above ``|y_j| / 2`` is the maximum over every chain.
     ``count_n[j]`` is the number of chain indices whose ``r_n`` exceeds
-    ``|y_j| / 2``, and ``saturated[j]`` says that it reached ``n_max``;
-    ``envelope_m[j]`` the largest
-    resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]`` the
-    first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
+    ``|y_j| / 2``, below the dimension since ``B^n = 0``; ``envelope_m[j]``
+    the largest resolvent norm found along ``Im lambda = y_j``, ``envelope_x[j]``
+    the first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
     :func:`resolvent_norm`).  ``chain_fallbacks[j]`` counts the chain norms
@@ -434,7 +433,7 @@ class ResolventProfile:
     of the scaled power iteration: out of its norm range, or unsettled
     after 60 steps (see :func:`_log_power_norms`), and
     ``chains_certified[j]`` the chains at ``y_j`` that the submultiplicative
-    certificate stopped before ``n_max``.
+    certificate stopped before the last power.
     ``fitted_p`` is the exponent in ``N(y) ~ |y|^{-p}``; ``fitted_q`` the
     exponent in ``ln M(y) ~ |y|^{-q}``.  ``envelope_violation`` is the largest factor by
     which the data exceeds the bound ``||R|| <= (C/|y|) (M/|y|)^{N(y)}``
@@ -444,7 +443,6 @@ class ResolventProfile:
     y_grid: np.ndarray
     x_grid: np.ndarray
     power_x_grid: np.ndarray
-    n_max: int
     r: np.ndarray
     count_n: np.ndarray
     envelope_m: np.ndarray
@@ -461,13 +459,9 @@ class ResolventProfile:
             arr.setflags(write=False)
 
     @property
-    def saturated(self) -> np.ndarray:
-        return self.count_n >= self.n_max
-
-    @property
     def fit_mask(self) -> np.ndarray:
-        """Ladder points the exponent fits use: unsaturated, with ``N >= 2``."""
-        return (self.count_n >= 2) & ~self.saturated
+        """Ladder points the exponent fits use: those with ``N >= 2``."""
+        return self.count_n >= 2
 
     @property
     def fitted_p(self) -> float:
@@ -498,21 +492,20 @@ def _fit_power(y: np.ndarray, values: np.ndarray, mask: np.ndarray) -> float:
     return float(-coeffs[0])
 
 
-def profile(
-    split: SplitPair,
-    y_ladder: Sequence[float],
-    n_max: Optional[int] = None,
-    x_samples: int = 64,
-    power_x_samples: Optional[int] = None,
-) -> ResolventProfile:
+_X_SAMPLES = 64  # envelope x samples over the search window
+_POWER_X_SAMPLES = 33  # chain-sweep x samples over the same window
+
+
+def profile(split: SplitPair, y_ladder: Sequence[float]) -> ResolventProfile:
     """Sweep the half-plane ladder and fill every resolvent-growth table.
 
-    For each ``y`` in the ladder: chain norms ``r_n`` are maximized over the
-    real search window ``[min sigma(S) - 1, max sigma(S) + 1]`` with
-    ``x_samples`` points (``power_x_samples`` trims the expensive chain sweep
-    independently of the resolvent envelope sweep), the crossing count is
-    ``N(y) = #{n <= n_max : r_n(y) > |y|/2}``, and the envelope is
-    ``M(y) = max_x ||R_{x+iy}(T)||`` with ``T`` the split's triangle,
+    For each ``y`` in the ladder: chain norms ``r_n`` are maximized over
+    ``_POWER_X_SAMPLES`` (33) points of the real search window
+    ``[min sigma(S) - 1, max sigma(S) + 1]``, the crossing count is
+    ``N(y) = #{n : r_n(y) > |y|/2}`` over every power (``B^n = 0`` for the
+    dimension ``n``, so ``N(y) < n``), and the envelope is
+    ``M(y) = max_x ||R_{x+iy}(T)||`` over ``_X_SAMPLES`` (64) points of the
+    same window, with ``T`` the split's triangle,
     the same for every split of one operator (unlike ``r_n`` and ``N``).
     A chain stops at the first power below the counting threshold from
     which submultiplicativity, ``||B^(a+b)|| <= ||B^a|| ||B^b||``, proves
@@ -528,9 +521,6 @@ def profile(
     built once per profile, evaluates every sample; :func:`resolvent_norm`
     states its accuracy and its dense fallback, which
     ``envelope_fallbacks`` counts.
-    ``n_max``, ``x_samples`` and ``power_x_samples`` below 1 raise
-    ``ValueError``, and so does an ``n_max`` above the dimension, whose
-    rows past the dimension would all be 0 (``B^n = 0``).
     Each chain is swept scaled by its last root; :func:`_log_power_norms`
     states when a chain norm settles, the norm range that scaling keeps
     every product in, and the one rule that sends a norm to dense singular
@@ -542,28 +532,17 @@ def profile(
     diag, v = _real_split(split)
     v = real_if_real(v)  # real GEMMs in the chain sweep when V is real
     dim = entries.shape[0]
-    if n_max is None:
-        n_max = dim
     y_grid = np.asarray(list(y_ladder), dtype=float)
     if y_grid.size == 0 or np.any(y_grid == 0.0) or not np.all(np.isfinite(y_grid)):
         raise ValueError("the ladder must be non-empty, finite and avoid y = 0")
-    for name, count in (("n_max", n_max), ("x_samples", x_samples), ("power_x_samples", power_x_samples)):
-        if count is not None and count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count!r}")
-    if n_max > dim:  # B^n = 0 for the n x n strict triangle: later rows are all 0
-        raise ValueError(f"n_max must be at most the dimension {dim}, got {n_max!r}")
     evaluate = _triangle_evaluator(entries)
     t_inf = float(np.linalg.norm(entries, np.inf))
     x_window = (float(diag.min()) - 1.0, float(diag.max()) + 1.0)
-    x_grid = np.linspace(x_window[0], x_window[1], x_samples)
-    power_x_grid = (
-        x_grid
-        if power_x_samples is None
-        else np.linspace(x_window[0], x_window[1], power_x_samples)
-    )
+    x_grid = np.linspace(x_window[0], x_window[1], _X_SAMPLES)
+    power_x_grid = np.linspace(x_window[0], x_window[1], _POWER_X_SAMPLES)
 
     n_y = y_grid.size
-    r = np.zeros((n_max, n_y))
+    r = np.zeros((dim, n_y))
     counts = np.zeros(n_y, dtype=int)
     envelope = np.zeros(n_y)
     envelope_x = np.zeros(n_y)
@@ -576,7 +555,7 @@ def profile(
     for j, y in enumerate(y_grid):
         threshold = abs(y) / 2.0
         d = -y / (diag[:, None] - (power_x_grid + 1j * y)[None, :])
-        r[:, j], chain_fallbacks[j], chains_certified[j] = _chain_roots(v, d, y, n_max)
+        r[:, j], chain_fallbacks[j], chains_certified[j] = _chain_roots(v, d, y, dim)
         counts[j] = int(np.sum(r[:, j] > threshold))
         envelope[j], envelope_x[j], envelope_evals[j], envelope_fallbacks[j] = _envelope(
             evaluate, t_inf, x_grid, y, envelope_samples
@@ -586,7 +565,6 @@ def profile(
         y_grid=y_grid,
         x_grid=x_grid,
         power_x_grid=power_x_grid,
-        n_max=n_max,
         r=r,
         count_n=counts,
         envelope_m=envelope,
@@ -612,8 +590,8 @@ LEVINSON_MARGIN = 0.15  # half-width of the INCONCLUSIVE band around p = 1
 def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -> LevinsonVerdict:
     """Integrability classification of ``ln N(y)`` near ``y = 0``.
 
-    Fits ``ln N(y) ~ c |y|^{-p}`` on the unsaturated ladder points with
-    ``N >= 2``, and ``ln M(y) ~ c' |y|^{-q}`` on those of them with
+    Fits ``ln N(y) ~ c |y|^{-p}`` on the ladder points with ``N >= 2``,
+    and ``ln M(y) ~ c' |y|^{-q}`` on those of them with
     ``ln M(y) > 1`` (``q`` is NaN with fewer than 4 such points); both are
     least-squares lines in log-log space.  ``p < 1 - margin`` makes the
     integral of ``ln N`` finite (INTEGRABLE, which is the evidence for
@@ -628,7 +606,7 @@ def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -
     mask = prof.fit_mask
     if mask.sum() < 4:
         raise InsufficientDataError(
-            f"need at least 4 unsaturated ladder points with N >= 2, have {int(mask.sum())}"
+            f"need at least 4 ladder points with N >= 2, have {int(mask.sum())}"
         )
     p = _fit_power(prof.y_grid, np.log(np.maximum(prof.count_n, 1)), mask)
     ln_m = np.log(np.maximum(prof.envelope_m, 1.0 + 1e-15))

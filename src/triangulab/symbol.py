@@ -111,7 +111,6 @@ class WindowSummary:
     modulus_spread: float
     complex_spread: float
     arg_span: float
-    samples: int
 
     def kind(self, tol: float) -> str:
         """CONVERGENT when the window clusters to one complex point within
@@ -129,7 +128,6 @@ class WindowSummary:
 class SymbolTrace:
     """Sampled transforms along a signed geometric frequency ladder."""
 
-    omega: float
     xi_samples: np.ndarray
     s_tilde: np.ndarray
     s_tilde1: np.ndarray
@@ -145,7 +143,7 @@ class SymbolTrace:
 _REFINE_FROM = 10  # first ladder exponent refined to per_octave points per octave
 
 
-def default_xi_ladder(k_max: int = 14, per_octave: int = 4) -> np.ndarray:
+def default_xi_ladder(k_max: int, per_octave: int) -> np.ndarray:
     """Signed geometric ladder ``+-2^k`` refined near the top.
 
     Integer exponents up to 10, then ``per_octave`` points per octave up to
@@ -159,7 +157,7 @@ def default_xi_ladder(k_max: int = 14, per_octave: int = 4) -> np.ndarray:
     return np.concatenate([-positive[::-1], positive])
 
 
-def xi_ladder_side_count(k_max: int = 14, per_octave: int = 4) -> int:
+def xi_ladder_side_count(k_max: int, per_octave: int) -> int:
     """Frequencies per side of :func:`default_xi_ladder`, without building it."""
     return _REFINE_FROM + max(0, (k_max - _REFINE_FROM) * per_octave + 1)
 
@@ -181,22 +179,15 @@ def _window_summary(xi: np.ndarray, g: np.ndarray, side: int) -> WindowSummary:
         modulus_spread=float(np.max(moduli) - np.min(moduli)),
         complex_spread=float(np.max(np.abs(g_tail - mean))),
         arg_span=float(np.max(args) - np.min(args)),
-        samples=int(g_tail.shape[0]),
     )
 
 
-def trace_symbol(
-    s: Callable,
-    omega: float,
-    xi_samples: Optional[Sequence[float]] = None,
-) -> SymbolTrace:
+def trace_symbol(s: Callable, omega: float, xi_samples: Sequence[float]) -> SymbolTrace:
     """Evaluate both transforms along a signed ladder and summarize the tails.
 
     Each side is summarized over its :data:`MIN_WINDOW` highest frequencies;
     a side with fewer raises :class:`InsufficientDataError`.
     """
-    if xi_samples is None:
-        xi_samples = default_xi_ladder()
     xi = np.asarray(sorted(xi_samples), dtype=float)
     s1 = np.empty(xi.shape, dtype=complex)
     s0 = np.empty(xi.shape, dtype=complex)
@@ -206,7 +197,6 @@ def trace_symbol(
     plus = _window_summary(xi[xi > 0], g[xi > 0], +1)
     minus = _window_summary(xi[xi < 0], g[xi < 0], -1)
     return SymbolTrace(
-        omega=float(omega),
         xi_samples=xi,
         s_tilde=s0,
         s_tilde1=s1,
@@ -241,26 +231,14 @@ class BoundednessReport:
     sup_value: float
     trend_slope: float
     classification: str  # "bounded" or "growing"
-    xi_samples: np.ndarray
-    indicator: np.ndarray
-
-    def __post_init__(self):
-        self.xi_samples.setflags(write=False)
-        self.indicator.setflags(write=False)
 
 
-def boundedness_indicator(
-    s: Callable,
-    omega: float,
-    xi_ladder: Optional[Sequence[float]] = None,
-) -> BoundednessReport:
+def boundedness_indicator(s: Callable, omega: float, xi_ladder: Sequence[float]) -> BoundednessReport:
     """Evidence for boundedness of the operator via ``sup |xi s_tilde(xi)|``.
 
     Fits the log-log slope of ``|xi s_tilde(xi)|`` over the outer half of the
     ladder; a slope above :data:`GROWTH_SLOPE` classifies as "growing".
     """
-    if xi_ladder is None:
-        xi_ladder = default_xi_ladder()
     xi = np.asarray(sorted(xi_ladder, key=abs), dtype=float)
     xi = xi[xi != 0]
     vals = np.empty(xi.shape, dtype=float)
@@ -274,8 +252,6 @@ def boundedness_indicator(
         sup_value=float(np.max(vals)),
         trend_slope=slope,
         classification=label,
-        xi_samples=xi,
-        indicator=vals,
     )
 
 

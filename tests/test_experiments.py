@@ -196,7 +196,7 @@ def test_profile_csv_headers(tmp_path):
 
     grid = make_grid(1.0, 24)
     pair = split_given_basis(_phi_plus(grid, build_fractional(grid, 1.0).entries))
-    prof = profile(pair, [0.5, 0.25], x_samples=5, power_x_samples=5)
+    prof = profile(pair, [0.5, 0.25])
     p1 = tmp_path / "profile.csv"
     p2 = tmp_path / "r.csv"
     _write_profile(prof, p1)
@@ -223,9 +223,9 @@ def test_profile_csv_headers(tmp_path):
 
 def test_trace_csv_header(tmp_path):
     from triangulab.experiments import _write_trace
-    from triangulab.symbol import trace_symbol
+    from triangulab.symbol import default_xi_ladder, trace_symbol
 
-    trace = trace_symbol(lambda t: 1.0, 1.0)
+    trace = trace_symbol(lambda t: 1.0, 1.0, default_xi_ladder(14, 4))
     path = tmp_path / "trace.csv"
     _write_trace(trace, path)
     lines = path.read_text().splitlines()

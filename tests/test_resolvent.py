@@ -16,6 +16,7 @@ from triangulab.operators import (
     as_entries,
     build_ebeta_operator,
     build_fractional,
+    real_if_real,
     split_given_basis,
     split_schur,
 )
@@ -113,20 +114,33 @@ def test_c_norm_validates_arguments():
         c_norm(split_given_basis(complex_diag), 0.5j, 1)
 
 
+def _window(pair, size):
+    # size x samples over the profile's search window around the diagonal
+    diag = pair.diagonal.real
+    return np.linspace(diag.min() - 1.0, diag.max() + 1.0, size)
+
+
+def _chain_stage(pair, y, xs, n_max):
+    # the chain sweep of profile at one ladder point, on x samples of the
+    # test's choosing: V by real GEMM when it is real, as profile applies it
+    d = -y / (pair.diagonal.real[:, None] - (xs + 1j * y)[None, :])
+    return _chain_roots(real_if_real(pair.strict), d, y, n_max)
+
+
 def _assert_sweep_matches_c_norm(pair):
     # the sweep's warm power iteration against the dense-SVD route of c_norm,
     # at every power: a nonzero root is the dense maximum over the x samples,
     # and a zero one means every chain at that power is dead or certified
     # below the threshold |y|/2
     y = 0.25
-    prof = profile(pair, [y], x_samples=5, power_x_samples=5, n_max=20)
-    xs = prof.power_x_grid
+    xs = _window(pair, 5)
+    roots = _chain_stage(pair, y, xs, 20)[0]
     for k in range(1, 21):
         exact = [c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs]
-        if prof.r[k - 1, 0] == 0.0:
+        if roots[k - 1] == 0.0:
             assert max(exact) <= y / 2
         else:
-            assert prof.r[k - 1, 0] == pytest.approx(max(exact), rel=1e-5)
+            assert roots[k - 1] == pytest.approx(max(exact), rel=1e-5)
 
 
 def test_profile_estimator_matches_exact_chain_norms():
@@ -154,11 +168,13 @@ def test_profile_zero_nilpotent_part():
     t = _phi_plus(g, np.zeros((16, 16), dtype=complex))
     pair = split_given_basis(t)
     ys = [0.5, 0.25, 0.125]
-    prof = profile(pair, ys, x_samples=65)
+    prof = profile(pair, ys)
     assert np.all(prof.count_n == 0)
+    # a normal T: the resolvent norm is 1 / dist(lambda, diag)
     for j, y in enumerate(ys):
-        assert prof.envelope_m[j] == pytest.approx(1.0 / y, rel=1e-3)
-    _assert_envelope_is_dense_max(t, prof)
+        dist = np.abs(prof.x_grid[:, None] + 1j * y - g.nodes[None, :]).min(axis=1)
+        assert prof.envelope_m[j] == pytest.approx(1.0 / dist.min(), rel=1e-12)
+    _assert_envelope_is_dense_max(t, prof.x_grid, ys, prof.envelope_m, prof.envelope_x)
 
 
 def _evaluator_sweep(triangle, x_grid, y):
@@ -182,15 +198,30 @@ def _assert_matches_dense(norms, t, lams):
         assert _close_to_dense(norm, _dense_resolvent_norm(entries, lam), tnorm, lam)
 
 
-def _assert_envelope_is_dense_max(t, prof):
+def _envelope_stage(triangle, x_grid, ladder):
+    # the envelope of profile alone: one evaluator of the triangle and one
+    # sample list shared across the ladder, as profile shares them; a
+    # (maximum, its x, samples evaluated, dense) tuple per ladder point
+    evaluate, t_inf = _triangle_evaluator(triangle), float(np.linalg.norm(triangle, np.inf))
+    samples = []
+    return [_envelope(evaluate, t_inf, x_grid, y, samples) for y in ladder]
+
+
+def _assert_envelope_is_dense_max(t, x_grid, ladder, tops, x_tops):
     # exact pruning: the envelope is the maximum of the full sweep of its own
     # evaluator, first attained at the same x; oracle: that evaluator agrees
     # with the dense SVD at every sample
-    for j, y in enumerate(prof.y_grid):
-        swept = _evaluator_sweep(as_entries(t), prof.x_grid, y)
-        assert prof.envelope_m[j] == max(swept)
-        assert prof.envelope_x[j] == prof.x_grid[int(np.argmax(swept))]
-        _assert_matches_dense(swept, t, prof.x_grid + 1j * y)
+    for y, top, x_top in zip(ladder, tops, x_tops):
+        swept = _evaluator_sweep(as_entries(t), x_grid, y)
+        assert top == max(swept)
+        assert x_top == x_grid[int(np.argmax(swept))]
+        _assert_matches_dense(swept, t, x_grid + 1j * y)
+
+
+def _assert_envelope_stage_is_dense_max(t, pair, ladder):
+    x_grid = _window(pair, resolvent._X_SAMPLES)
+    tops, x_tops, *_ = zip(*_envelope_stage(pair.triangle, x_grid, ladder))
+    _assert_envelope_is_dense_max(t, x_grid, ladder, tops, x_tops)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +233,7 @@ def test_envelope_equals_dense_sweep(kind, beta):
     g = make_grid(1.0, 64)
     v = build_fractional(g, beta) if kind == "fractional" else build_ebeta_operator(g, EbetaSpec(beta))
     t = _phi_plus(g, v.entries)
-    # the envelope does not read the chain sweep, so keep that short
-    prof = profile(split_given_basis(t), _default_ladder(kind, beta), n_max=4, power_x_samples=5)
-    _assert_envelope_is_dense_max(t, prof)
+    _assert_envelope_stage_is_dense_max(t, split_given_basis(t), _default_ladder(kind, beta))
 
 
 def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
@@ -228,13 +257,13 @@ def test_envelope_equals_dense_sweep_on_random_nonnormal_matrix():
         _assert_matches_dense(swept, a, x_grid + 1j * y)
 
 
-def test_envelope_skips_samples_on_the_default_fractional_ladder():
-    t, pair = _phi_plus_fractional(64, 1.0)
-    prof = profile(pair, _default_ladder("fractional", 1.0), n_max=4, power_x_samples=5)
-    assert prof.envelope_evals.dtype.kind == "i"
+def test_envelope_skips_samples_on_the_default_fractional_ladder(default_fractional_profile):
+    prof = default_fractional_profile
+    for arr in (prof.envelope_evals, prof.envelope_fallbacks):
+        assert arr.dtype.kind == "i"
     assert np.all(prof.envelope_evals >= 1)
     assert np.all(prof.envelope_evals < prof.x_grid.size)
-    for arr in (prof.envelope_x, prof.envelope_evals):
+    for arr in (prof.envelope_x, prof.envelope_evals, prof.envelope_fallbacks):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -244,18 +273,19 @@ def test_envelope_carries_bounds_across_the_ladder():
     # the ladder takes fewer evaluations than a fresh sample list per point
     t, pair = _phi_plus_fractional(64, 1.0)
     ladder = _default_ladder("fractional", 1.0)
-    prof = profile(pair, ladder, n_max=4, power_x_samples=5)
+    x_grid = _window(pair, resolvent._X_SAMPLES)
+    tops, x_tops, evals, _ = zip(*_envelope_stage(t.entries, x_grid, ladder))
     evaluate, t_inf = _triangle_evaluator(t.entries), float(np.linalg.norm(t.entries, np.inf))
-    per_line = sum(_envelope(evaluate, t_inf, prof.x_grid, y, [])[2] for y in ladder)
-    assert prof.envelope_evals.sum() < per_line
-    _assert_envelope_is_dense_max(t, prof)
+    per_line = sum(_envelope(evaluate, t_inf, x_grid, y, [])[2] for y in ladder)
+    assert sum(evals) < per_line
+    _assert_envelope_is_dense_max(t, x_grid, ladder, tops, x_tops)
 
 
 def test_envelope_raises_on_a_sample_inside_the_spectrum():
-    # x_samples=5 puts the grid at -1, 0, 1, 2, 3: two samples sit on eigenvalues
+    # the grid -1, 0, 1, 2, 3: two samples sit on eigenvalues
     t = np.diag([0.0, 2.0]).astype(complex)
     with pytest.raises(NearSingularError):
-        profile(split_given_basis(t), [1e-300], x_samples=5)
+        _envelope_stage(t, np.linspace(-1.0, 3.0, 5), [1e-300])
 
 
 def _steep_triangle():
@@ -396,43 +426,35 @@ def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
     ids=["frac-1", "frac-0.5", "ebeta-2", "ebeta-0.5"],
 )
 def test_envelope_fallbacks_vanish_on_the_default_profiles(kind, beta):
-    # the criterion-6 profiles at n=256; the envelope does not read the chain sweep
+    # the envelopes of the criterion-6 profiles at n=256
     g = make_grid(1.0, 256)
     v = build_fractional(g, beta) if kind == "fractional" else build_ebeta_operator(g, EbetaSpec(beta))
     pair = split_given_basis(_phi_plus(g, v.entries))
-    prof = profile(pair, _default_ladder(kind, beta), n_max=2, power_x_samples=3)
-    assert prof.envelope_fallbacks.dtype.kind == "i"
-    np.testing.assert_array_equal(prof.envelope_fallbacks, np.zeros(prof.y_grid.size))
-    with pytest.raises(ValueError):
-        prof.envelope_fallbacks[0] = 1
-
-
-@pytest.mark.parametrize("name", ["n_max", "x_samples", "power_x_samples"])
-def test_profile_rejects_empty_sample_counts(name):
-    t, pair = _phi_plus_fractional(16, 1.0)
-    with pytest.raises(ValueError, match=name):
-        profile(pair, [0.5, 0.25], **{name: 0})
-
-
-def test_profile_rejects_n_max_above_the_dimension():
-    # B^n = 0 for the n x n strict triangle, so powers past n are all zero
-    t, pair = _phi_plus_fractional(16, 1.0)
-    assert profile(pair, [0.5], n_max=16, x_samples=3).r.shape == (16, 1)
-    with pytest.raises(ValueError, match="n_max"):
-        profile(pair, [0.5], n_max=17, x_samples=3)
+    envelopes = _envelope_stage(pair.triangle, _window(pair, resolvent._X_SAMPLES), _default_ladder(kind, beta))
+    assert [dense for *_, dense in envelopes] == [0] * 9
 
 
 def test_profile_counts_are_bounded_integers():
     t, pair = _phi_plus_fractional(48, 1.0)
-    prof = profile(pair, [0.5, 0.25], x_samples=9, power_x_samples=9)
+    prof = profile(pair, [0.5, 0.25])
     assert prof.count_n.dtype.kind == "i"
-    assert np.all(prof.count_n <= prof.n_max)
+    assert np.all(prof.count_n < 48)
+
+
+def test_profile_samples_are_fixed_and_counts_stay_below_the_dimension(default_fractional_profile):
+    # every power up to the dimension n = 64 is swept, and B^n = 0 leaves the
+    # last row of r at zero, so no count reaches the dimension
+    prof = default_fractional_profile
+    assert prof.x_grid.size == 64 and prof.power_x_grid.size == 33
+    assert prof.r.shape == (64, 9)
+    assert prof.count_n.max() < 64
+    np.testing.assert_array_equal(prof.r[63], np.zeros(9))
 
 
 def test_profile_counts_vanish_above_chain_ceiling():
     # once |y|/2 exceeds every r_n the count is zero
     t, pair = _phi_plus_fractional(32, 1.0)
-    prof = profile(pair, [8.0], x_samples=9, power_x_samples=9)
+    prof = profile(pair, [8.0])
     assert prof.count_n[0] == 0
 
 
@@ -441,13 +463,14 @@ def test_profile_envelope_is_the_same_for_any_split():
     # so only the envelope is compared across splits
     t, pair = _phi_plus_fractional(64, 1.0)
     ys = [0.5, 0.25, 0.125]
-    given = profile(pair, ys, n_max=4, power_x_samples=5)
-    schur = profile(split_schur(t), ys, n_max=4, power_x_samples=5)
-    np.testing.assert_allclose(schur.envelope_m, given.envelope_m, rtol=1e-12, atol=0.0)
-    np.testing.assert_array_equal(
-        np.searchsorted(schur.x_grid, schur.envelope_x),
-        np.searchsorted(given.x_grid, given.envelope_x),
-    )
+    tops, indices = [], []
+    for split in (pair, split_schur(t)):
+        x_grid = _window(split, resolvent._X_SAMPLES)
+        top, x_top, *_ = zip(*_envelope_stage(split.triangle, x_grid, ys))
+        tops.append(top)
+        indices.append(np.searchsorted(x_grid, x_top))
+    np.testing.assert_allclose(tops[1], tops[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(indices[1], indices[0])
 
 
 def test_profile_envelope_fit_does_not_overflow():
@@ -458,7 +481,7 @@ def test_profile_envelope_fit_does_not_overflow():
     t = np.diag(np.linspace(0.0, 1.0, n)) + 0.25 * np.tril(
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1
     )
-    prof = profile(split_given_basis(t), [0.5, 0.25, 0.125], x_samples=9, power_x_samples=9)
+    prof = profile(split_given_basis(t), [0.5, 0.25, 0.125])
     np.testing.assert_array_equal(prof.count_n, [30, 31, 31])
     assert math.isfinite(prof.envelope_violation)
 
@@ -468,8 +491,8 @@ def test_profile_of_a_real_operator_is_symmetric_in_y():
     # ladder gives the same tables and fits in |y|
     t, pair = _phi_plus_fractional(32, 1.0)
     ys = [0.5, 0.25, 0.125, 0.0625]
-    up = profile(pair, ys, x_samples=9, power_x_samples=9)
-    down = profile(pair, [-y for y in ys], x_samples=9, power_x_samples=9)
+    up = profile(pair, ys)
+    down = profile(pair, [-y for y in ys])
     np.testing.assert_array_equal(down.count_n, up.count_n)
     np.testing.assert_allclose(down.envelope_m, up.envelope_m, rtol=1e-12)
     assert down.fitted_p == pytest.approx(up.fitted_p, rel=1e-9)
@@ -490,15 +513,15 @@ def test_profile_rejects_zero_ladder_point():
 def test_fitted_p_reproducible_on_disjoint_half_ladders():
     t, pair = _phi_plus_fractional(128, 1.0)
     full = [2.0 ** (-e / 3.0) for e in range(9)]
-    prof_a = profile(pair, full[0::2], x_samples=33, power_x_samples=17)
-    prof_b = profile(pair, full[1::2], x_samples=33, power_x_samples=17)
+    prof_a = profile(pair, full[0::2])
+    prof_b = profile(pair, full[1::2])
     assert abs(prof_a.fitted_p - prof_b.fitted_p) <= 0.3
 
 
 # ---------------------------------------------------------------- classification
 
 
-def _synthetic_profile(ys, counts, envelopes, n_max=256):
+def _synthetic_profile(ys, counts, envelopes):
     ys = np.asarray(ys, dtype=float)
     counts = np.asarray(counts, dtype=int)
     envelopes = np.asarray(envelopes, dtype=float)
@@ -506,8 +529,7 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
         y_grid=ys,
         x_grid=np.linspace(-1, 2, 5),
         power_x_grid=np.linspace(-1, 2, 5),
-        n_max=n_max,
-        r=np.zeros((min(n_max, 16), ys.size)),
+        r=np.zeros((16, ys.size)),
         count_n=counts,
         envelope_m=envelopes,
         envelope_x=np.zeros(ys.size),
@@ -519,22 +541,21 @@ def _synthetic_profile(ys, counts, envelopes, n_max=256):
 
 
 def test_profile_tables_alone_give_saturation_and_fits():
-    # N(y) = 4/|y| (p = 1) reaches n_max = 64 at the last rung; ln M(y) = 2 |y|^(-1/2) (q = 1/2)
+    # N(y) = 4/|y| (p = 1); ln M(y) = 2 |y|^(-1/2) (q = 1/2)
     ys = 2.0 ** -np.arange(5.0)
     counts = np.rint(4.0 / ys).astype(int)
-    prof = _synthetic_profile(ys, counts, np.exp(2.0 / np.sqrt(ys)), n_max=64)
-    np.testing.assert_array_equal(prof.saturated, [False, False, False, False, True])
+    prof = _synthetic_profile(ys, counts, np.exp(2.0 / np.sqrt(ys)))
     assert prof.fitted_p == pytest.approx(1.0, abs=1e-12)
     assert prof.fitted_q == pytest.approx(0.5, abs=1e-12)
     # an envelope on the bound (C/|y|) (M/|y|)^N itself, C = 3 and M = 1.5, exceeds it by no factor
-    on_bound = _synthetic_profile(ys, counts, (3.0 / ys) * (1.5 / ys) ** counts, n_max=64)
+    on_bound = _synthetic_profile(ys, counts, (3.0 / ys) * (1.5 / ys) ** counts)
     assert on_bound.envelope_violation == pytest.approx(1.0, abs=1e-9)
 
 
 def test_levinson_integrable_on_subcritical_law():
     ys = np.geomspace(1.0, 0.01, 8)
     counts = np.rint(np.exp(2.0 * ys ** (-0.5))).astype(int)
-    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0), n_max=10**9)
+    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0))
     verdict = levinson_classify(prof)
     assert verdict.verdict == "INTEGRABLE"
     assert verdict.p == pytest.approx(0.5, abs=0.1)
@@ -543,7 +564,7 @@ def test_levinson_integrable_on_subcritical_law():
 def test_levinson_divergent_on_supercritical_law():
     ys = np.geomspace(2.0, 0.5, 8)
     counts = np.rint(np.exp(1.0 * ys ** (-2.0))).astype(int)
-    prof = _synthetic_profile(ys, counts, np.exp(counts / 10.0), n_max=10**9)
+    prof = _synthetic_profile(ys, counts, np.exp(counts / 10.0))
     verdict = levinson_classify(prof)
     assert verdict.verdict == "DIVERGENT"
     assert verdict.p == pytest.approx(2.0, abs=0.2)
@@ -552,7 +573,7 @@ def test_levinson_divergent_on_supercritical_law():
 def test_levinson_inconclusive_near_critical():
     ys = np.geomspace(1.0, 0.1, 8)
     counts = np.rint(np.exp(3.0 * ys ** (-1.0))).astype(np.int64)
-    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0), n_max=10**18)
+    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0))
     verdict = levinson_classify(prof)
     assert verdict.verdict == "INCONCLUSIVE"
 
@@ -561,7 +582,7 @@ def test_levinson_rejects_a_negative_margin():
     # a margin of -0.5 would read this near-critical law (p close to 1) as INTEGRABLE
     ys = np.geomspace(1.0, 0.1, 8)
     counts = np.rint(np.exp(3.0 * ys ** (-1.0))).astype(np.int64)
-    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0), n_max=10**18)
+    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0))
     for margin in (-0.5, math.nan):
         with pytest.raises(ValueError, match="non-negative"):
             levinson_classify(prof, margin=margin)
@@ -574,15 +595,6 @@ def test_levinson_requires_enough_points():
     prof = _synthetic_profile(ys, counts, np.full(5, 2.0))
     with pytest.raises(InsufficientDataError):
         levinson_classify(prof)
-
-
-def test_levinson_excludes_saturated_points():
-    ys = np.geomspace(1.0, 0.1, 8)
-    counts = np.rint(np.exp(2.0 * ys ** (-0.5))).astype(int)
-    counts[-2:] = 300  # saturate the deepest rungs at n_max
-    prof = _synthetic_profile(ys, counts, np.exp(np.minimum(counts, 500) / 10.0), n_max=300)
-    verdict = levinson_classify(prof)
-    assert verdict.points_used == 6
 
 
 # ---------------------------------------------------------------- closed-form bound
@@ -654,21 +666,21 @@ def test_profile_finishes_where_power_iteration_stalls(n, seed):
     rng = np.random.default_rng(seed)
     v = 0.25 * np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
     pair = split_given_basis(np.diag(np.linspace(0.0, 1.0, n)) + v)
-    ladder = [0.5, 0.25, 0.125]
-    prof = profile(pair, ladder, x_samples=9)
-    for j, y in enumerate(ladder):
-        for k in range(1, n + 1):
-            if prof.r[k - 1, j] == 0.0:
-                continue
-            dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
-            assert prof.r[k - 1, j] == pytest.approx(dense, rel=1e-6)
-    assert prof.chain_fallbacks.sum() > 0
+    xs = _window(pair, 9)
+    fallbacks = 0
+    for y in (0.5, 0.25, 0.125):
+        roots, dense_norms, _ = _chain_stage(pair, y, xs, n)
+        fallbacks += dense_norms
+        for k in np.flatnonzero(roots) + 1:
+            dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+            assert roots[k - 1] == pytest.approx(dense, rel=1e-6)
+    assert fallbacks > 0
 
 
 @pytest.fixture(scope="module")
 def default_fractional_profile():
     t, pair = _phi_plus_fractional(64, 1.0)
-    return profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+    return profile(pair, _default_ladder("fractional", 1.0))
 
 
 def test_chain_fallbacks_vanish_on_the_default_fractional_ladder(default_fractional_profile):
@@ -764,11 +776,12 @@ def test_long_falling_chains_stay_in_the_block():
     # exceeds e^32; the reach from the chain's own norms keeps them swept
     t, pair = _phi_plus_fractional(64, 0.5)
     y = 1e-3
-    prof = profile(pair, [y], x_samples=3, power_x_samples=9)
-    assert prof.chain_fallbacks[0] == 0 and prof.count_n[0] > 50
+    xs = _window(pair, 9)
+    roots, fallbacks, _ = _chain_stage(pair, y, xs, 64)
+    assert fallbacks == 0 and np.sum(roots > y / 2) > 50
     for k in (30, 58):
-        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
-        assert prof.r[k - 1, 0] == pytest.approx(dense, rel=1e-7)
+        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
 
 
 def test_dense_log_norm_survives_a_subnormal_power_norm():
@@ -834,14 +847,15 @@ def test_certificate_keeps_a_chain_that_crosses_after_a_long_dip():
     # at K = 11 the closure cannot rule power 12 out
     gaps = np.log(exact[:11]) * np.arange(1, 12) - np.arange(1, 12) * (math.log(y / 2) - 1e-8)
     assert not resolvent._certified_below(gaps[None, :], n)[0]
-    # S = 0 and lambda = x + iy: the x = 0 sample has d = -i, so B = -i V there
+    # S = 0 and lambda = x + iy on x = -1, 0, 1: the x = 0 sample has d = -i, so B = -i V there
     pair = split_given_basis(v.astype(complex))
-    prof = profile(pair, [y], x_samples=3, power_x_samples=3)
-    np.testing.assert_allclose(prof.r[:, 0], exact, rtol=1e-12, atol=0.0)
+    xs = _window(pair, 3)
+    roots = _chain_stage(pair, y, xs, n)[0]
+    np.testing.assert_allclose(roots, exact, rtol=1e-12, atol=0.0)
     for k in range(1, n):
-        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in prof.power_x_grid)
-        assert prof.r[k - 1, 0] == pytest.approx(dense, rel=1e-10)
-    assert prof.count_n[0] == 1 + int(np.sum(exact[:11] > y / 2))
+        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        assert roots[k - 1] == pytest.approx(dense, rel=1e-10)
+    assert np.sum(roots > y / 2) == 1 + int(np.sum(exact[:11] > y / 2))
 
 
 def _count_power_steps(monkeypatch):
@@ -879,7 +893,7 @@ def test_certificate_settles_columns_early_on_the_default_fractional_ladder(monk
     # against 507 after 4), without it most need a 4th (652 against 1,404)
     calls = _count_power_steps(monkeypatch)
     t, pair = _phi_plus_fractional(64, 1.0)
-    profile(pair, _default_ladder("fractional", 1.0), power_x_samples=33)
+    profile(pair, _default_ladder("fractional", 1.0))
     exits = np.zeros(61, dtype=int)
     for k, widths in calls:
         # every step is 2k products on one block
@@ -898,9 +912,7 @@ def test_certificate_settles_columns_early_on_the_default_fractional_ladder(monk
 @given(triangular_operators())
 def test_profile_envelope_is_the_dense_maximum_on_random_operators(case):
     a, ladder = case
-    # the envelope does not read the chain sweep, so keep that short
-    prof = profile(split_given_basis(a), ladder, n_max=1, power_x_samples=2)
-    _assert_envelope_is_dense_max(a, prof)
+    _assert_envelope_stage_is_dense_max(a, split_given_basis(a), ladder)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

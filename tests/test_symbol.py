@@ -24,6 +24,7 @@ from triangulab.symbol import (
 )
 
 OMEGA = 1.0
+LADDER = default_xi_ladder(14, 4)  # at the config defaults of ladder.xi_k_max and xi_per_octave
 
 
 def closed_form_one(xi):
@@ -111,10 +112,9 @@ def test_imaginary_power_argument_drift_is_logarithmic():
 
 
 def test_default_ladder_covers_both_sides():
-    ladder = default_xi_ladder()
-    assert np.sum(ladder > 0) >= 16
-    assert np.sum(ladder < 0) >= 16
-    assert ladder.max() == pytest.approx(2.0**14)
+    assert np.sum(LADDER > 0) >= 16
+    assert np.sum(LADDER < 0) >= 16
+    assert LADDER.max() == pytest.approx(2.0**14)
 
 
 @pytest.mark.parametrize("k_max, per_octave", [(14, 4), (5, 4), (10, 7), (12, 1), (40, 3)])
@@ -125,7 +125,7 @@ def test_ladder_side_count_matches_the_ladder(k_max, per_octave):
 
 
 def test_trace_identity_kernel_converges_to_one():
-    trace = trace_symbol(lambda t: 1.0, OMEGA)
+    trace = trace_symbol(lambda t: 1.0, OMEGA, LADDER)
     plus, minus = trace.window_plus, trace.window_minus
     assert plus.kind(0.05) == "CONVERGENT"
     assert minus.kind(0.05) == "CONVERGENT"
@@ -134,7 +134,7 @@ def test_trace_identity_kernel_converges_to_one():
 
 
 def test_trace_imaginary_power_limit_sets():
-    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
+    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA, LADDER)
     plus, minus = trace.window_plus, trace.window_minus
     assert plus.kind(0.05) == "LIMIT_SET"
     assert minus.kind(0.05) == "LIMIT_SET"
@@ -150,7 +150,7 @@ def test_trace_symbol_requires_enough_samples():
 
 
 def test_side_kind_requires_positive_tol():
-    side = trace_symbol(lambda t: 1.0, OMEGA).window_plus
+    side = trace_symbol(lambda t: 1.0, OMEGA, LADDER).window_plus
     for tol in (0.0, -0.05, float("nan")):
         with pytest.raises(ValueError):
             side.kind(tol)
@@ -215,19 +215,19 @@ def test_prop54_consistent_with_trace_triangle_inequality():
 
 
 def test_boundedness_imaginary_power_is_bounded():
-    report = boundedness_indicator(imaginary_power_kernel(1.0), OMEGA)
+    report = boundedness_indicator(imaginary_power_kernel(1.0), OMEGA, LADDER)
     assert report.classification == "bounded"
 
 
 def test_boundedness_linear_kernel_bounded_with_closed_form():
-    report = boundedness_indicator(lambda t: t, OMEGA)
+    report = boundedness_indicator(lambda t: t, OMEGA, LADDER)
     assert report.classification == "bounded"
     # |xi s_tilde| has the closed form |omega e^{i omega xi} - s_tilde(1)| style bound of order 1
     assert report.sup_value <= 2.0 * OMEGA + 1.0
 
 
 def test_boundedness_inverse_sqrt_grows():
-    report = boundedness_indicator(lambda t: t**-0.5, OMEGA)
+    report = boundedness_indicator(lambda t: t**-0.5, OMEGA, LADDER)
     assert report.classification == "growing"
     assert report.trend_slope == pytest.approx(0.5, abs=0.1)
 
@@ -236,7 +236,7 @@ def test_boundedness_inverse_sqrt_grows():
 
 
 def test_witness_fires_for_imaginary_power():
-    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
+    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA, LADDER)
     verdict = non_triangular_witness(trace)
     assert verdict.verdict == "NOT_SV_TRIANGULAR"
     expected_gap = math.exp(math.pi / 2.0) - math.exp(-math.pi / 2.0)
@@ -244,16 +244,16 @@ def test_witness_fires_for_imaginary_power():
 
 
 def test_witness_silent_for_identity_kernel():
-    trace = trace_symbol(lambda t: 1.0, OMEGA)
+    trace = trace_symbol(lambda t: 1.0, OMEGA, LADDER)
     assert non_triangular_witness(trace).verdict == "INCONCLUSIVE"
 
 
 def test_witness_silent_for_zero_order():
-    trace = trace_symbol(imaginary_power_kernel(0.0), OMEGA)
+    trace = trace_symbol(imaginary_power_kernel(0.0), OMEGA, LADDER)
     assert non_triangular_witness(trace).verdict == "INCONCLUSIVE"
 
 
 def test_witness_accepts_explicit_tol():
-    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA)
+    trace = trace_symbol(imaginary_power_kernel(1.0), OMEGA, LADDER)
     verdict = non_triangular_witness(trace, tol=0.2)
     assert verdict.verdict == "NOT_SV_TRIANGULAR"
