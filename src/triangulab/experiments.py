@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -91,18 +90,12 @@ def _non_negative(where: str, value) -> float:
     return value
 
 
-def _integer(where: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _integer_in(low: float = -math.inf, high: float = math.inf) -> Callable:
+def _integer_in(low: int) -> Callable:
     def check(where: str, value) -> int:
-        if _integer(where, value) < low:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if value < low:
             raise ConfigError(f"{where} must be at least {low}, got {value}")
-        if value > high:
-            raise ConfigError(f"{where} must be at most {high}, got {value}")
         return value
     return check
 
@@ -128,16 +121,11 @@ def _path(where: str, value) -> str:
     return value
 
 
-# tolerance key -> (default, validator); witness_tol None is 5% of the
-# larger side modulus of the symbol (symbol.non_triangular_witness)
+# tolerance key -> (default, validator)
 _TOLERANCES = {
     "sigma_distance": (1e-8, _number),
     "mapping_distance": (1e-6, _number),
     "vf_radius": (1e-6, _number),
-    "semigroup_rel": (5e-2, _number),
-    # the witness compares separations against witness_tol, so it must be positive
-    "witness_tol": (None, _positive),
-    "noise_eps": (1e-12, _number),
     # a negative margin turns the INCONCLUSIVE band inside out
     "levinson_margin": (res.LEVINSON_MARGIN, _non_negative),
 }
@@ -152,18 +140,20 @@ _SCHEMA = {
     ("kernel", "alpha"): ("alpha", _number),
     ("kernel", "s"): ("s_preset", _preset),
     ("ladder", "y"): ("y_ladder", _y_ladder),
-    # the top frequency 2**xi_k_max must be a finite double
-    ("ladder", "xi_k_max"): ("xi_k_max", _integer_in(high=sys.float_info.max_exp - 1)),
-    ("ladder", "xi_per_octave"): ("xi_per_octave", _integer_in(1)),
     **{("tolerances", key): ("tolerances", check) for key, (_, check) in _TOLERANCES.items()},
-    ("seed",): ("seed", _integer),
+    ("seed",): ("seed", _integer_in(0)),
     ("output_dir",): ("output_dir", _path),
     ("cache_dir",): ("cache_dir", _path),
 }
 _SECTIONS = {path[0] for path in _SCHEMA if len(path) == 2}
-# bounds the symbol ladder's size; the default xi_per_octave reaches 4,063
-# frequencies per side at the largest xi_k_max (1023)
-_MAX_XI_PER_SIDE = 4096
+# key path -> why a config that still sets it is refused
+_REMOVED = {
+    ("ladder", "xi_k_max"): "the symbol experiments use the fixed ladder symbol.XI_LADDER",
+    ("ladder", "xi_per_octave"): "the symbol experiments use the fixed ladder symbol.XI_LADDER",
+    ("tolerances", "noise_eps"): "the annulus probe uses the fixed size spectral.NOISE_EPS",
+    ("tolerances", "semigroup_rel"): "the semigroup defect threshold is fixed at 5e-2",
+    ("tolerances", "witness_tol"): "the witness uses 5% of the larger side modulus of the symbol",
+}
 
 
 def _config_items(raw: dict):
@@ -189,8 +179,6 @@ class ExperimentConfig:
     alpha: float = 1.0
     s_preset: Optional[str] = None
     y_ladder: Optional[tuple] = None
-    xi_k_max: int = 14
-    xi_per_octave: int = 4
     tolerances: dict = field(default_factory=dict)
     seed: int = 2024
     output_dir: str = "triangulab-out"
@@ -205,6 +193,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {sorted(REGISTRY)}, got {name!r}")
         kwargs: dict = {"experiment": name, "tolerances": {}}
         for path, value in _config_items(raw):
+            if path in _REMOVED:
+                raise ConfigError(f"config key {'.'.join(path)!r} was removed: {_REMOVED[path]}")
             if path not in _SCHEMA:
                 raise ConfigError(f"unknown config key {'.'.join(path)!r}")
             attr, validate = _SCHEMA[path]
@@ -213,17 +203,9 @@ class ExperimentConfig:
                 kwargs["tolerances"][path[1]] = value
             else:
                 kwargs[attr] = value
-        config = cls(**kwargs)
-        per_side = sym.xi_ladder_side_count(config.xi_k_max, per_octave=config.xi_per_octave)
-        if not sym.MIN_WINDOW <= per_side <= _MAX_XI_PER_SIDE:
-            raise ConfigError(
-                f"ladder.xi_k_max {config.xi_k_max} at xi_per_octave {config.xi_per_octave} gives"
-                f" {per_side} frequencies per side; the limit-set window needs {sym.MIN_WINDOW}"
-                f" and at most {_MAX_XI_PER_SIDE} are allowed"
-            )
-        return config
+        return cls(**kwargs)
 
-    def tol(self, key: str) -> Optional[float]:
+    def tol(self, key: str) -> float:
         return self.tolerances.get(key, _TOLERANCES[key][0])
 
 
@@ -576,7 +558,7 @@ def _exp_semigroup_ebeta(config: ExperimentConfig, outdir: str):
             operator_norm(matmul(ops[a], ops[b]) - ops[a + b]) / norms[a + b] for a, b in pairs
         )
     checks = [
-        at_most("semigroup-defect-at-256", worst[256], config.tol("semigroup_rel")),
+        at_most("semigroup-defect-at-256", worst[256], 5e-2),
         ("semigroup-defect-decreasing", worst[256], worst[64], worst[64] > worst[128] > worst[256]),
     ]
     _write_csv(os.path.join(outdir, "semigroup.csv"), "n,worst_rel_defect", worst.items())
@@ -637,8 +619,7 @@ def _ring_radii(alpha: float) -> tuple:
 def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
     preset = config.s_preset or "imaginary_power"
     s = KernelSpec.preset(preset, config.alpha).s
-    ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
-    trace = sym.trace_symbol(s, config.omega, ladder)
+    trace = sym.trace_symbol(s, config.omega, sym.XI_LADDER)
     _write_trace(trace, os.path.join(outdir, "trace.csv"))
     checks = []
     if preset != "imaginary_power":
@@ -683,7 +664,6 @@ def _exp_prop54(config: ExperimentConfig, outdir: str):
 
 
 def _exp_boundedness(config: ExperimentConfig, outdir: str):
-    ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     cases = [
         ("imaginary_power", "bounded"),
         ("linear", "bounded"),
@@ -692,7 +672,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str):
     checks = []
     rows = []
     for preset, expected in cases:
-        report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, ladder)
+        report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, sym.XI_LADDER)
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
         passed = report.classification == expected
         checks.append((f"{preset}-classified-{expected}", report.trend_slope, sym.GROWTH_SLOPE, passed))
@@ -705,12 +685,11 @@ def _exp_annulus(config: ExperimentConfig, outdir: str):
     n = config.n or 2048
     plus, minus = _ring_radii(alpha)
     outer = max(plus, minus)
-    eps = config.tol("noise_eps")
     moduli_by_size = {}
     for size in (512, 1024, n):
         grid = make_grid(config.omega, size)
         op = build_imaginary_fractional(grid, alpha)
-        eigs = spec.eigenvalues_with_machine_noise(op, eps=eps, seed=config.seed)
+        eigs = spec.eigenvalues_with_machine_noise(op, seed=config.seed)
         moduli_by_size[size] = np.abs(eigs)
     main = float(moduli_by_size[n].max())
     checks = [
@@ -731,11 +710,10 @@ def _exp_annulus(config: ExperimentConfig, outdir: str):
         checks.append(at_most(f"symbol-modulus-at-xi-{xi:+.0f}", rel, 0.02))
     rows = [(size, moduli_by_size[size].max(), moduli_by_size[size].min()) for size in sizes]
     _write_csv(os.path.join(outdir, "eigen_moduli.csv"), "n,max_modulus,min_modulus", rows)
-    return checks, dict(n=n, alpha=alpha, eps=eps)
+    return checks, dict(n=n, alpha=alpha, eps=spec.NOISE_EPS)
 
 
 def _exp_witness(config: ExperimentConfig, outdir: str):
-    ladder = sym.default_xi_ladder(config.xi_k_max, per_octave=config.xi_per_octave)
     cases = (
         # check name, echo key, kernel, expected verdict
         ("imaginary-order-witness-fires", "imaginary_power",
@@ -746,8 +724,8 @@ def _exp_witness(config: ExperimentConfig, outdir: str):
     checks = []
     verdicts = {}
     for name, key, kernel, expected in cases:
-        trace = sym.trace_symbol(kernel.s, config.omega, ladder)
-        verdict = sym.non_triangular_witness(trace, tol=config.tol("witness_tol"))
+        trace = sym.trace_symbol(kernel.s, config.omega, sym.XI_LADDER)
+        verdict = sym.non_triangular_witness(trace)
         verdicts[key] = verdict.verdict
         checks.append((name, verdict.separation, verdict.tol, verdict.verdict == expected))
     return checks, dict(alpha=config.alpha, verdicts=verdicts)

@@ -334,10 +334,15 @@ def operator_norm(t) -> float:
 
     Entries with no imaginary part, and a raw real array, go to LAPACK as a
     real array (:func:`real_if_real`).  A product whose norm is taken here
-    comes from :func:`matmul` (README, "Performance").
+    comes from :func:`matmul` (README, "Performance").  An infinite or NaN
+    entry, which scipy's own finite check rejects, raises
+    :class:`NumericalError`.
     """
     entries = t.entries if isinstance(t, OperatorMatrix) else t
-    return float(scipy.linalg.svdvals(real_if_real(entries))[0])
+    try:
+        return float(scipy.linalg.svdvals(real_if_real(entries))[0])
+    except ValueError as exc:
+        raise NumericalError(f"operator norm of a non-finite matrix: {exc}") from exc
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .operators import as_entries, split_schur
 
 __all__ = [
     "MappingReport",
+    "NOISE_EPS",
     "eigenvalues_with_machine_noise",
     "macaev_norm",
     "schatten_norm",
@@ -33,8 +34,11 @@ __all__ = [
 ]
 
 
-def eigenvalues_with_machine_noise(t, eps: float, seed: int) -> np.ndarray:
-    """Eigenvalues of ``T + E`` for a seeded perturbation of relative size ``eps``.
+NOISE_EPS = 1e-12  # size of the probe's perturbation relative to the largest entry
+
+
+def eigenvalues_with_machine_noise(t, seed: int) -> np.ndarray:
+    """Eigenvalues of ``T + E`` for a seeded perturbation of relative size :data:`NOISE_EPS`.
 
     Exactly triangular matrices deflate to their diagonal in any dense
     eigensolver, which hides the pseudospectral set a backward-stable
@@ -45,7 +49,7 @@ def eigenvalues_with_machine_noise(t, eps: float, seed: int) -> np.ndarray:
     n = entries.shape[0]
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    scale = eps * float(np.max(np.abs(entries))) / float(np.max(np.abs(noise)))
+    scale = NOISE_EPS * float(np.max(np.abs(entries))) / float(np.max(np.abs(noise)))
     return np.linalg.eigvals(entries + scale * noise)
 
 

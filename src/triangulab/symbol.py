@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,8 +35,7 @@ __all__ = [
     "transform",
     "weighted_transform",
     "trace_symbol",
-    "default_xi_ladder",
-    "xi_ladder_side_count",
+    "XI_LADDER",
     "MIN_WINDOW",
     "GROWTH_SLOPE",
     "prop54_residual",
@@ -140,26 +139,13 @@ class SymbolTrace:
             arr.setflags(write=False)
 
 
-_REFINE_FROM = 10  # first ladder exponent refined to per_octave points per octave
-
-
-def default_xi_ladder(k_max: int, per_octave: int) -> np.ndarray:
-    """Signed geometric ladder ``+-2^k`` refined near the top.
-
-    Integer exponents up to 10, then ``per_octave`` points per octave up to
-    ``k_max``; mirrored to negative frequencies.  The refinement supplies
-    the trailing windows the limit-set estimator needs.
-    """
-    coarse = np.arange(0, _REFINE_FROM, dtype=float)
-    fine = np.arange(_REFINE_FROM * per_octave, k_max * per_octave + 1, dtype=float) / per_octave
-    exponents = np.concatenate([coarse, fine])
-    positive = 2.0**exponents
-    return np.concatenate([-positive[::-1], positive])
-
-
-def xi_ladder_side_count(k_max: int, per_octave: int) -> int:
-    """Frequencies per side of :func:`default_xi_ladder`, without building it."""
-    return _REFINE_FROM + max(0, (k_max - _REFINE_FROM) * per_octave + 1)
+# The frequency ladder of every symbol experiment: ``+-2^k`` for the integer
+# exponents 0..9, then four points per octave from 2^10 to 2^14, mirrored to
+# negative frequencies; 27 per side.  The refinement near the top supplies the
+# trailing windows the limit-set estimator needs.
+_XI_POSITIVE = 2.0 ** np.concatenate([np.arange(10.0), np.arange(40.0, 57.0) / 4.0])
+XI_LADDER = np.concatenate([-_XI_POSITIVE[::-1], _XI_POSITIVE])
+XI_LADDER.setflags(write=False)
 
 
 def _window_summary(xi: np.ndarray, g: np.ndarray, side: int) -> WindowSummary:
@@ -263,19 +249,18 @@ class WitnessVerdict:
     detail: str
 
 
-def non_triangular_witness(trace: SymbolTrace, tol: Optional[float] = None) -> WitnessVerdict:
+def non_triangular_witness(trace: SymbolTrace) -> WitnessVerdict:
     """Two-point witness against scalar-plus-compact triangular structure.
 
     Fires NOT_SV_TRIANGULAR when the two sides of the trace are separated by
     more than ``tol`` in the complex plane, or when a single side is a
     limit set whose chord (modulus times argument span) exceeds ``tol``,
     since either case exhibits two distinct limit points.  Never asserts
-    the opposite; everything else is INCONCLUSIVE.  ``tol`` defaults to 5%
-    of the larger side modulus.
+    the opposite; everything else is INCONCLUSIVE.  ``tol`` is 5% of the
+    larger side modulus.
     """
     plus, minus = trace.window_plus, trace.window_minus
-    if tol is None:
-        tol = 0.05 * max(plus.mean_modulus, minus.mean_modulus)
+    tol = 0.05 * max(plus.mean_modulus, minus.mean_modulus)
     kinds = (plus.kind(tol), minus.kind(tol))
 
     if kinds == ("CONVERGENT", "CONVERGENT"):

@@ -223,9 +223,9 @@ def test_profile_csv_headers(tmp_path):
 
 def test_trace_csv_header(tmp_path):
     from triangulab.experiments import _write_trace
-    from triangulab.symbol import default_xi_ladder, trace_symbol
+    from triangulab.symbol import XI_LADDER, trace_symbol
 
-    trace = trace_symbol(lambda t: 1.0, 1.0, default_xi_ladder(14, 4))
+    trace = trace_symbol(lambda t: 1.0, 1.0, XI_LADDER)
     path = tmp_path / "trace.csv"
     _write_trace(trace, path)
     lines = path.read_text().splitlines()

@@ -211,7 +211,7 @@ def test_imaginary_fractional_upper_triangle_exact_zero():
 def test_imaginary_fractional_noise_probe_stays_in_ring():
     g = make_grid(1.0, 512)
     op = build_imaginary_fractional(g, 1.0)
-    moduli = np.abs(eigenvalues_with_machine_noise(op, eps=1e-12, seed=7))
+    moduli = np.abs(eigenvalues_with_machine_noise(op, seed=7))
     assert moduli.max() <= math.exp(math.pi / 2.0) + 0.15
 
 
@@ -223,7 +223,7 @@ def test_imaginary_fractional_noise_probe_stays_in_ring():
 def test_imaginary_fractional_radius_lower_bound_at_512():
     g = make_grid(1.0, 512)
     op = build_imaginary_fractional(g, 1.0)
-    moduli = np.abs(eigenvalues_with_machine_noise(op, eps=1e-12, seed=7))
+    moduli = np.abs(eigenvalues_with_machine_noise(op, seed=7))
     assert moduli.max() >= math.exp(math.pi / 2.0) - 0.5
 
 
@@ -433,6 +433,14 @@ def test_operator_norm_keeps_a_tiny_imaginary_part_complex(monkeypatch):
     seen = _svdvals_inputs(monkeypatch)
     operator_norm(a)
     assert [x.dtype for x in seen] == [np.complex128]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, math.nan)], ids=["inf", "nan", "complex-nan"])
+def test_operator_norm_of_a_non_finite_matrix_is_a_numerical_error(bad):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        operator_norm(a)
 
 
 def test_save_load_roundtrip():
