@@ -117,6 +117,15 @@ def test_default_ladder_covers_both_sides():
         XI_LADDER[0] = 0.0
 
 
+@pytest.mark.parametrize("k_max, per_octave", [(14, 4)])
+def test_ladder_side_count_matches_the_ladder(k_max, per_octave):
+    # integer exponents below 10, then per_octave points per octave up to k_max
+    exponents = np.concatenate([np.arange(0.0, 10.0), np.arange(10 * per_octave, k_max * per_octave + 1) / per_octave])
+    count = 10 + (k_max - 10) * per_octave + 1
+    assert count == np.sum(XI_LADDER > 0) == np.sum(XI_LADDER < 0)
+    np.testing.assert_array_equal(XI_LADDER[count:], 2.0**exponents)
+
+
 def test_trace_identity_kernel_converges_to_one():
     trace = trace_symbol(lambda t: 1.0, OMEGA, XI_LADDER)
     plus, minus = trace.window_plus, trace.window_minus
