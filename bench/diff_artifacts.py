@@ -51,10 +51,12 @@ def _check_values(path: Path) -> dict:
     return {c["name"]: c["value"] for c in checks}
 
 
-def _rel_change(a: float, b: float) -> float:
+def _rel_change(a, b) -> float:
+    """Relative change from ``a`` to ``b``; ``inf`` when either is not finite
+    (``None`` is the ``null`` that ``summary.json`` writes for NaN and inf)."""
     if a == b:
         return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if a is None or b is None or not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
     return abs(a - b) / max(abs(a), abs(b))
 

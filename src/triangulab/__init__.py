@@ -25,7 +25,6 @@ from .specfun import (
     EbetaSpec,
     e_beta,
     e_beta_cumulative,
-    gamma_complex,
     m_moment,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "check_frequency",
     "e_beta",
     "e_beta_cumulative",
-    "gamma_complex",
     "m_moment",
     "make_grid",
     "max_frequency",

@@ -228,6 +228,18 @@ def at_least(name: str, value: float, limit: float) -> tuple:
     return name, value, limit, value >= limit
 
 
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float replaced by None (JSON ``null``):
+    strict JSON (RFC 8259) has no ``NaN`` or ``Infinity``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 @dataclass
 class Summary:
     experiment: str
@@ -253,7 +265,7 @@ class Summary:
                 for c in self.checks
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -287,7 +299,7 @@ def _write_r_table(prof: res.ResolventProfile, path) -> None:
 def _write_trace(trace: sym.SymbolTrace, path) -> None:
     """``xi``, Re/Im of both transforms and Re/Im/``|.|`` of the symbol ``g``."""
     rows = ((x, st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g))
-            for x, st, s1, g in zip(trace.xi_samples, trace.s_tilde, trace.s_tilde1, trace.g))
+            for x, st, s1, g in zip(sym.XI_LADDER, trace.s_tilde, trace.s_tilde1, trace.g))
     _write_csv(path, "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g", rows)
 
 
@@ -509,7 +521,12 @@ def _exp_fractional_powers(config: ExperimentConfig, outdir: str):
         for _ in range(m - 1):  # left to right, as numpy's matrix_power for m <= 3
             power = matmul(power, jb.entries)
         norm = operator_norm(power)
-        bound = 1.05 * omega ** (m * beta) / math.gamma(m * beta + 1.0)
+        try:  # a float power raises OverflowError; the product may still turn inf
+            bound = 1.05 * omega ** (m * beta) / math.gamma(m * beta + 1.0)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise NumericalError(f"power-norm bound omega^{m * beta:g} overflows at omega = {omega!r}")
         checks.append(at_most(f"power-norm-bound-beta{beta:g}-m{m}", norm, bound))
     return checks, dict(sizes=[64, 128, 256, 512])
 
@@ -619,15 +636,13 @@ def _ring_radii(alpha: float) -> tuple:
 def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
     preset = config.s_preset or "imaginary_power"
     s = KernelSpec.preset(preset, config.alpha).s
-    trace = sym.trace_symbol(s, config.omega, sym.XI_LADDER)
+    trace = sym.trace_symbol(s, config.omega)
     _write_trace(trace, os.path.join(outdir, "trace.csv"))
     checks = []
     if preset != "imaginary_power":
-        sym_err = max(
-            abs(trace.s_tilde[i] - np.conj(trace.s_tilde[list(trace.xi_samples).index(-x)]))
-            for i, x in enumerate(trace.xi_samples)
-            if x > 0
-        )
+        # XI_LADDER is its own mirror: the frequency at index -1 - i is -xi[i]
+        st = trace.s_tilde
+        sym_err = max(abs(st[i] - np.conj(st[-1 - i])) for i in range(st.size // 2, st.size))
         checks.append(at_most("hermitian-symmetry-real-kernel", sym_err, 1e-8))
     if preset == "one":
         plus, minus = trace.window_plus, trace.window_minus
@@ -643,7 +658,7 @@ def _exp_symbol_trace(config: ExperimentConfig, outdir: str):
         checks.append(at_most("side-moduli-match-ring-radii", err, 0.02 * max(plus, minus)))
     if not checks:
         checks.append(("trace-completed", 0.0, 1.0, True))
-    return checks, dict(preset=preset, samples=len(trace.xi_samples))
+    return checks, dict(preset=preset, samples=len(sym.XI_LADDER))
 
 
 def _exp_prop54(config: ExperimentConfig, outdir: str):
@@ -672,7 +687,7 @@ def _exp_boundedness(config: ExperimentConfig, outdir: str):
     checks = []
     rows = []
     for preset, expected in cases:
-        report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega, sym.XI_LADDER)
+        report = sym.boundedness_indicator(KernelSpec.preset(preset, config.alpha).s, config.omega)
         rows.append((preset, report.sup_value, report.trend_slope, report.classification))
         passed = report.classification == expected
         checks.append((f"{preset}-classified-{expected}", report.trend_slope, sym.GROWTH_SLOPE, passed))
@@ -724,7 +739,7 @@ def _exp_witness(config: ExperimentConfig, outdir: str):
     checks = []
     verdicts = {}
     for name, key, kernel, expected in cases:
-        trace = sym.trace_symbol(kernel.s, config.omega, sym.XI_LADDER)
+        trace = sym.trace_symbol(kernel.s, config.omega)
         verdict = sym.non_triangular_witness(trace)
         verdicts[key] = verdict.verdict
         checks.append((name, verdict.separation, verdict.tol, verdict.verdict == expected))

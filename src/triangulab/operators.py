@@ -17,10 +17,11 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .exceptions import ConstructionError, NumericalError
 from .grid import Grid, make_grid
-from .specfun import EbetaSpec, e_beta_cumulative, e_beta_cumulative_array, gamma_complex
+from .specfun import EbetaSpec, e_beta_cumulative, e_beta_cumulative_array
 
 __all__ = [
     "KERNEL_PRESETS",
@@ -59,8 +60,8 @@ class KernelSpec:
             raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
         if alpha == 0.0:
             return cls(*_DIFFERENCE_PRESETS["one"])
-        g1 = gamma_complex(1.0 + 1j * alpha)
-        g2 = gamma_complex(2.0 + 1j * alpha)
+        g1 = complex(scipy.special.gamma(1.0 + 1j * alpha))
+        g2 = complex(scipy.special.gamma(2.0 + 1j * alpha))
         # |Gamma(1 + i alpha)| decays like exp(-pi |alpha| / 2)
         if not all(g != 0 and cmath.isfinite(1.0 / g) for g in (g1, g2)):
             raise NumericalError(f"1/Gamma(1 + i alpha) overflows a double at alpha = {alpha!r}")

@@ -23,12 +23,11 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .exceptions import InsufficientDataError, NearSingularError
-from .operators import SplitPair, as_entries, matmul, real_if_real
+from .operators import SplitPair, matmul, real_if_real
 
 __all__ = [
     "ResolventProfile",
     "LevinsonVerdict",
-    "resolvent_norm",
     "c_norm",
     "profile",
     "levinson_classify",
@@ -37,39 +36,9 @@ __all__ = [
 ]
 
 
-def resolvent_norm(t, lam: complex) -> float:
-    """``|| (lambda I - T)^{-1} || = 1 / sigma_min(lambda I - T)``.
-
-    An exact triangle ``T`` (lower or upper, ``n >= 3``) goes through
-    ARPACK's Lanczos (``scipy.sparse.linalg.eigsh``) on ``(A* A)^{-1}``,
-    ``A = lambda I - T``, applied by two triangular solves (LAPACK
-    ``trtrs``): its top eigenvalue ``theta = sigma_min(A)^-2``, to a
-    residual of ``1e-10 theta``, from a start vector and a restart generator
-    seeded by ``default_rng(3)``, so the value depends on ``(T, lambda)``
-    alone.  A triangular solve is componentwise accurate: on
-    ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)`` at ``lambda = 0.5 + 0.5j``
-    (norm 2e6) and ``0.5 + 0.1j`` (norm 1.9e10) this is within 2.3e-16 of
-    40-digit mpmath, where a dense SVD, whose error is absolute on
-    ``sigma_min`` (about ``eps ||A||``), is off by 1.2e-10 and 9.0e-7.  On
-    the default operators at n=256 the two agree to 2.3e-15.
-
-    The dense SVD of ``A`` takes over for any other matrix, for ``n < 3``
-    (ARPACK's complex driver needs 3 basis vectors), and when ARPACK needs
-    more than 128 applications, a solve meets a zero pivot or a non-finite
-    value (the solves overflow on the spectrum), ``theta`` underflows to 0,
-    or ``1 / sqrt(theta) <= 1e-12 max(||T||_2 + 2|lambda|, 1)``.  That band
-    lies above the dense guard, so every :class:`NearSingularError` comes
-    from the SVD, raised when ``sigma_min < 1e-14 max(||A||_2 + |lambda|, 1)``.
-
-    No module calls it: :func:`profile` sets up :func:`_triangle_evaluator`
-    once per operator.  It stays as the single-query entry point, and this
-    docstring is the evaluator's contract.
-    """
-    return _triangle_evaluator(as_entries(t))(lam)[0]
-
-
-def _dense_resolvent_norm(entries: np.ndarray, lam: complex) -> float:
-    """:func:`resolvent_norm` by a dense SVD: its fallback, and the tests' oracle."""
+def _dense_inverse_norm(entries: np.ndarray, lam: complex) -> float:
+    """``|| (lambda I - T)^{-1} ||`` by a dense SVD: the fallback of
+    :func:`_triangle_evaluator`, and the tests' oracle."""
     n = entries.shape[0]
     s = scipy.linalg.svdvals(lam * np.eye(n) - entries)
     smin = float(s[-1])
@@ -318,18 +287,38 @@ class _Unsettled(Exception):
 
 
 def _triangle_evaluator(triangle: np.ndarray):
-    """``lam -> (resolvent_norm(triangle, lam), dense)``, set up once per matrix.
+    """``lam -> (|| (lambda I - T)^{-1} ||, dense)`` for ``T = triangle``, set up once per matrix.
 
-    :func:`resolvent_norm` states the method, its accuracy and when the
-    dense SVD takes over; ``dense`` says whether it did.  For an exact
-    triangle, ``||R||_2`` (one ``svdvals``) and the Fortran-ordered copy of
-    ``-R`` are made here, once, and each ``lambda`` only rewrites the
-    diagonal of that copy to ``(-R_ii) + lambda``.
+    The norm is ``1 / sigma_min(lambda I - T)``.  An exact triangle ``T``
+    (lower or upper, ``n >= 3``) goes through ARPACK's Lanczos
+    (``scipy.sparse.linalg.eigsh``) on ``(A* A)^{-1}``, ``A = lambda I - T``,
+    applied by two triangular solves (LAPACK ``trtrs``): its top eigenvalue
+    ``theta = sigma_min(A)^-2``, to a residual of ``1e-10 theta``, from a
+    start vector and a restart generator seeded by ``default_rng(3)``, so
+    the value depends on ``(T, lambda)`` alone.  A triangular solve is
+    componentwise accurate: on ``diag(linspace(0, 1, 12)) + 2 tril(ones, -1)``
+    at ``lambda = 0.5 + 0.5j`` (norm 2e6) and ``0.5 + 0.1j`` (norm 1.9e10)
+    this is within 2.3e-16 of 40-digit mpmath, where a dense SVD, whose
+    error is absolute on ``sigma_min`` (about ``eps ||A||``), is off by
+    1.2e-10 and 9.0e-7.  On the default operators at n=256 the two agree
+    to 2.3e-15.  ``||T||_2`` (one ``svdvals``) and the Fortran-ordered copy
+    of ``-T`` are made here, once, and each ``lambda`` only rewrites the
+    diagonal of that copy to ``(-T_ii) + lambda``.
+
+    The dense SVD of ``A`` (:func:`_dense_inverse_norm`) takes over for
+    any other matrix, for ``n < 3`` (ARPACK's complex driver needs 3 basis
+    vectors), and when ARPACK needs more than 128 applications, a solve
+    meets a zero pivot or a non-finite value (the solves overflow on the
+    spectrum), ``theta`` underflows to 0, or
+    ``1 / sqrt(theta) <= 1e-12 max(||T||_2 + 2|lambda|, 1)``; ``dense`` says
+    whether it did.  That band lies above the dense guard, so every
+    :class:`NearSingularError` comes from the SVD, raised when
+    ``sigma_min < 1e-14 max(||A||_2 + |lambda|, 1)``.
     """
     n = triangle.shape[0]
     below, above = scipy.linalg.bandwidth(triangle)
     if n < 3 or min(below, above) > 0:
-        return lambda lam: (_dense_resolvent_norm(triangle, lam), True)
+        return lambda lam: (_dense_inverse_norm(triangle, lam), True)
     lower = above == 0
     tnorm = float(scipy.linalg.svdvals(triangle)[0])
     a = np.empty((n, n), dtype=complex, order="F")
@@ -365,7 +354,7 @@ def _triangle_evaluator(triangle: np.ndarray):
             pass
         if theta > 0.0 and 1.0 / math.sqrt(theta) > 1e-12 * max(tnorm + 2.0 * abs(lam), 1.0):
             return math.sqrt(theta), False
-        return _dense_resolvent_norm(triangle, lam), True
+        return _dense_inverse_norm(triangle, lam), True
 
     return evaluate
 
@@ -385,7 +374,7 @@ def _envelope(evaluate, t_inf: float, x_grid: np.ndarray, y: float, samples: lis
     goes through ``evaluate`` next, until every remaining bound exceeds the
     smallest ``sigma_min`` found on this line by
     ``1e-12 (||R||_inf + max|x| + |y|)``.  That margin sits far above the
-    error of an evaluated ``sigma_min`` (see :func:`resolvent_norm`), so the
+    error of an evaluated ``sigma_min`` (see :func:`_triangle_evaluator`), so the
     skipped samples are strictly below the maximum: it is the same float a
     full sweep of the evaluator gives, first attained at the same ``x``.
     ``dense`` counts the samples that took the dense fallback.
@@ -428,7 +417,7 @@ class ResolventProfile:
     the first ``x_grid`` sample attaining it and ``envelope_evals[j]`` how many
     ``x_grid`` samples the envelope evaluated.  ``envelope_fallbacks[j]``
     counts the envelope samples at ``y_j`` that went to the dense SVD (see
-    :func:`resolvent_norm`).  ``chain_fallbacks[j]`` counts the chain norms
+    :func:`_triangle_evaluator`).  ``chain_fallbacks[j]`` counts the chain norms
     ``(x sample, power)`` at ``y_j`` that took dense singular values in place
     of the scaled power iteration: out of its norm range, or unsettled
     after 60 steps (see :func:`_log_power_norms`), and
@@ -518,9 +507,8 @@ def profile(split: SplitPair, y_ladder: Sequence[float]) -> ResolventProfile:
     and earlier ladder points (see :func:`_envelope`); a sample numerically
     inside the spectrum is always evaluated and raises
     :class:`NearSingularError`.  One :func:`_triangle_evaluator` of ``R``,
-    built once per profile, evaluates every sample; :func:`resolvent_norm`
-    states its accuracy and its dense fallback, which
-    ``envelope_fallbacks`` counts.
+    built once per profile, evaluates every sample; it states its accuracy
+    and its dense fallback, which ``envelope_fallbacks`` counts.
     Each chain is swept scaled by its last root; :func:`_log_power_norms`
     states when a chain norm settles, the norm range that scaling keeps
     every product in, and the one rule that sends a norm to dense singular
@@ -581,7 +569,6 @@ class LevinsonVerdict:
     verdict: str  # "INTEGRABLE", "DIVERGENT", or "INCONCLUSIVE"
     p: float
     q: float
-    points_used: int
 
 
 LEVINSON_MARGIN = 0.15  # half-width of the INCONCLUSIVE band around p = 1
@@ -618,12 +605,7 @@ def levinson_classify(prof: ResolventProfile, margin: float = LEVINSON_MARGIN) -
         verdict = "DIVERGENT"
     else:
         verdict = "INCONCLUSIVE"
-    return LevinsonVerdict(
-        verdict=verdict,
-        p=p,
-        q=q,
-        points_used=int(mask.sum()),
-    )
+    return LevinsonVerdict(verdict=verdict, p=p, q=q)
 
 
 def count_bound_constant(alpha: float, ln_n: float, y: float) -> float:

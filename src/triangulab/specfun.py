@@ -1,6 +1,6 @@
 """Special functions behind the singular convolution kernels.
 
-Provides the complex gamma function, the log-singular kernel family
+Provides the log-singular kernel family
 
     e_beta(x) = integral_0^inf exp(-C s) s^(beta-1) x^(s-1) / Gamma(s) ds,
 
@@ -35,44 +35,11 @@ from .exceptions import NumericalError, QuadratureError
 
 __all__ = [
     "EbetaSpec",
-    "gamma_complex",
     "e_beta",
     "e_beta_cumulative",
     "e_beta_cumulative_array",
     "m_moment",
 ]
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    if z.imag != 0.0:
-        return False
-    r = z.real
-    return r <= 0.0 and r == math.floor(r)
-
-
-def gamma_complex(z: complex) -> complex:
-    """Euler gamma function on the complex plane (``scipy.special.gamma``).
-
-    Parameters
-    ----------
-    z : complex
-        Argument; must not be a non-positive integer.
-
-    Returns
-    -------
-    complex
-        ``Gamma(z)`` with relative error below 1e-12 for ``|z| <= 50``,
-        including points a tiny imaginary distance from a pole.
-
-    Raises
-    ------
-    ValueError
-        At the poles ``z = 0, -1, -2, ...``.
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise ValueError(f"gamma pole at z = {z}")
-    return complex(special.gamma(z))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .exceptions import InsufficientDataError, QuadratureError
+from .exceptions import QuadratureError
 from .grid import check_frequency
 from .operators import OperatorMatrix
 
@@ -125,9 +125,8 @@ class WindowSummary:
 
 @dataclass(frozen=True)
 class SymbolTrace:
-    """Sampled transforms along a signed geometric frequency ladder."""
+    """Sampled transforms along :data:`XI_LADDER`, one entry per frequency."""
 
-    xi_samples: np.ndarray
     s_tilde: np.ndarray
     s_tilde1: np.ndarray
     g: np.ndarray
@@ -135,7 +134,7 @@ class SymbolTrace:
     window_minus: WindowSummary
 
     def __post_init__(self):
-        for arr in (self.xi_samples, self.s_tilde, self.s_tilde1, self.g):
+        for arr in (self.s_tilde, self.s_tilde1, self.g):
             arr.setflags(write=False)
 
 
@@ -151,10 +150,6 @@ XI_LADDER.setflags(write=False)
 def _window_summary(xi: np.ndarray, g: np.ndarray, side: int) -> WindowSummary:
     order = np.argsort(np.abs(xi))
     g_tail = g[order][-MIN_WINDOW:]
-    if g_tail.shape[0] < MIN_WINDOW:
-        raise InsufficientDataError(
-            f"need {MIN_WINDOW} trailing samples on side {side:+d}, got {g_tail.shape[0]}"
-        )
     moduli = np.abs(g_tail)
     mean = complex(np.mean(g_tail))
     args = np.unwrap(np.angle(g_tail))
@@ -168,13 +163,12 @@ def _window_summary(xi: np.ndarray, g: np.ndarray, side: int) -> WindowSummary:
     )
 
 
-def trace_symbol(s: Callable, omega: float, xi_samples: Sequence[float]) -> SymbolTrace:
-    """Evaluate both transforms along a signed ladder and summarize the tails.
+def trace_symbol(s: Callable, omega: float) -> SymbolTrace:
+    """Evaluate both transforms along :data:`XI_LADDER` and summarize the tails.
 
-    Each side is summarized over its :data:`MIN_WINDOW` highest frequencies;
-    a side with fewer raises :class:`InsufficientDataError`.
+    Each side is summarized over its :data:`MIN_WINDOW` highest frequencies.
     """
-    xi = np.asarray(sorted(xi_samples), dtype=float)
+    xi = XI_LADDER
     s1 = np.empty(xi.shape, dtype=complex)
     s0 = np.empty(xi.shape, dtype=complex)
     for i, x in enumerate(xi):
@@ -183,7 +177,6 @@ def trace_symbol(s: Callable, omega: float, xi_samples: Sequence[float]) -> Symb
     plus = _window_summary(xi[xi > 0], g[xi > 0], +1)
     minus = _window_summary(xi[xi < 0], g[xi < 0], -1)
     return SymbolTrace(
-        xi_samples=xi,
         s_tilde=s0,
         s_tilde1=s1,
         g=g,
@@ -219,14 +212,14 @@ class BoundednessReport:
     classification: str  # "bounded" or "growing"
 
 
-def boundedness_indicator(s: Callable, omega: float, xi_ladder: Sequence[float]) -> BoundednessReport:
+def boundedness_indicator(s: Callable, omega: float) -> BoundednessReport:
     """Evidence for boundedness of the operator via ``sup |xi s_tilde(xi)|``.
 
-    Fits the log-log slope of ``|xi s_tilde(xi)|`` over the outer half of the
-    ladder; a slope above :data:`GROWTH_SLOPE` classifies as "growing".
+    Fits the log-log slope of ``|xi s_tilde(xi)|`` over the outer half of
+    :data:`XI_LADDER`, taken in order of ``|xi|``; a slope above
+    :data:`GROWTH_SLOPE` classifies as "growing".
     """
-    xi = np.asarray(sorted(xi_ladder, key=abs), dtype=float)
-    xi = xi[xi != 0]
+    xi = np.asarray(sorted(XI_LADDER, key=abs), dtype=float)
     vals = np.empty(xi.shape, dtype=float)
     for i, x in enumerate(xi):
         vals[i] = abs(x * _oscillatory_integral(s, omega, x))

@@ -104,14 +104,31 @@ def test_failed_check_exits_one(tmp_path, experiment, tolerance, failing):
         {"experiment": "symbol-trace", "kernel": {"alpha": -1000.0}},
         # the entries of the J^1 cube overflow a double
         {"experiment": "fractional-powers", "grid": {"omega": 1e300}},
+        # the cube is finite, but its norm bound omega^3 overflows a double
+        {"experiment": "fractional-powers", "grid": {"omega": 1e103}},
     ],
     ids=["prop54-aliasing", "profile-beta-200", "mapping-beta-171.5", "levinson-beta-200",
          "asymptotics-omega-1e6", "annulus-alpha-460", "trace-alpha-1000", "trace-alpha-minus-1000",
-         "powers-omega-1e300"],
+         "powers-omega-1e300", "powers-omega-1e103"],
 )
 def test_numerical_error_exits_three(tmp_path, overrides):
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 3
+
+
+def test_summary_is_strict_json(tmp_path):
+    # a two-point ladder leaves the count exponents undefined (NaN): the
+    # summary writes them as null, since strict JSON has no NaN or Infinity
+    cfg = write_config(tmp_path, {"experiment": "resolvent-profile", "grid": {"n": 64},
+                                  "ladder": {"y": [100.0, 200.0]}, "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "out" / "summary.json").read_text(encoding="ascii")
+    checks = json.loads(text, parse_constant=reject)["checks"]
+    assert [c["value"] for c in checks if c["name"].startswith("count-exponent-")] == [None, None]
 
 
 def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):

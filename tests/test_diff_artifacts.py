@@ -50,6 +50,15 @@ def test_changed_check_value_exits_one_with_relative_change(tmp_path, diff_artif
     assert "largest relative check-value change: 0.5 at exp/ratio" in out
 
 
+def test_null_check_value_is_an_infinite_change(tmp_path, diff_artifacts, capsys):
+    # summary.json writes a NaN check value as null
+    a = write_tree(tmp_path / "a", value=0.25)
+    b = write_tree(tmp_path / "b", value=None)
+    code, out = compare(diff_artifacts, capsys, a, b)
+    assert code == 1
+    assert "largest relative check-value change: inf at exp/ratio" in out
+
+
 def test_file_in_one_tree_only_exits_one(tmp_path, diff_artifacts, capsys):
     a = write_tree(tmp_path / "a")
     b = write_tree(tmp_path / "b")

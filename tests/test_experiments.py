@@ -225,14 +225,14 @@ def test_trace_csv_header(tmp_path):
     from triangulab.experiments import _write_trace
     from triangulab.symbol import XI_LADDER, trace_symbol
 
-    trace = trace_symbol(lambda t: 1.0, 1.0, XI_LADDER)
+    trace = trace_symbol(lambda t: 1.0, 1.0)
     path = tmp_path / "trace.csv"
     _write_trace(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "xi,re_s_tilde,im_s_tilde,re_s_tilde1,im_s_tilde1,re_g,im_g,abs_g"
-    assert len(lines) == len(trace.xi_samples) + 1
+    assert len(lines) == len(XI_LADDER) + 1
     # every field parses back to the float it was written from
     for i, line in enumerate(lines[1:]):
         st, s1, g = trace.s_tilde[i], trace.s_tilde1[i], trace.g[i]
-        expected = [trace.xi_samples[i], st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g)]
+        expected = [XI_LADDER[i], st.real, st.imag, s1.real, s1.imag, g.real, g.imag, abs(g)]
         assert [float(field) for field in line.split(",")] == expected

@@ -14,7 +14,6 @@ MODULES = ["triangulab"] + [f"triangulab.{m.name}" for m in pkgutil.iter_modules
 
 # public names that no other code in the package calls, each kept for a reason
 KEPT_WITHOUT_USER = {
-    "resolvent.resolvent_norm": "the single-query entry point; its docstring is the evaluator's contract",
     "resolvent.c_norm": "the oracle of the chain sweep",
 }
 

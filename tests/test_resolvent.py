@@ -12,7 +12,6 @@ from triangulab import make_grid, resolvent
 from triangulab.exceptions import InsufficientDataError, NearSingularError
 from triangulab.experiments import _default_ladder, _phi_plus
 from triangulab.operators import (
-    OperatorMatrix,
     as_entries,
     build_ebeta_operator,
     build_fractional,
@@ -24,7 +23,7 @@ from triangulab.resolvent import (
     ResolventProfile,
     _chain_roots,
     _dense_log_norm,
-    _dense_resolvent_norm,
+    _dense_inverse_norm,
     _envelope,
     _gemm,
     _triangle_evaluator,
@@ -33,7 +32,6 @@ from triangulab.resolvent import (
     levinson_classify,
     neumann_residual,
     profile,
-    resolvent_norm,
 )
 from triangulab.specfun import EbetaSpec
 
@@ -56,11 +54,11 @@ def test_resolvent_norm_diagonal_is_reciprocal_distance():
     diag = np.diag([0.0, 1.0, 3.0]).astype(complex)
     lam = 2.0 + 0.5j
     expected = 1.0 / min(abs(lam - d) for d in (0.0, 1.0, 3.0))
-    assert resolvent_norm(diag, lam) == pytest.approx(expected, rel=1e-12)
+    assert _triangle_evaluator(diag)(lam)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_resolvent_norm_zero_operator():
-    assert resolvent_norm(np.zeros((4, 4), dtype=complex), 1j) == pytest.approx(1.0, rel=1e-12)
+    assert _triangle_evaluator(np.zeros((4, 4), dtype=complex))(1j)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_resolvent_norm_matches_dense_inverse():
@@ -68,14 +66,15 @@ def test_resolvent_norm_matches_dense_inverse():
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     lam = 0.7 + 1.9j
     expected = np.linalg.norm(np.linalg.inv(lam * np.eye(8) - a), 2)
-    assert resolvent_norm(a, lam) == pytest.approx(expected, rel=1e-8)
-    assert resolvent_norm(a, lam) == _dense_resolvent_norm(a, lam)  # not a triangle
+    norm = _triangle_evaluator(a)(lam)[0]
+    assert norm == pytest.approx(expected, rel=1e-8)
+    assert norm == _dense_inverse_norm(a, lam)  # not a triangle
 
 
 def test_resolvent_norm_raises_inside_spectrum():
     diag = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(NearSingularError):
-        resolvent_norm(diag, 1.0 + 0.0j)
+        _triangle_evaluator(diag)(1.0 + 0.0j)
 
 
 # ---------------------------------------------------------------- chain norms
@@ -195,7 +194,7 @@ def _assert_matches_dense(norms, t, lams):
     entries = as_entries(t)
     tnorm = float(scipy.linalg.svdvals(entries)[0])
     for norm, lam in zip(norms, lams):
-        assert _close_to_dense(norm, _dense_resolvent_norm(entries, lam), tnorm, lam)
+        assert _close_to_dense(norm, _dense_inverse_norm(entries, lam), tnorm, lam)
 
 
 def _envelope_stage(triangle, x_grid, ladder):
@@ -309,7 +308,7 @@ def test_triangle_resolvent_norm_on_a_double_sigma_min():
     norm, dense = _triangle_evaluator(a)(1.0 + 0.5j)
     assert not dense
     assert norm == pytest.approx(1.0 / abs(1.0 + 0.5j), rel=1e-15)
-    assert norm == pytest.approx(_dense_resolvent_norm(a, 1.0 + 0.5j), rel=1e-15)
+    assert norm == pytest.approx(_dense_inverse_norm(a, 1.0 + 0.5j), rel=1e-15)
 
 
 def test_triangle_resolvent_norm_is_dense_below_three_dimensions():
@@ -317,7 +316,7 @@ def test_triangle_resolvent_norm_is_dense_below_three_dimensions():
     for a in (np.diag([0.0, 2.0]).astype(complex), np.array([[1.0 + 0.0j]])):
         norm, dense = _triangle_evaluator(a)(1.0 + 0.5j)
         assert dense
-        assert norm == _dense_resolvent_norm(a, 1.0 + 0.5j)
+        assert norm == _dense_inverse_norm(a, 1.0 + 0.5j)
 
 
 def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
@@ -335,35 +334,31 @@ def test_triangle_resolvent_norm_on_a_strongly_nonnormal_triangle():
 @pytest.mark.parametrize("lam", [0.5 + 0.5j, 0.5 + 0.1j])
 def test_triangle_resolvent_norm_matches_mpmath_where_the_dense_svd_drifts(lam):
     # resolvent norms 2e6 and 1.9e10: the dense SVD is off by 1.2e-10 and
-    # 9.0e-7 relative here (its error is absolute on sigma_min); the public
-    # resolvent_norm answers an exact triangle by the evaluator
+    # 9.0e-7 relative here (its error is absolute on sigma_min)
     a = _steep_triangle()
     exact = _mp_resolvent_norm(a, lam)
     for tri in (a, a.T.copy()):
         norm, dense = _triangle_evaluator(tri)(lam)
         assert not dense
         assert norm == pytest.approx(exact, rel=1e-14)
-        op = OperatorMatrix(make_grid(1.0, len(tri)), tri.copy())
-        assert resolvent_norm(tri, lam) == resolvent_norm(op, lam) == norm
 
 
 def test_resolvent_norm_of_an_almost_triangular_matrix_is_the_dense_value():
     a = _steep_triangle()
     a[2, 5] = 1e-300  # one entry above the diagonal of a lower triangle
-    assert _triangle_evaluator(a)(0.5 + 0.5j)[1]
-    assert resolvent_norm(a, 0.5 + 0.5j) == _dense_resolvent_norm(a, 0.5 + 0.5j)
+    norm, dense = _triangle_evaluator(a)(0.5 + 0.5j)
+    assert dense
+    assert norm == _dense_inverse_norm(a, 0.5 + 0.5j)
 
 
 @pytest.mark.parametrize("y", [0.0, 1e-300, 1e-20], ids=["eigenvalue", "overflow", "inside-the-band"])
 def test_triangle_resolvent_norm_raises_on_the_spectrum(y):
     # at 0 a solve meets a zero pivot; at 1e-300 the solves overflow; at 1e-20
     # they stay finite but the estimate sits inside the 1e-12 band: each time
-    # the dense path raises, through the evaluator and the public function
+    # the dense path raises
     a = np.diag([0.0, 2.0, 5.0]).astype(complex)
     with pytest.raises(NearSingularError):
         _triangle_evaluator(a)(1j * y)
-    with pytest.raises(NearSingularError):
-        resolvent_norm(a, 1j * y)
 
 
 def _counting_trtrs(monkeypatch):
@@ -393,7 +388,7 @@ def test_triangle_resolvent_norm_falls_back_when_unsettled(monkeypatch):
     monkeypatch.setattr(resolvent, "_LANCZOS_STEPS", steps - 1)
     norm, dense = _triangle_evaluator(t.entries)(lam)
     assert dense
-    assert norm == _dense_resolvent_norm(t.entries, lam)
+    assert norm == _dense_inverse_norm(t.entries, lam)
 
 
 def test_triangle_resolvent_norm_depends_on_the_triangle_and_lambda_alone():
@@ -927,7 +922,7 @@ def test_triangle_resolvent_norm_matches_the_dense_oracle_on_random_triangles(ca
             evaluate = _triangle_evaluator(r)
             for lam in lams:
                 try:
-                    dense = _dense_resolvent_norm(r, lam)
+                    dense = _dense_inverse_norm(r, lam)
                 except NearSingularError:
                     with pytest.raises(NearSingularError):
                         evaluate(lam)
