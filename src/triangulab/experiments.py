@@ -311,22 +311,22 @@ def _phi_plus(grid: Grid, v: np.ndarray) -> OperatorMatrix:
 def _cached_ebeta(config: ExperimentConfig, grid: Grid, beta: float) -> OperatorMatrix:
     """Build (or reload) a log-singular convolution matrix.
 
-    The CLI can cache these builds in the documented text format.  A cached
-    file is trusted only if it reads back as a matrix whose first cell
-    matches the kernel's, computed by the build's own cell rule; otherwise
-    (a truncated or non-numeric file too) the matrix is rebuilt and the file
-    overwritten.
+    The CLI can cache these builds as ``.npy`` files (:func:`save_matrix`).
+    A cached file is trusted only if it reads back as a matrix whose first
+    cell matches the kernel's, computed by the build's own cell rule;
+    otherwise (an empty, truncated or foreign file too) the matrix is rebuilt
+    and the file overwritten.
     """
     kernel = EbetaSpec(beta, config.c)
     if not config.cache_dir:
         return build_ebeta_operator(grid, kernel)
     # repr is exact, so parameters that differ in any digit never share a file
-    tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.txt"
+    tag = f"ebeta_b{float(beta)!r}_c{float(config.c)!r}_om{float(grid.omega)!r}_n{grid.n}.npy"
     path = os.path.join(config.cache_dir, tag)
     os.makedirs(config.cache_dir, exist_ok=True)  # before any lookup or build, so a bad path fails at once
     try:
         cached = load_matrix(path) if os.path.exists(path) else None
-    except ValueError:  # truncated or not numbers: rebuilt like a stale file
+    except ValueError:  # truncated or not this format: rebuilt like a stale file
         cached = None
     if cached is not None:
         first = e_beta_cumulative_array(np.array([0.5 * grid.h]), kernel)[0] / math.gamma(beta)

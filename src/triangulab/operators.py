@@ -361,41 +361,30 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def save_matrix(t: OperatorMatrix, path) -> None:
-    """Write the documented text format: header ``rows cols omega``, then
-    row-major ``re im`` pairs, one matrix row per line.
+    """Write ``omega`` as a float64 scalar, then the entries as a complex128
+    matrix, both in numpy's ``.npy`` format, one after the other in one file.
 
-    Each number is the shortest round-trip ``repr`` of a float, so it
-    parses back to the same float: the sign of zero is kept, and ``nan`` and
-    ``inf`` are written as Python writes them.
+    The format holds the raw bytes, so every entry reads back bit for bit:
+    the sign of zero, NaN, infinities and subnormals included.
     """
-    entries = np.ascontiguousarray(t.entries, dtype=complex)
-    # the float64 view interleaves re, im along each row; its int64 view
-    # tells apart every float, -0.0 from 0.0 too, so each distinct value is
-    # formatted once (a Toeplitz triangle has n + 1) and rows are looked up
-    bits = entries.view(np.float64).view(np.int64)
-    keys = np.sort(bits, axis=None)  # np.unique takes about 10x as long here
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    text = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{entries.shape[0]} {entries.shape[1]} {float(t.grid.omega)!r}\n")
-        for row in bits:
-            fh.write(" ".join(text[np.searchsorted(keys, row)]) + "\n")
+    with open(path, "wb") as fh:
+        np.save(fh, np.float64(t.grid.omega), allow_pickle=False)
+        np.save(fh, np.asarray(t.entries, dtype=complex), allow_pickle=False)
 
 
 def load_matrix(path) -> OperatorMatrix:
-    """Read the text format written by :func:`save_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) < 3:
-            raise ValueError("matrix file is truncated")
-        rows, cols, omega = int(header[0]), int(header[1]), float(header[2])
-        # parsed a line at a time: a token list of the whole file would hold
-        # ~16 MiB of Python strings for one 1 MiB matrix at n=256
-        data = np.fromiter((float(tok) for line in fh for tok in line.split()), dtype=float)
-    if data.size != 2 * rows * cols:
+    """Read a file written by :func:`save_matrix`.
+
+    Anything else raises ``ValueError``: an empty or truncated file, a file
+    that is not two ``.npy`` arrays (text, a zip archive, pickled data), and
+    arrays other than a float64 scalar and a square complex128 matrix.
+    """
+    with open(path, "rb") as fh:
+        omega = np.lib.format.read_array(fh, allow_pickle=False)
+        entries = np.lib.format.read_array(fh, allow_pickle=False)
+    if omega.shape != () or omega.dtype != np.float64 or entries.ndim != 2 or entries.dtype != np.complex128:
         raise ValueError(
-            f"expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {data.size}"
+            f"expected a float64 scalar and a complex128 matrix, "
+            f"got {omega.dtype} {omega.shape} and {entries.dtype} {entries.shape}"
         )
-    # a view, not ``re + 1j * im``: that arithmetic turns -0.0 into 0.0 and
-    # an infinite imaginary part into a nan real part
-    return OperatorMatrix(make_grid(omega, rows), data.view(complex).reshape(rows, cols))
+    return OperatorMatrix(make_grid(float(omega), entries.shape[0]), entries)

@@ -28,7 +28,6 @@ from .operators import SplitPair, matmul, real_if_real
 __all__ = [
     "ResolventProfile",
     "LevinsonVerdict",
-    "c_norm",
     "profile",
     "levinson_classify",
     "count_bound_constant",
@@ -256,27 +255,6 @@ def _chain_roots(v: np.ndarray, d: np.ndarray, y: float, n_max: int) -> tuple:
             break
         d, vecs, gaps, log_root = d[:, go], vecs[:, go], gaps[go], log_norms[go] / k
     return roots, fallbacks, certified
-
-
-def c_norm(split: SplitPair, lam: complex, n: int) -> float:
-    """``|| ( -Im(lambda) (S - lambda)^{-1} V )^n ||`` by renormalized powers.
-
-    Dense powers renormalized by their largest entry, and exact dense
-    singular values of the last (:func:`_dense_log_norm`).  No module calls
-    it; the tests take it as the oracle of the chain sweep in :func:`profile`.
-
-    The value is ``exp(_dense_log_norm(b, n))``.  Below
-    ``np.finfo(float).tiny`` it is subnormal and keeps few digits (at
-    1e-320, about three), so a caller that needs the ``n``-th root should
-    take it from the log, ``exp(_dense_log_norm(b, n) / n)``.
-    """
-    if lam.imag == 0.0:
-        raise ValueError("chain norms require Im(lambda) != 0")
-    if n < 1:
-        raise ValueError("power must be a positive integer")
-    diag, v = _real_split(split)
-    b = (-lam.imag / (diag - lam))[:, None] * v
-    return math.exp(_dense_log_norm(b, n))
 
 
 _LANCZOS_STEPS = 128  # applications of (A* A)^{-1} per envelope sample before the dense fallback

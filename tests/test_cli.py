@@ -289,7 +289,7 @@ def test_cache_roundtrip_reuses_expensive_build(tmp_path):
         run_experiment(cfg)
     except Exception:
         pass  # verdict quality at this tiny grid is not the point here
-    files = list(cache.glob("ebeta_*.txt"))
+    files = list(cache.glob("ebeta_*.npy"))
     assert len(files) == 1
     # a second run must reuse the cached matrix byte for byte
     before = files[0].read_bytes()

@@ -1,6 +1,7 @@
 """Fast coverage of the experiment wrappers the acceptance suite does not
 exercise at reduced size (the heavy defaults run there)."""
 
+import io
 import json
 import math
 import os
@@ -98,8 +99,8 @@ def test_ebeta_cache_keeps_betas_that_format_alike_apart(tmp_path):
     grid = make_grid(config.omega, 8)
     first = _cached_ebeta(config, grid, 1.0)
     second = _cached_ebeta(config, grid, 1.0000001)
-    assert len(list(cache.glob("ebeta_*.txt"))) == 2
-    assert sorted(os.listdir(cache)) == sorted(p.name for p in cache.glob("ebeta_*.txt"))
+    assert len(list(cache.glob("ebeta_*.npy"))) == 2
+    assert sorted(os.listdir(cache)) == sorted(p.name for p in cache.glob("ebeta_*.npy"))
     assert (first.entries != second.entries).any()
 
 
@@ -113,8 +114,8 @@ def test_ebeta_cache_rebuilds_a_file_saved_under_another_beta(tmp_path):
     config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(cache)})
     grid = make_grid(config.omega, 16)
     _cached_ebeta(config, grid, 2.0)
-    wrong = cache / "ebeta_b0.5_c0.0_om1.0_n16.txt"
-    shutil.copy(cache / "ebeta_b2.0_c0.0_om1.0_n16.txt", wrong)
+    wrong = cache / "ebeta_b0.5_c0.0_om1.0_n16.npy"
+    shutil.copy(cache / "ebeta_b2.0_c0.0_om1.0_n16.npy", wrong)
     expected = build_ebeta_operator(grid, EbetaSpec(0.5)).entries
     rebuilt = _cached_ebeta(config, grid, 0.5)
     assert (rebuilt.entries == expected).all()
@@ -151,24 +152,40 @@ def test_ebeta_cache_rebuilds_an_unreadable_file(tmp_path):
     cache.mkdir()
     config = ExperimentConfig.from_dict({"experiment": "levinson", "cache_dir": str(cache)})
     grid = make_grid(config.omega, 16)
-    path = cache / "ebeta_b2.0_c0.0_om1.0_n16.txt"
+    path = cache / "ebeta_b2.0_c0.0_om1.0_n16.npy"
     expected = build_ebeta_operator(grid, EbetaSpec(2.0)).entries
-    # truncated, header only, non-numeric, empty
-    for planted in ("1.0 2.0\n", "16 16 1.0\n", "16 16 1.0\nabc def\n", ""):
-        path.write_text(planted)
+    _cached_ebeta(config, grid, 2.0)
+    written = path.read_bytes()
+
+    def npy(*arrays):
+        buffer = io.BytesIO()
+        for a in arrays:
+            np.save(buffer, a)
+        return buffer.getvalue()
+
+    planted = {
+        "empty": b"",
+        "truncated": written[:-8],
+        "text": b"16 16 1.0\n" + b"0.0 0.0 " * 256 + b"\n",
+        "wrong shape": npy(np.float64(1.0), expected[:, :8]),
+        "wrong dtype": npy(np.float64(1.0), expected.real),
+    }
+    for content in planted.values():
+        path.write_bytes(content)
         rebuilt = _cached_ebeta(config, grid, 2.0)
         assert (rebuilt.entries == expected).all()
-        assert (load_matrix(path).entries == expected).all()  # overwritten with the fresh build
+        assert path.read_bytes() == written  # overwritten with the fresh build
+        assert (load_matrix(path).entries == expected).all()
         assert os.listdir(cache) == [path.name]  # no temporary file left behind
 
 
 def test_levinson_run_rebuilds_an_unreadable_cache_file(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "ebeta_b2.0_c0.0_om1.0_n32.txt").write_text("1.0 2.0\n")
+    (cache / "ebeta_b2.0_c0.0_om1.0_n32.npy").write_text("1.0 2.0\n")
     from triangulab.operators import load_matrix
 
-    planted = cache / "ebeta_b2.0_c0.0_om1.0_n32.txt"
+    planted = cache / "ebeta_b2.0_c0.0_om1.0_n32.npy"
     run(tmp_path, "levinson", grid={"n": 32}, cache_dir=str(cache))
     assert (tmp_path / "levinson" / "profile.csv").exists()
     assert load_matrix(planted).entries.shape == (32, 32)

@@ -12,11 +12,6 @@ import triangulab
 
 MODULES = ["triangulab"] + [f"triangulab.{m.name}" for m in pkgutil.iter_modules(triangulab.__path__)]
 
-# public names that no other code in the package calls, each kept for a reason
-KEPT_WITHOUT_USER = {
-    "resolvent.c_norm": "the oracle of the chain sweep",
-}
-
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
@@ -75,6 +70,4 @@ def test_every_public_name_has_a_user():
         for name in _exports(tree)
         if f"{mod}.{name}" not in imported and name not in _loads(tree, skip=name)[0]
     }
-    assert sorted(unused - KEPT_WITHOUT_USER.keys()) == []
-    # a kept name that gained a user leaves the table
-    assert sorted(KEPT_WITHOUT_USER.keys() - unused) == []
+    assert sorted(unused) == []

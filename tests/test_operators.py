@@ -1,4 +1,5 @@
 import cmath
+import io
 import math
 
 import numpy as np
@@ -443,10 +444,10 @@ def test_operator_norm_of_a_non_finite_matrix_is_a_numerical_error(bad):
         operator_norm(a)
 
 
-def test_save_load_roundtrip():
+def test_save_load_roundtrip(tmp_path):
     g = make_grid(1.5, 8)
     op = build_fractional(g, 0.5)
-    path = "/tmp/triangulab_matrix_roundtrip.txt"
+    path = tmp_path / "m.npy"
     save_matrix(op, path)
     loaded = load_matrix(path)
     assert loaded.grid.n == 8
@@ -454,37 +455,14 @@ def test_save_load_roundtrip():
     np.testing.assert_array_equal(loaded.entries, op.entries)
 
 
-def test_save_matrix_matches_per_entry_repr_format(tmp_path):
-    rng = np.random.default_rng(11)
-    entries = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-300, 300, (5, 5))
-    entries = entries + 1j * rng.standard_normal((5, 5))
-    entries[0, 0] = complex(-0.0, 0.0)
-    entries[1, 2] = complex(1e-310, -5e-324)
-    op = OperatorMatrix(make_grid(0.75, 5), entries)
-    path = tmp_path / "m.txt"
-    save_matrix(op, path)
-    expected = "5 5 0.75\n" + "".join(
-        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in entries
-    )
-    assert path.read_text() == expected
-    np.testing.assert_array_equal(load_matrix(path).entries, entries)
-
-
-def _per_entry_repr_text(op: OperatorMatrix) -> str:
-    """The file ``save_matrix`` writes, one ``repr`` per float as in
-    ``test_save_matrix_matches_per_entry_repr_format``."""
-    rows, cols = op.entries.shape
-    return f"{rows} {cols} {float(op.grid.omega)!r}\n" + "".join(
-        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in op.entries
-    )
-
-
 def _special_values_matrix() -> OperatorMatrix:
-    # few distinct values, so each is formatted once and looked up
-    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310, -1e-310, 1.5, 1.0 / 3.0]
+    special = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+               5e-324, -5e-324, 1e-310, -1e-310, 1.5e300, 1.0 / 3.0]
     idx = np.random.default_rng(12).integers(0, len(special), (2, 12, 12))
     entries = np.empty((12, 12), dtype=complex)
     entries.real, entries.imag = np.array(special)[idx]
+    entries[0, 0] = complex(-0.0, 0.0)
+    entries[1, 2] = complex(1e-310, -5e-324)
     return OperatorMatrix(make_grid(2.5, 12), entries)
 
 
@@ -493,15 +471,19 @@ def _special_values_matrix() -> OperatorMatrix:
     [_special_values_matrix, lambda: build_ebeta_operator(make_grid(1.0, 64), EbetaSpec(1.5, 0.0))],
     ids=["special-values", "ebeta-64"],
 )
-def test_save_matrix_writes_each_entry_by_repr_and_reads_back_bitwise(tmp_path, make):
+def test_save_matrix_reads_back_bitwise(tmp_path, make):
     op = make()
-    path = tmp_path / "m.txt"
+    path = tmp_path / "m.npy"
     save_matrix(op, path)
-    assert path.read_text() == _per_entry_repr_text(op)
-    loaded = load_matrix(path).entries
-    assert loaded.shape == op.entries.shape
-    # bit patterns, so -0.0 against 0.0 and nan count
-    np.testing.assert_array_equal(loaded.view(np.int64), op.entries.view(np.int64))
+    # the file is omega, then the entries, as two arrays in numpy's own format
+    with open(path, "rb") as fh:
+        assert np.load(fh).tobytes() == np.float64(op.grid.omega).tobytes()
+        np.testing.assert_array_equal(np.load(fh).view(np.int64), op.entries.view(np.int64))
+        assert fh.read() == b""
+    loaded = load_matrix(path)
+    assert loaded.grid == op.grid
+    # bit patterns, so -0.0 against 0.0, NaN signs and subnormals count
+    np.testing.assert_array_equal(loaded.entries.view(np.int64), op.entries.view(np.int64))
 
 
 def test_real_if_real_copies_real_entries_and_keeps_complex_ones():
@@ -554,8 +536,44 @@ def test_semigroup_ebeta_takes_every_product_from_matmul(monkeypatch, tmp_path):
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("4 4 1.0\n0.0 0.0\n")
+    path = tmp_path / "m.npy"
+    save_matrix(build_fractional(make_grid(1.0, 4), 0.5), path)
+    full = path.read_bytes()
+    # empty, inside the first header, after omega, inside the second header
+    # and inside the entries
+    for size in (0, 5, 100, 136, 200, len(full) - 1):
+        path.write_bytes(full[:size])
+        with pytest.raises(ValueError):
+            load_matrix(path)
+
+
+def _npy_bytes(*arrays) -> bytes:
+    buffer = io.BytesIO()
+    for a in arrays:
+        np.save(buffer, a)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"4 4 1.0\n" + b"0.0 0.0 " * 16 + b"\n",
+        _npy_bytes(np.eye(4, dtype=complex)),
+        _npy_bytes(np.float64(1.0), np.eye(4)),
+        _npy_bytes(np.float32(1.0), np.eye(4, dtype=complex)),
+        _npy_bytes(np.array([1.0]), np.eye(4, dtype=complex)),
+        _npy_bytes(np.float64(1.0), np.ones((4, 2), dtype=complex)),
+        _npy_bytes(np.float64(1.0), np.ones(4, dtype=complex)),
+        _npy_bytes(np.float64(1.0), np.ones((1, 1), dtype=complex)),
+        _npy_bytes(np.float64(-1.0), np.eye(4, dtype=complex)),
+        _npy_bytes(np.float64(1.0), np.array([None] * 4, dtype=object)),
+    ],
+    ids=["text", "no-omega", "real-entries", "float32-omega", "array-omega", "not-square", "one-d",
+         "one-cell", "negative-omega", "pickled"],
+)
+def test_load_rejects_a_file_of_another_format_shape_or_dtype(tmp_path, content):
+    path = tmp_path / "m.npy"
+    path.write_bytes(content)
     with pytest.raises(ValueError):
         load_matrix(path)
 
@@ -565,7 +583,7 @@ def test_equal_grids_built_apart_combine(tmp_path):
     assert a == b and a is not b
     assert a != make_grid(1.0, 16) and a != make_grid(2.0, 8)
     op = build_fractional(a, 0.5)
-    path = tmp_path / "op.txt"
+    path = tmp_path / "op.npy"
     save_matrix(op, path)
     loaded = load_matrix(path)
     assert loaded.grid == a and loaded.grid == b

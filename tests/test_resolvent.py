@@ -27,7 +27,6 @@ from triangulab.resolvent import (
     _envelope,
     _gemm,
     _triangle_evaluator,
-    c_norm,
     count_bound_constant,
     levinson_classify,
     neumann_residual,
@@ -80,10 +79,18 @@ def test_resolvent_norm_raises_inside_spectrum():
 # ---------------------------------------------------------------- chain norms
 
 
+def _chain_root(pair, lam, k):
+    """``||B^k||^(1/k)`` for the chain ``B = (-Im(lambda) / (S - lambda)) V``
+    of a split with a real diagonal ``S``, from the dense log norm: the
+    oracle of the chain sweep."""
+    b = (-lam.imag / (pair.diagonal.real - lam))[:, None] * pair.strict
+    return math.exp(_dense_log_norm(b, k) / k)
+
+
 def test_c_norm_zero_nilpotent_part():
     t = np.diag([0.1, 0.4, 0.9]).astype(complex)
     pair = split_given_basis(t)
-    assert c_norm(pair, 0.5 + 1.0j, 1) == 0.0
+    assert _chain_root(pair, 0.5 + 1.0j, 1) == 0.0
 
 
 def test_c_norm_bounded_by_nilpotent_norm_power():
@@ -91,26 +98,15 @@ def test_c_norm_bounded_by_nilpotent_norm_power():
     t, pair = _phi_plus_fractional(48, 1.0)
     v_norm = np.linalg.norm(pair.strict, 2)
     for n in (1, 2, 5, 9):
-        assert c_norm(pair, 0.3 + 0.25j, n) <= v_norm**n * (1 + 1e-12)
+        assert _chain_root(pair, 0.3 + 0.25j, n) <= v_norm * (1 + 1e-12) ** (1.0 / n)
 
 
 def test_c_norm_roots_fall_below_any_epsilon():
     t, pair = _phi_plus_fractional(32, 0.5)
     lam = 0.4 + 0.3j
-    roots = [c_norm(pair, lam, n) ** (1.0 / n) for n in (5, 10, 20, 30)]
+    roots = [_chain_root(pair, lam, n) for n in (5, 10, 20, 30)]
     assert roots[0] > roots[1] > roots[2] > roots[3]
-    assert c_norm(pair, lam, 32) == 0.0  # strict triangle dies exactly at the dimension
-
-
-def test_c_norm_validates_arguments():
-    t, pair = _phi_plus_fractional(16, 1.0)
-    with pytest.raises(ValueError):
-        c_norm(pair, 0.5 + 0.0j, 3)
-    with pytest.raises(ValueError):
-        c_norm(pair, 0.5 + 0.5j, 0)
-    complex_diag = np.diag([1j, 2.0]).astype(complex) + np.tril(np.ones((2, 2)), -1)
-    with pytest.raises(ValueError):
-        c_norm(split_given_basis(complex_diag), 0.5j, 1)
+    assert _chain_root(pair, lam, 32) == 0.0  # strict triangle dies exactly at the dimension
 
 
 def _window(pair, size):
@@ -126,8 +122,8 @@ def _chain_stage(pair, y, xs, n_max):
     return _chain_roots(real_if_real(pair.strict), d, y, n_max)
 
 
-def _assert_sweep_matches_c_norm(pair):
-    # the sweep's warm power iteration against the dense-SVD route of c_norm,
+def _assert_sweep_matches_dense_roots(pair):
+    # the sweep's warm power iteration against the dense roots of _chain_root,
     # at every power: a nonzero root is the dense maximum over the x samples,
     # and a zero one means every chain at that power is dead or certified
     # below the threshold |y|/2
@@ -135,7 +131,7 @@ def _assert_sweep_matches_c_norm(pair):
     xs = _window(pair, 5)
     roots = _chain_stage(pair, y, xs, 20)[0]
     for k in range(1, 21):
-        exact = [c_norm(pair, x + 1j * y, k) ** (1.0 / k) for x in xs]
+        exact = [_chain_root(pair, x + 1j * y, k) for x in xs]
         if roots[k - 1] == 0.0:
             assert max(exact) <= y / 2
         else:
@@ -146,7 +142,7 @@ def test_profile_estimator_matches_exact_chain_norms():
     # a real V: the sweep applies it by real GEMM
     t, pair = _phi_plus_fractional(48, 1.0)
     assert not np.any(pair.strict.imag)
-    _assert_sweep_matches_c_norm(pair)
+    _assert_sweep_matches_dense_roots(pair)
 
 
 def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
@@ -156,7 +152,7 @@ def test_profile_estimator_matches_exact_chain_norms_on_a_schur_split():
     phase = np.exp(1j * np.linspace(0.0, 3.0, 48))
     schur = split_schur(phase[:, None] * t.entries * phase.conj()[None, :])
     assert np.any(schur.strict.imag)
-    _assert_sweep_matches_c_norm(schur)
+    _assert_sweep_matches_dense_roots(schur)
 
 
 # ---------------------------------------------------------------- profiles
@@ -667,7 +663,7 @@ def test_profile_finishes_where_power_iteration_stalls(n, seed):
         roots, dense_norms, _ = _chain_stage(pair, y, xs, n)
         fallbacks += dense_norms
         for k in np.flatnonzero(roots) + 1:
-            dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+            dense = max(_chain_root(pair, complex(x, y), k) for x in xs)
             assert roots[k - 1] == pytest.approx(dense, rel=1e-6)
     assert fallbacks > 0
 
@@ -739,11 +735,8 @@ def test_chain_scaled_by_its_last_root_survives_a_tiny_scale(scale):
     # ||B^k|| = |d|^k for k < n and V^n = 0: only the last power is dead
     assert np.all(roots[: n - 1] > 0.0) and roots[n - 1] == 0.0
     for k in range(1, n):
-        dense = math.exp(_dense_log_norm(d * v, k) / k)  # c_norm's dense route, in logs
-        assert roots[k - 1] == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert roots[k - 1] == pytest.approx(_chain_root(pair, lam, k), rel=1e-12, abs=0.0)
         assert roots[k - 1] == pytest.approx(abs(d[0, 0]), rel=1e-12, abs=0.0)
-        if c_norm(pair, lam, k) >= np.finfo(float).tiny:  # c_norm itself underflows once |d|^k does
-            assert roots[k - 1] == pytest.approx(c_norm(pair, lam, k) ** (1.0 / k), rel=1e-12, abs=0.0)
 
 
 def test_chain_above_the_amplification_bound_goes_dense_once(monkeypatch):
@@ -775,7 +768,7 @@ def test_long_falling_chains_stay_in_the_block():
     roots, fallbacks, _ = _chain_stage(pair, y, xs, 64)
     assert fallbacks == 0 and np.sum(roots > y / 2) > 50
     for k in (30, 58):
-        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        dense = max(_chain_root(pair, complex(x, y), k) for x in xs)
         assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
 
 
@@ -848,7 +841,7 @@ def test_certificate_keeps_a_chain_that_crosses_after_a_long_dip():
     roots = _chain_stage(pair, y, xs, n)[0]
     np.testing.assert_allclose(roots, exact, rtol=1e-12, atol=0.0)
     for k in range(1, n):
-        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        dense = max(_chain_root(pair, complex(x, y), k) for x in xs)
         assert roots[k - 1] == pytest.approx(dense, rel=1e-10)
     assert np.sum(roots > y / 2) == 1 + int(np.sum(exact[:11] > y / 2))
 
@@ -951,7 +944,7 @@ def test_real_chain_product_matches_the_complex_one_on_random_operators(case):
     roots = _chain_roots(v, d, y, n)[0]
     assert (roots[0] > 0.0) == np.any(v)
     for k in np.flatnonzero(roots) + 1:
-        dense = max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs)
+        dense = max(_chain_root(pair, complex(x, y), k) for x in xs)
         assert roots[k - 1] == pytest.approx(dense, rel=1e-7)
 
 
@@ -969,7 +962,7 @@ def test_chain_roots_write_zero_only_below_the_threshold_on_random_operators(cas
         d = -y / (diag[:, None] - (xs + 1j * y)[None, :])
         roots = _chain_roots(v, d, y, n)[0]
         for k in np.flatnonzero(roots == 0.0) + 1:
-            assert max(c_norm(pair, complex(x, y), k) ** (1.0 / k) for x in xs) <= abs(y) / 2
+            assert max(_chain_root(pair, complex(x, y), k) for x in xs) <= abs(y) / 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

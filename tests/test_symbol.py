@@ -1,13 +1,16 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
 
-from triangulab import make_grid
+from triangulab import make_grid, symbol
 from triangulab.exceptions import FrequencyRangeError
+from triangulab.experiments import ExperimentConfig, run_experiment
 from triangulab.operators import (
+    KERNEL_PRESETS,
     KernelSpec,
     build_difference_operator,
     build_fractional,
@@ -105,6 +108,94 @@ def test_imaginary_power_argument_drift_is_logarithmic():
     expected = (-math.log(2.0)) % (2 * math.pi)
     assert drift1 == pytest.approx(expected, abs=0.05)
     assert drift2 == pytest.approx(expected, abs=0.05)
+
+
+# ---------------------------------------------------------------- closed forms on the ladder
+
+
+def closed_form_linear(xi):
+    """Transforms of ``s(t) = t``: with ``e = e^(i omega xi)`` and
+    ``m1 = integral_0^omega t e^(i xi t) dt``, the weighted one is
+    ``m1 - m2 / omega`` with ``m2`` the second moment, written without the
+    cancellation of its two leading terms."""
+    z = 1j * xi
+    e = cmath.exp(z * OMEGA)
+    m1 = OMEGA * e / z - (e - 1.0) / z**2
+    return (e + 1.0) / z**2 - 2.0 * (e - 1.0) / (OMEGA * z**3), m1
+
+
+def closed_form_inv_sqrt(xi):
+    """Transforms of ``s(t) = t^(-1/2)`` by Fresnel integrals: ``t = u^2``
+    turns ``integral_0^omega t^(-1/2) e^(i xi t) dt`` into
+    ``sqrt(2 pi / |xi|) (C(z) + i S(z))``, ``z = sqrt(2 |xi| omega / pi)``,
+    conjugated for ``xi < 0``; the ``t^(1/2)`` moment follows by parts."""
+    sin_z, cos_z = scipy.special.fresnel(math.sqrt(2.0 * abs(xi) * OMEGA / math.pi))
+    plain = math.sqrt(2.0 * math.pi / abs(xi)) * complex(cos_z, sin_z)
+    plain = plain if xi > 0 else plain.conjugate()
+    z = 1j * xi
+    half_moment = math.sqrt(OMEGA) * cmath.exp(z * OMEGA) / z - plain / (2.0 * z)
+    return plain - half_moment / OMEGA, plain
+
+
+def _power_integral(a, xi):
+    """``integral_0^omega t^(a-1) e^(i xi t) dt = omega^a 1F1(a; a+1; i omega xi) / a``
+    (DLMF 13.4.1 with 13.2.2), by mpmath; ``a`` an mpmath number."""
+    return mp.power(OMEGA, a) * mp.hyp1f1(a, a + 1, 1j * OMEGA * xi) / a
+
+
+def closed_form_imaginary_power(xi, alpha=1.0):
+    """Transforms of ``s(t) = t^(i alpha) / Gamma(1 + i alpha)`` by Kummer's
+    function at 30 digits: ``a = 1 + i alpha``, and the ``(1 - t/omega)``
+    weight adds the same integral at ``a + 1``."""
+    with mp.workdps(30):
+        a = mp.mpc(1.0, alpha)
+        plain = _power_integral(a, xi) / mp.gamma(a)
+        weighted = plain - _power_integral(a + 1, xi) / (OMEGA * mp.gamma(a))
+        return complex(weighted), complex(plain)
+
+
+CLOSED_FORMS = {
+    "one": closed_form_one,
+    "linear": closed_form_linear,
+    "inv_sqrt": closed_form_inv_sqrt,
+    "imaginary_power": closed_form_imaginary_power,
+}
+
+
+def _assert_trace_matches_closed_form(preset):
+    # both transforms at every XI_LADDER frequency, to 1e-9 relative: ten
+    # times the quadrature's epsrel contract of 1e-10
+    trace = trace_symbol(KernelSpec.preset(preset, 1.0).s, OMEGA)
+    exact = np.array([CLOSED_FORMS[preset](xi) for xi in XI_LADDER])
+    np.testing.assert_allclose(trace.s_tilde1, exact[:, 0], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(trace.s_tilde, exact[:, 1], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", sorted(CLOSED_FORMS))
+def test_trace_matches_the_closed_form_on_the_whole_ladder(preset):
+    assert set(CLOSED_FORMS) == set(KERNEL_PRESETS)
+    _assert_trace_matches_closed_form(preset)
+
+
+def test_prop54_symbol_matches_kummer_at_its_frequencies():
+    # g(xi) as prop54_residual takes it, for the operator prop54 builds
+    op = build_imaginary_fractional(make_grid(OMEGA, 256), 1.0)
+    for xi in (32.0, 64.0, 128.0):
+        g = -1j * xi * weighted_transform(op.kernel.s, op.grid.omega, xi)
+        exact = -1j * xi * closed_form_imaginary_power(xi)[0]
+        assert abs(g - exact) <= 1e-9 * abs(exact)
+
+
+def test_hermitian_check_misses_a_symmetric_error_that_the_pin_catches(monkeypatch, tmp_path):
+    # for a real kernel the quadratures at -xi mirror those at +xi exactly,
+    # so an error symmetric in xi leaves the hermitian check at 0.0
+    exact = symbol._oscillatory_integral
+    monkeypatch.setattr(symbol, "_oscillatory_integral", lambda w, omega, xi: exact(w, omega, xi) * (1.0 + 1e-6))
+    config = {"experiment": "symbol-trace", "kernel": {"s": "linear"}, "output_dir": str(tmp_path)}
+    (check,) = run_experiment(ExperimentConfig.from_dict(config)).checks
+    assert check.name == "hermitian-symmetry-real-kernel" and check.value == 0.0 and check.passed
+    with pytest.raises(AssertionError):
+        _assert_trace_matches_closed_form("linear")
 
 
 # ---------------------------------------------------------------- traces and limit sets
